@@ -11,7 +11,7 @@ One flat INI-style file per job, one section per subsystem:
     [smc]         Y, eta, Kg, K1_min, K1_max, K1_nominal
     [ekf]         Ts, q_diag, r, p0_diag, x0_hat
     [pso]         swarm_size, generations, seed, w, c1, c2, vmax_fraction,
-                  workers, tune = name lo hi; ...
+                  tune = name lo hi; ...
     [compare]     scenarios = a.cfg, b.cfg, ...   labels = A, B, ...
 
 Scenario kinds pull in their required sections and reject configs missing
@@ -380,7 +380,6 @@ def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
             C1=_get_float(cp, "pso", "c1", 1.49),
             C2=_get_float(cp, "pso", "c2", 1.49),
             v_max=v_max,
-            workers=_get_int(cp, "pso", "workers", 1),
         )
     except ValueError as err:
         raise ConfigError(f"{path}: [pso]: {err}") from err

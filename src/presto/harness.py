@@ -17,6 +17,19 @@ single fixed step:
        (g(x)*u in the plain loop, v_r in the saturated loops), re-anchored
        against the freshest feedback state.
 
+Each step runs in one of two fused loops, one for `smc_baseline` and one
+for the three observer kinds, over plain floats hoisted out of the
+scenario before the loop starts.  The stage functions of `plant`,
+`observer`, `controller` and `estimator` stay the documented reference:
+tests/test_kernels.py holds the fused loops to a step-by-step composition
+of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
+`ekf_update`.
+
+A run ends in DivergenceError, carrying the partial trace, when the truth
+state leaves the divergence limit or turns non-finite, when the observer
+integrator turns non-finite, or when an EKF cycle yields a non-finite
+estimate or covariance diagonal.
+
 Runs are deterministic for a fixed seed.  The per-run report carries the
 discrete-sample norms of the input and output error (plus the estimation
 error and the pre-clamp command where they exist) and the windowed
@@ -26,13 +39,18 @@ settling time.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .controller import (
+# The stage functions below are the documented reference that the fused
+# loops reproduce bit for bit; they stay importable from here because the
+# benchmark's per-layer tracer wraps them under these names.
+from .controller import (  # noqa: F401
+    SINGULARITY_FLOOR,
     SmcGains,
     TsmcGains,
     saturated_tsmc_control,
@@ -42,7 +60,7 @@ from .controller import (
 )
 from .estimator import EkfConfig, EkfState, ekf_predict, ekf_update
 from .mathcore import Trace, l2_norm, linf_norm, settling_time
-from .observer import (
+from .observer import (  # noqa: F401
     ObserverGains,
     disturbance_estimate,
     observer_advance,
@@ -69,7 +87,11 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """State blew past the divergence guard; carries the partial trace."""
+    """The truth state, observer or EKF blew past its divergence guard.
+
+    Carries the partial trace, the step time and the peak state magnitude
+    (inf when a value went non-finite).
+    """
 
     def __init__(self, message: str, trace: Trace, t: float, peak: float):
         super().__init__(message)
@@ -165,154 +187,11 @@ class RunReport:
 
 def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     """Integrate one scenario; returns the decimated trace and its report."""
-    pp = sc.plant
-    adaptive = sc.kind == "adaptive_tsmc_saturated"
-    saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
-    smc_kind = sc.kind == "smc_baseline"
-    has_observer = not smc_kind and not sc.perfect_observer
-
-    n_steps = int(round(sc.horizon / sc.dt))
-    dt = sc.dt
-    rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-
-    x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    obs = None
-    ekf_state = None
-    stride = 0
-    meas_std = 0.0
-    pn1 = pn2 = 0.0
-    innov = 0.0
-    if adaptive:
-        cfg = sc.ekf
-        ekf_state = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
-        stride = int(round(cfg.Ts / dt))
-        meas_std = math.sqrt(cfg.R)
-        if sc.process_noise:
-            pn1 = math.sqrt(cfg.Q[0, 0] * dt / cfg.Ts)
-            pn2 = math.sqrt(cfg.Q[1, 1] * dt / cfg.Ts)
-
-    cols: dict[str, list[float]] = {"t": [], "x1": [], "x2": [], "u": [], "d": []}
-    if smc_kind:
-        for name in ("s", "u_eq", "u_c"):
-            cols[name] = []
+    if sc.kind == "smc_baseline":
+        trace, max_abs_d = _smc_loop(sc), 0.0
     else:
-        for name in ("d_hat", "s", "s2"):
-            cols[name] = []
-        if saturated:
-            for name in ("v_r", "u_c"):
-                cols[name] = []
-        if adaptive:
-            for name in ("x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace"):
-                cols[name] = []
-
-    u = 0.0
-    u_acc = 0.0
-    n_acc = 0
-    max_abs_d = 0.0
-
-    def build_trace() -> Trace:
-        return Trace(dt=dt * sc.decimation, columns={k: np.asarray(v) for k, v in cols.items()})
-
-    for i in range(n_steps):
-        t = i * dt
-        d = disturbance_value(sc.disturbance, t)
-        if abs(d) > max_abs_d:
-            max_abs_d = abs(d)
-
-        if adaptive and i % stride == 0:
-            if i > 0:
-                u_mean = u_acc / n_acc if n_acc else u
-                ekf_state = ekf_predict(ekf_state, u_mean, sc.ekf, pp.K2, pp.g)
-            u_acc = 0.0
-            n_acc = 0
-            y = x1 + meas_std * rng.standard_normal()
-            ekf_state, innov = ekf_update(ekf_state, y, sc.ekf)
-
-        if adaptive:
-            fb1 = float(ekf_state.x_hat[0])
-            fb2 = float(ekf_state.x_hat[1])
-            k1_fb = float(ekf_state.x_hat[2])
-        else:
-            fb1, fb2, k1_fb = x1, x2, pp.K1
-
-        if smc_kind:
-            out = smc_control((x1, x2), sc.smc, pp, sc.smc_k1_nominal)
-            u = out.u
-            forcing = 0.0
-            if i % sc.decimation == 0:
-                cols["t"].append(t)
-                cols["x1"].append(x1)
-                cols["x2"].append(x2)
-                cols["u"].append(u)
-                cols["d"].append(d)
-                cols["s"].append(out.s)
-                cols["u_eq"].append(out.u_eq)
-                cols["u_c"].append(out.u_c)
-        else:
-            fx = -k1_fb * fb1 - pp.K2 * fb1**3
-            if has_observer:
-                if obs is None:
-                    obs = observer_init(fb2, fx, sc.z0_offset, sc.observer)
-                d_hat = disturbance_estimate(obs, fx, sc.observer)
-                s_obs = obs.s
-            else:
-                d_hat = d
-                s_obs = 0.0
-            stack = sliding_stack_n2((fb1, fb2), 0.0, s_obs, sc.tsmc)
-            pp_fb = pp if k1_fb == pp.K1 else replace(pp, K1=k1_fb)
-            if saturated:
-                v_r, u_c, u = saturated_tsmc_control((fb1, fb2), d_hat, stack, pp_fb, sc.tsmc)
-                forcing = v_r
-            else:
-                u = tsmc_control((fb1, fb2), d_hat, stack, pp_fb, sc.tsmc)
-                forcing = -pp.g * u
-            if i % sc.decimation == 0:
-                cols["t"].append(t)
-                cols["x1"].append(x1)
-                cols["x2"].append(x2)
-                cols["u"].append(u)
-                cols["d"].append(d)
-                cols["d_hat"].append(d_hat)
-                cols["s"].append(s_obs)
-                cols["s2"].append(stack.s_n)
-                if saturated:
-                    cols["v_r"].append(v_r)
-                    cols["u_c"].append(u_c)
-                if adaptive:
-                    cols["x1_hat"].append(fb1)
-                    cols["x2_hat"].append(fb2)
-                    cols["K1_hat"].append(k1_fb)
-                    cols["e_x"].append(x1 - fb1)
-                    cols["innov"].append(innov)
-                    cols["P_trace"].append(float(np.trace(ekf_state.P)))
-
-        if sc.integrator == "rk4":
-            x1, x2 = _rk4_step(x1, x2, u, t, dt, pp, sc.disturbance)
-        else:
-            dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
-            x1 += dt * dx1
-            x2 += dt * dx2
-        if adaptive and sc.process_noise:
-            x1 += pn1 * rng.standard_normal()
-            x2 += pn2 * rng.standard_normal()
-
-        if has_observer:
-            x_n = fb2 if adaptive else x2
-            obs = observer_advance(obs, x_n, fx, forcing, sc.observer, dt)
-
-        u_acc += u
-        n_acc += 1
-
-        if not (math.isfinite(x1) and math.isfinite(x2)) or max(abs(x1), abs(x2)) > DIVERGENCE_LIMIT:
-            peak = max(abs(x1), abs(x2)) if math.isfinite(x1) and math.isfinite(x2) else math.inf
-            raise DivergenceError(
-                f"state diverged at t={t:.4f} (|x| reached {peak:.3g})",
-                build_trace(),
-                t,
-                peak,
-            )
-
-    trace = build_trace()
+        trace, max_abs_d = _observer_loop(sc)
+    saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
     report = RunReport(label=sc.label, kind=sc.kind)
     report.u_l2 = l2_norm(trace, "u")
     report.u_linf = linf_norm(trace, "u")
@@ -321,13 +200,13 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     if saturated:
         report.uc_l2 = l2_norm(trace, "u_c")
         report.uc_linf = linf_norm(trace, "u_c")
-    if adaptive:
+    if sc.kind == "adaptive_tsmc_saturated":
         report.ex_l2 = l2_norm(trace, "e_x")
         report.ex_linf = linf_norm(trace, "e_x")
     report.t_s = settling_time(trace, sc.threshold_fraction, sc.hold_duration)
     # the plain observer estimates the raw external disturbance, so its
     # amplitude-bound assumption is checkable against the realized signal
-    if sc.kind == "tsmc" and has_observer and max_abs_d > sc.observer.beta0:
+    if sc.kind == "tsmc" and not sc.perfect_observer and max_abs_d > sc.observer.beta0:
         msg = (
             f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
             f"bound beta0={sc.observer.beta0:.4g}"
@@ -335,6 +214,272 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
         report.diagnostics.append(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return trace, report
+
+
+# logged columns in trace order; each observer kind keeps a prefix of them
+_SMC_COLUMNS = ("t", "x1", "x2", "u", "d", "s", "u_eq", "u_c")
+_OBSERVER_COLUMNS = (
+    "t", "x1", "x2", "u", "d", "d_hat", "s", "s2", "v_r", "u_c",
+    "x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace",
+)
+_OBSERVER_WIDTH = {"tsmc": 8, "tsmc_saturated": 10, "adaptive_tsmc_saturated": 16}
+
+
+class _SampleLog:
+    """Decimated samples, packed as float64 rows into one preallocated buffer.
+
+    The loops write a row in place with `pack(buf, offset, *values)`, so
+    logging keeps no Python object alive per sample.  Kinds that log fewer
+    columns than the row holds keep a prefix of it.
+    """
+
+    def __init__(self, sc: Scenario, names: tuple[str, ...], width: int):
+        n_samples = len(range(0, int(round(sc.horizon / sc.dt)), sc.decimation))
+        packer = struct.Struct(f"{width}d")
+        self.names = names
+        self.dt = sc.dt * sc.decimation
+        self.buf = np.empty((n_samples, width))
+        self.pack = packer.pack_into
+        self.row_bytes = packer.size
+
+    def trace(self, offset: int) -> Trace:
+        """The rows written below byte offset, as one contiguous array per column."""
+        data = self.buf[: offset // self.row_bytes]
+        if not len(data):
+            return Trace(dt=self.dt)
+        return Trace(dt=self.dt, columns={n: data[:, j].copy() for j, n in enumerate(self.names)})
+
+
+def _diverged(what: str, detail: str, t: float, peak: float, log: _SampleLog, offset: int):
+    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak)
+
+
+def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int):
+    peak = max(abs(x1), abs(x2)) if math.isfinite(x1) and math.isfinite(x2) else math.inf
+    return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
+
+
+def _disturbance_terms(spec: DisturbanceSpec):
+    """(amplitude, is sin_linear, rate*pi or rate) per term, plus the table arrays."""
+    terms = tuple(
+        (term.amplitude, term.kind == "sin_linear",
+         term.rate * math.pi if term.kind == "sin_linear" else term.rate)
+        for term in spec.terms
+    )
+    if spec.table is None:
+        return terms, None, None
+    times, values = spec.table
+    return terms, np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+
+
+def _smc_loop(sc: Scenario) -> Trace:
+    """Fused `smc_control` + truth loop; every operand is hoisted to a local.
+
+    Bit-identical to composing `disturbance_value`, `smc_control` and
+    `plant_derivative` step by step (tests/test_kernels.py holds it to that).
+    """
+    pp, gains = sc.plant, sc.smc
+    nK1, K2, g = -pp.K1, pp.K2, pp.g
+    Y, Kg, K1n = gains.Y, gains.Kg, sc.smc_k1_nominal
+    dK = K1n - gains.K1_min
+    dt, dec = sc.dt, sc.decimation
+    terms, tab_t, tab_v = _disturbance_terms(sc.disturbance)
+    rk4 = sc.integrator == "rk4"
+    sin, sqrt, interp = math.sin, math.sqrt, np.interp
+    lim = DIVERGENCE_LIMIT
+
+    x1, x2 = float(sc.x0[0]), float(sc.x0[1])
+    log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
+    buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
+    offset = next_log = 0
+    for i in range(int(round(sc.horizon / dt))):
+        t = i * dt
+        d = 0.0
+        for amp, linear, c in terms:
+            d += amp * sin(c * t) if linear else amp * sin(c * sqrt(t + 1.0))
+        if tab_t is not None:
+            d += float(interp(t, tab_t, tab_v))
+
+        b = K2 * x1**3
+        s = x2 + Y * x1
+        u_eq = (Y * x2 - K1n * x1 - b) / g
+        sg = 1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0)
+        u_c = (dK * abs(x1) + Kg) / g * sg
+        u = u_eq + u_c
+        if i == next_log:
+            next_log += dec
+            pack(buf, offset, t, x1, x2, u, d, s, u_eq, u_c)
+            offset += row_bytes
+
+        if rk4:
+            x1, x2 = _rk4_step(x1, x2, u, t, dt, pp, sc.disturbance)
+        else:
+            dx2 = nK1 * x1 - b - g * u + d
+            x1 += dt * x2
+            x2 += dt * dx2
+        if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
+            raise _state_diverged(x1, x2, t, log, offset)
+    return log.trace(offset)
+
+
+def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
+    """Fused loop of the three observer kinds; returns the trace and max |d|.
+
+    Composes `disturbance_value`, `ekf_predict`/`ekf_update`,
+    `disturbance_estimate`, `sliding_stack_n2`, `tsmc_control` or
+    `saturated_tsmc_control`, `plant_derivative` and `observer_advance`
+    with every operand hoisted, bit for bit (tests/test_kernels.py).
+    The feedback terms that depend only on the feedback state are
+    refreshed every step from the truth, or on each EKF cycle from the
+    estimate in the adaptive kind; the EKF itself still runs through the
+    library functions and their `EkfState` validation.
+    """
+    adaptive = sc.kind == "adaptive_tsmc_saturated"
+    saturated = sc.kind != "tsmc"
+    has_observer = not sc.perfect_observer
+    rk4 = sc.integrator == "rk4"
+    noisy = adaptive and sc.process_noise
+
+    pp, tg = sc.plant, sc.tsmc
+    nK1, K2, g = -pp.K1, pp.K2, pp.g
+    ng = -g  # G, the input coefficient in system form
+    ninv_g = -(1.0 / g)
+    a1, b1 = tg.alphas[0], tg.betas[0]
+    r1 = tg.exps[0].ratio
+    r1m1 = r1 - 1.0
+    r2 = tg.exps[-1].ratio
+    delta, mu = tg.delta, tg.mu
+    floor = SINGULARITY_FLOOR
+    if saturated:
+        gden = ng * ng + tg.tau
+        u_min, u_max = tg.sat.u_min, tg.sat.u_max
+    if has_observer:
+        og = sc.observer
+        nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
+        width = og.smooth_sgn_width
+        smooth = width > 0.0
+    dt, dec = sc.dt, sc.decimation
+    terms, tab_t, tab_v = _disturbance_terms(sc.disturbance)
+    sin, sqrt, interp, isfinite = math.sin, math.sqrt, np.interp, math.isfinite
+    lim, inf = DIVERGENCE_LIMIT, math.inf
+
+    x1, x2 = float(sc.x0[0]), float(sc.x0[1])
+    k1_hat = pp.K1
+    fb_stride = 1
+    innov = p_trace = 0.0
+    if adaptive:
+        cfg = sc.ekf
+        ekf_state = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
+        fb_stride = int(round(cfg.Ts / dt))
+        rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
+        normal = rng.standard_normal
+        meas_std = math.sqrt(cfg.R)
+        if noisy:
+            pn1 = math.sqrt(cfg.Q[0, 0] * dt / cfg.Ts)
+            pn2 = math.sqrt(cfg.Q[1, 1] * dt / cfg.Ts)
+        u_acc = 0.0
+
+    z = s = s_obs = u_c = 0.0
+    max_abs_d = 0.0
+    log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
+    buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
+    offset = next_log = next_fb = 0
+    for i in range(int(round(sc.horizon / dt))):
+        t = i * dt
+        d = 0.0
+        for amp, linear, c in terms:
+            d += amp * sin(c * t) if linear else amp * sin(c * sqrt(t + 1.0))
+        if tab_t is not None:
+            d += float(interp(t, tab_t, tab_v))
+        if abs(d) > max_abs_d:
+            max_abs_d = abs(d)
+
+        if i == next_fb:
+            next_fb += fb_stride
+            if adaptive:
+                if i:
+                    ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
+                u_acc = 0.0
+                ekf_state, innov = ekf_update(ekf_state, x1 + meas_std * normal(), cfg)
+                fb1 = float(ekf_state.x_hat[0])
+                fb2 = float(ekf_state.x_hat[1])
+                k1_hat = float(ekf_state.x_hat[2])
+                p_trace = float(np.trace(ekf_state.P))
+                if not (isfinite(fb1) and isfinite(fb2) and isfinite(k1_hat)
+                        and isfinite(p_trace)):
+                    raise _diverged("EKF", "non-finite estimate or covariance diagonal",
+                                    t, inf, log, offset)
+            else:
+                fb1, fb2 = x1, x2
+            # terms of the drift, the surface and the law that only the
+            # feedback state moves
+            lin = k1_hat * fb1
+            cub = K2 * fb1**3
+            fx = -lin - cub
+            abs_fx = abs(fx)
+            ax = abs(fb1)
+            sp1 = ax**r1 if fb1 > 0.0 else (-(ax**r1) if fb1 < 0.0 else 0.0)
+            ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
+            s2_fb = fb2 + a1 * fb1 + b1 * sp1
+            law_fb = lin + cub - a1 * fb2 - b1 * ddt
+            if i == 0 and has_observer:
+                z = fb2 + sc.z0_offset
+                s = sc.z0_offset
+
+        if has_observer:
+            # four-term prefix shared by the estimate and the z rate
+            if s > 0.0:
+                sw = 1.0
+                sp0 = s**r0
+            elif s < 0.0:
+                sw = -1.0
+                sp0 = -((-s) ** r0)
+            else:
+                sw = sp0 = 0.0
+            if smooth:
+                sw = s / width
+                sw = 1.0 if sw > 1.0 else (-1.0 if sw < -1.0 else sw)
+            prefix = nk * s - beta0 * sw - eps * sp0 - abs_fx * sw
+            d_hat = prefix - fx
+            s_obs = s
+        else:
+            d_hat = d
+        s2 = s2_fb + s_obs
+        sp2 = s2**r2 if s2 > 0.0 else (-((-s2) ** r2) if s2 < 0.0 else 0.0)
+        v = law_fb - d_hat - delta * s2 - mu * sp2
+        if saturated:
+            forcing = v
+            u_c = ng * v / gden
+            u = u_max if u_c > u_max else (u_min if u_c < u_min else u_c)
+        else:
+            u = ninv_g * v
+            forcing = ng * u
+        if i == next_log:
+            next_log += dec
+            pack(buf, offset, t, x1, x2, u, d, d_hat, s_obs, s2, v, u_c,
+                 fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
+            offset += row_bytes
+
+        if rk4:
+            x1, x2 = _rk4_step(x1, x2, u, t, dt, pp, sc.disturbance)
+        else:
+            dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
+            x1 += dt * x2
+            x2 += dt * dx2
+        if noisy:
+            x1 += pn1 * normal()
+            x2 += pn2 * normal()
+        if has_observer:
+            z += dt * (prefix + forcing)
+            s = z - (fb2 if adaptive else x2)
+        if adaptive:
+            u_acc += u
+
+        if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
+            if -inf < z < inf:
+                raise _state_diverged(x1, x2, t, log, offset)
+            raise _diverged("observer", f"z reached {z}", t, inf, log, offset)
+    return log.trace(offset), max_abs_d
 
 
 def _rk4_step(x1, x2, u, t, dt, pp: PlantParams, spec: DisturbanceSpec):
@@ -446,9 +591,9 @@ def export_trace(tr: Trace, path: Path | str) -> None:
         fh.write(",".join(names) + "\n")
         if not names:
             return
-        data = [tr.columns[name] for name in names]
-        for k in range(tr.n_samples):
-            fh.write(",".join(f"{col[k]:.12e}" for col in data) + "\n")
+        # rows are formatted one at a time, so no whole-file string is built
+        fmt = ",".join(["%.12e"] * len(names)) + "\n"
+        fh.writelines(fmt % row for row in zip(*(tr.columns[name] for name in names)))
 
 
 def read_trace(path: Path | str) -> Trace:

@@ -93,38 +93,34 @@ def observer_init(
     return ObserverState(z=st.z, s=st.s, d_hat=disturbance_estimate(st, fx, gains))
 
 
+def _prefix(s: float, fx: float, gains: ObserverGains) -> float:
+    # -k*s - beta0*sgn(s) - eps*s**(p0/q0) - |fx|*sgn(s): the four terms the
+    # z rate and the estimate share, evaluated once in one order for both
+    sw = _sw(s, gains)
+    return (
+        -gains.k * s
+        - gains.beta0 * sw
+        - gains.eps * _spow(s, gains.e0.ratio)
+        - abs(fx) * sw
+    )
+
+
 def z_derivative(st: ObserverState, fx: float, forcing: float, gains: ObserverGains) -> float:
     """Rate of the auxiliary integrator.
 
     zdot = -k*s - beta0*sgn(s) - eps*s**(p0/q0) - |fx|*sgn(s) + forcing,
     with forcing = g(x)*u in the plain loop and v_r in the saturated loop.
     """
-    s = st.s
-    sw = _sw(s, gains)
-    return (
-        -gains.k * s
-        - gains.beta0 * sw
-        - gains.eps * _spow(s, gains.e0.ratio)
-        - abs(fx) * sw
-        + forcing
-    )
+    return _prefix(st.s, fx, gains) + forcing
 
 
 def disturbance_estimate(st: ObserverState, fx: float, gains: ObserverGains) -> float:
     """Current disturbance estimate for the drift value fx = f(x).
 
-    Identity linking the two laws: d_hat - (zdot - forcing) == -fx exactly,
-    since both share the first four terms.
+    Identity linking the two laws: d_hat - (zdot - forcing) == -fx, since
+    both add their last term to the same four-term prefix.
     """
-    s = st.s
-    sw = _sw(s, gains)
-    return (
-        -gains.k * s
-        - gains.beta0 * sw
-        - gains.eps * _spow(s, gains.e0.ratio)
-        - abs(fx) * sw
-        - fx
-    )
+    return _prefix(st.s, fx, gains) - fx
 
 
 def observer_advance(

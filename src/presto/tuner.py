@@ -22,7 +22,6 @@ so the ordering stays total.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -74,7 +73,6 @@ class PsoConfig:
     C1: float = 1.49
     C2: float = 1.49
     v_max: tuple[float, ...] | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -91,8 +89,6 @@ class PsoConfig:
                 raise ValueError("v_max must match the box dimension")
             if any(v <= 0.0 for v in self.v_max):
                 raise ValueError("v_max entries must be > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def n_dims(self) -> int:
@@ -162,21 +158,11 @@ def _sanitize_cost(c) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def _evaluate(fitness: Callable[[np.ndarray], float], xs: list[np.ndarray], workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            costs = list(pool.map(fitness, xs))
-    else:
-        costs = [fitness(x) for x in xs]
-    return [_sanitize_cost(c) for c in costs]
-
-
 def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult:
     """Run the swarm loop and return the global best with its cost history.
 
-    Each generation: evaluate all positions (possibly concurrently; bests
-    are reduced in particle-index order), refresh personal and global
-    bests, record the global best cost, then move every particle.  The
+    Each generation: evaluate all positions in particle-index order,
+    refresh personal and global bests, record the global best cost, then move every particle.  The
     recorded history is nonincreasing by construction.
     """
     box = np.asarray(cfg.bounds, dtype=float)
@@ -192,7 +178,7 @@ def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult
     g_cost = math.inf
     history: list[float] = []
     for gen in range(1, cfg.max_generations + 1):
-        costs = _evaluate(fitness, [p.X for p in particles], cfg.workers)
+        costs = [_sanitize_cost(fitness(p.X)) for p in particles]
         for p, c in zip(particles, costs):
             if c < p.P_best_cost:
                 p.P_best_cost = c

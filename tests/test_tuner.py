@@ -120,17 +120,6 @@ class TestPsoRun:
         assert a.history == b.history
         assert np.array_equal(a.best_x, b.best_x)
 
-    def test_workers_do_not_change_the_answer(self):
-        cfg1 = sphere_cfg(seed=4, gens=25)
-        cfg4 = PsoConfig(
-            bounds=cfg1.bounds, swarm_size=cfg1.swarm_size,
-            max_generations=25, seed=4, workers=4,
-        )
-        a = pso_run(sphere, cfg1)
-        b = pso_run(sphere, cfg4)
-        assert a.history == b.history
-        assert np.array_equal(a.best_x, b.best_x)
-
     def test_nonfinite_fitness_becomes_infinite_cost(self):
         def holed(x):
             return math.nan if x[0] > 0 else sphere(x)
