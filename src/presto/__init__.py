@@ -39,12 +39,10 @@ from .plant import (
 from .observer import ObserverGains, ObserverState, disturbance_estimate, observer_advance, observer_init
 from .controller import (
     SatBounds,
-    SlidingStack,
     SmcGains,
     TsmcGains,
     saturate,
     saturated_tsmc_control,
-    sliding_stack,
     sliding_stack_n2,
     smc_control,
     tsmc_control,

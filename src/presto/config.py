@@ -196,12 +196,10 @@ def _load_tsmc(cp, path, saturated: bool) -> TsmcGains:
         raise ConfigError(f"{path}: saturated kinds need tau, u_min and u_max")
     try:
         return TsmcGains(
-            alphas=(_get_float(cp, "controller", "alpha1"),),
-            betas=(_get_float(cp, "controller", "beta1"),),
-            exps=(
-                ExponentPair(_get_int(cp, "controller", "p1"), _get_int(cp, "controller", "q1")),
-                ExponentPair(_get_int(cp, "controller", "p2"), _get_int(cp, "controller", "q2")),
-            ),
+            alpha1=_get_float(cp, "controller", "alpha1"),
+            beta1=_get_float(cp, "controller", "beta1"),
+            e1=ExponentPair(_get_int(cp, "controller", "p1"), _get_int(cp, "controller", "q1")),
+            e2=ExponentPair(_get_int(cp, "controller", "p2"), _get_int(cp, "controller", "q2")),
             delta=_get_float(cp, "controller", "delta"),
             mu=_get_float(cp, "controller", "mu"),
             tau=tau,

@@ -1,6 +1,6 @@
 """Terminal sliding-mode control laws for the second-order plant.
 
-Three laws share one sliding-surface stack:
+Three laws drive the Galerkin-reduced second-order plant:
 
 * `tsmc_control` - nonsingular terminal SMC with disturbance-estimate
   feedforward, for the unconstrained actuator;
@@ -10,15 +10,15 @@ Three laws share one sliding-surface stack:
 * `smc_control` - a conventional linear-surface SMC baseline with interval
   parameter uncertainty.
 
-The stack appends the observer auxiliary s to the last surface, so surface
-convergence and disturbance-estimate convergence share one deadline
-machinery.  For the n = 2 plant exposed by the scenarios:
+The terminal laws regulate x1 to zero on the surface
 
-    s1 = x1 - y_d,   s2 = s1' + alpha1*s1 + beta1*s1**(p1/q1) + s
+    s2 = x2 + alpha1*x1 + beta1*x1**(p1/q1) + s
 
-and the closed loop under `tsmc_control` collapses to
-``s2' = -delta*s2 - mu*s2**(p2/q2)``, the decay that yields the prescribed
-reaching deadline with theta = 2*delta, gamma = (p2+q2)/(2*q2).
+which carries the observer auxiliary s, so surface convergence and
+disturbance-estimate convergence share one deadline machinery.  The closed
+loop under `tsmc_control` collapses to ``s2' = -delta*s2 - mu*s2**(p2/q2)``,
+the decay that yields the prescribed reaching deadline with
+theta = 2*delta, gamma = (p2+q2)/(2*q2).
 
 A note on orientation: the plant applies the input as ``-g*u``, so the
 input coefficient in system form is G = -g.  All laws here are written
@@ -28,21 +28,18 @@ loop for the reference plant, whose g is negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .mathcore import ExponentPair, _spow, check_exponent_pair, sgn, signed_pow
+from .mathcore import ExponentPair, _spow, check_exponent_pair, sgn
 from .plant import PlantParams
 
 __all__ = [
     "SatBounds",
     "TsmcGains",
     "SmcGains",
-    "SlidingStack",
     "SmcOutput",
     "ddt_signed_pow",
-    "sliding_stack",
     "sliding_stack_n2",
     "tsmc_control",
     "saturate",
@@ -69,58 +66,43 @@ class SatBounds:
 
 @dataclass(frozen=True)
 class TsmcGains:
-    """Design parameters of the terminal sliding stack and reaching law.
+    """Design parameters of the terminal surface and reaching law (n = 2).
 
-    alphas, betas : stage gains alpha_1..alpha_{n-1}, beta_1..beta_{n-1}
-    exps          : exponent pairs (p_j, q_j) for stages j = 1..n; the pair
-                    of each stage j < n must clear the admissibility gate
-                    ratio > (n-j)/(n-j+1), which is what keeps the law
-                    nonsingular at zero error
-    delta, mu     : reaching gains of the final surface
+    alpha1, beta1 : gains of the surface s2 = x2 + alpha1*x1 + beta1*x1**(p1/q1) + s
+    e1            : exponent pair (p1, q1) of the surface; it must clear the
+                    admissibility gate p1/q1 > 1/2, which is what keeps the
+                    law nonsingular at zero error
+    e2            : exponent pair (p2, q2) of the reaching law
+    delta, mu     : reaching gains
     tau           : regularization of the saturated input map (> 0 there)
     sat           : actuator clamp used by the saturated law's plant model
     """
 
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
-    exps: tuple[ExponentPair, ...]
+    alpha1: float
+    beta1: float
+    e1: ExponentPair
+    e2: ExponentPair
     delta: float
     mu: float
     tau: float | None = None
     sat: SatBounds | None = None
 
     def __post_init__(self):
-        n = len(self.exps)
-        if n < 2:
-            raise ValueError("need at least two exponent pairs (n >= 2)")
-        if len(self.alphas) != n - 1 or len(self.betas) != n - 1:
-            raise ValueError(
-                f"need n-1 = {n - 1} stage gains, got {len(self.alphas)} alphas, "
-                f"{len(self.betas)} betas"
-            )
-        if any(a <= 0.0 for a in self.alphas) or any(b <= 0.0 for b in self.betas):
-            raise ValueError("stage gains alphas and betas must all be > 0")
+        if not (self.alpha1 > 0.0 and self.beta1 > 0.0):
+            raise ValueError("surface gains alpha1 and beta1 must be > 0")
         if not (self.delta > 0.0 and self.mu > 0.0):
             raise ValueError("reaching gains delta and mu must be > 0")
-        for j in range(1, n):
-            e = self.exps[j - 1]
-            if not check_exponent_pair(e, n, j):
-                frac = f"{n - j}/{n - j + 1}"
-                raise ValueError(
-                    f"exponent pair ({e.p}, {e.q}) at stage j={j} is inadmissible: "
-                    f"requires p{j}/q{j} > {frac} to keep the control law "
-                    f"nonsingular at zero error"
-                )
+        if not check_exponent_pair(self.e1, 2, 1):
+            raise ValueError(
+                f"exponent pair ({self.e1.p}, {self.e1.q}) is inadmissible: requires "
+                "p1/q1 > 1/2 to keep the control law nonsingular at zero error"
+            )
         if self.tau is not None and not (self.tau > 0.0):
             raise ValueError(f"tau must be > 0 when present, got {self.tau}")
         if self.sat is not None and not (self.sat.u_min < 0.0 < self.sat.u_max):
             raise ValueError(
                 f"clamp must bracket zero, got [{self.sat.u_min}, {self.sat.u_max}]"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.exps)
 
 
 @dataclass(frozen=True)
@@ -144,18 +126,6 @@ class SmcGains:
             raise ValueError("need K1_min < K1_max")
 
 
-@dataclass(frozen=True)
-class SlidingStack:
-    """Surface values s_1..s_n and the derivatives s_1'..s_{n-1}'."""
-
-    s_values: tuple[float, ...]
-    sdot_values: tuple[float, ...]
-
-    @property
-    def s_n(self) -> float:
-        return self.s_values[-1]
-
-
 def ddt_signed_pow(x1: float, x2: float, e: ExponentPair) -> float:
     """Time derivative of the signed fractional power along x1' = x2.
 
@@ -171,88 +141,19 @@ def ddt_signed_pow(x1: float, x2: float, e: ExponentPair) -> float:
     return r * ax ** (r - 1.0) * x2
 
 
-def sliding_stack(
-    x: Sequence[float],
-    gains: TsmcGains,
-    s_obs: float = 0.0,
-    y_d_derivs: Sequence[float] | None = None,
-    sdot_overrides: Sequence[float] | None = None,
-) -> SlidingStack:
-    """Recursive surface stack for an n-th order integrator chain.
+def sliding_stack_n2(x: tuple[float, float], s_obs: float, gains: TsmcGains) -> float:
+    """Terminal surface of the second-order plant with the observer auxiliary.
 
-    s_1 = x1 - y_d and each further stage adds the previous stage's decay:
-    s_{j+1} = s_j' + alpha_j*s_j + beta_j*s_j**(p_j/q_j), with the observer
-    auxiliary appended at the final stage.  Stage derivatives come from the
-    chain rule along the integrator chain (x_i' = x_{i+1}):
-
-        s_1' = x2 - y_d',
-        s_2' = x3 - y_d'' + (alpha1 + beta1*(p1/q1)*|s1|**(p1/q1 - 1)) * s_1'
-
-    with the usual singularity guard on the fractional factor.  Deeper
-    derivatives involve second derivatives of earlier stages, which are not
-    observable from the state alone; callers with n > 3 must supply their
-    own estimates via sdot_overrides (entries j >= 3, indexed from 1).
+    s2 = x2 + alpha1*x1 + beta1*x1**(p1/q1) + s_obs
     """
-    n = gains.n
-    if len(x) != n:
-        raise ValueError(f"state must have n={n} components, got {len(x)}")
-    yd = tuple(y_d_derivs) if y_d_derivs is not None else (0.0,) * n
-    if len(yd) != n:
-        raise ValueError(f"need n={n} desired-output derivatives, got {len(yd)}")
-    s_vals = [x[0] - yd[0]]
-    sdot_vals: list[float] = []
-    for j in range(1, n):
-        if j == 1:
-            sdot = x[1] - yd[1]
-        elif j == 2:
-            e1 = gains.exps[0]
-            a = abs(s_vals[0])
-            dfrac = e1.ratio * a ** (e1.ratio - 1.0) if a >= SINGULARITY_FLOOR else 0.0
-            sdot = (x[2] - yd[2]) + (gains.alphas[0] + gains.betas[0] * dfrac) * sdot_vals[0]
-        else:
-            if sdot_overrides is None or len(sdot_overrides) < j:
-                raise NotImplementedError(
-                    f"stage derivative s_{j}' needs second derivatives of earlier "
-                    "stages; supply sdot_overrides for stacks deeper than n = 3"
-                )
-            sdot = sdot_overrides[j - 1]
-        sdot_vals.append(sdot)
-        e = gains.exps[j - 1]
-        sj = s_vals[-1]
-        s_next = sdot + gains.alphas[j - 1] * sj + gains.betas[j - 1] * signed_pow(sj, e)
-        if j == n - 1:
-            s_next += s_obs
-        s_vals.append(s_next)
-    return SlidingStack(s_values=tuple(s_vals), sdot_values=tuple(sdot_vals))
-
-
-def sliding_stack_n2(
-    x: tuple[float, float],
-    y_d: float,
-    s_obs: float,
-    gains: TsmcGains,
-) -> SlidingStack:
-    """Two-stage stack specialized for the second-order plant.
-
-    s1 = x1 - y_d, s1' = x2, s2 = x2 + alpha1*s1 + beta1*s1**(p1/q1) + s_obs.
-    """
-    if gains.n != 2:
-        raise ValueError(f"gains describe n={gains.n}, expected 2")
     x1, x2 = x
-    s1 = x1 - y_d
-    s2 = (
-        x2
-        + gains.alphas[0] * s1
-        + gains.betas[0] * _spow(s1, gains.exps[0].ratio)
-        + s_obs
-    )
-    return SlidingStack(s_values=(s1, s2), sdot_values=(x2,))
+    return x2 + gains.alpha1 * x1 + gains.beta1 * _spow(x1, gains.e1.ratio) + s_obs
 
 
 def tsmc_control(
     x: tuple[float, float],
     d_hat: float,
-    stack: SlidingStack,
+    s2: float,
     pp: PlantParams,
     gains: TsmcGains,
 ) -> float:
@@ -270,16 +171,14 @@ def tsmc_control(
     if pp.g == 0.0:
         raise ZeroDivisionError("input coefficient g must be nonzero")
     x1, x2 = x
-    s2 = stack.s_n
-    e2 = gains.exps[-1]
     fx_hat = pp.K1 * x1 + pp.K2 * x1**3
     return -(1.0 / pp.g) * (
         fx_hat
-        - gains.alphas[0] * x2
-        - gains.betas[0] * ddt_signed_pow(x1, x2, gains.exps[0])
+        - gains.alpha1 * x2
+        - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
         - d_hat
         - gains.delta * s2
-        - gains.mu * _spow(s2, e2.ratio)
+        - gains.mu * _spow(s2, gains.e2.ratio)
     )
 
 
@@ -295,7 +194,7 @@ def saturate(u_c: float, sat: SatBounds) -> float:
 def saturated_tsmc_control(
     x: tuple[float, float],
     D_hat: float,
-    stack: SlidingStack,
+    s2: float,
     pp: PlantParams,
     gains: TsmcGains,
 ) -> tuple[float, float, float]:
@@ -314,15 +213,13 @@ def saturated_tsmc_control(
     if gains.tau is None or gains.sat is None:
         raise ValueError("saturated law needs both tau and sat bounds configured")
     x1, x2 = x
-    s2 = stack.s_n
-    e2 = gains.exps[-1]
     v_r = (
         (pp.K1 * x1 + pp.K2 * x1**3)
-        - gains.alphas[0] * x2
-        - gains.betas[0] * ddt_signed_pow(x1, x2, gains.exps[0])
+        - gains.alpha1 * x2
+        - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
         - D_hat
         - gains.delta * s2
-        - gains.mu * _spow(s2, e2.ratio)
+        - gains.mu * _spow(s2, gains.e2.ratio)
     )
     G = -pp.g
     u_c = G * v_r / (G * G + gains.tau)

@@ -19,6 +19,7 @@ at zero; at state dimension 3 nothing fancier is warranted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ def _check_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(M)) < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite")
+
+
+def _close(a: float, b: float) -> bool:
+    # np.isclose(a, b, rtol=1e-5, atol=1e-10) on two floats
+    return a == b or (abs(a - b) <= 1e-10 + 1e-5 * abs(b) and math.isfinite(b))
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,17 @@ class EkfState:
         object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
         if self.x_hat.shape != (3,) or self.P.shape != (3, 3):
             raise ValueError("EkfState needs a 3-vector estimate and 3x3 covariance")
-        if not np.allclose(self.P, self.P.T, atol=1e-10):
+        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.P.tolist()
+        # np.allclose(P, P.T, atol=1e-10) on scalars: each off-diagonal pair
+        # in both orders, and the diagonal against itself, which rejects NaN
+        if not (
+            _close(p01, p10) and _close(p10, p01)
+            and _close(p02, p20) and _close(p20, p02)
+            and _close(p12, p21) and _close(p21, p12)
+            and p00 == p00 and p11 == p11 and p22 == p22
+        ):
             raise ValueError("covariance must be symmetric within 1e-10")
-        if np.min(np.diag(self.P)) < 0.0:
+        if p00 < 0.0 or p11 < 0.0 or p22 < 0.0:
             raise ValueError("covariance diagonal must be nonnegative")
 
 

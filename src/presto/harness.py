@@ -9,7 +9,7 @@ single fixed step:
        measurement interval, then correct with the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
        filter estimate with its stiffness estimate in the adaptive kind);
-    4. read the disturbance estimate and sliding stack, evaluate the
+    4. read the disturbance estimate and sliding surface, evaluate the
        control law for the kind (plus the actuator clamp where configured);
     5. log the decimated sample;
     6. advance the truth plant (explicit Euler by default, RK4 optional);
@@ -48,7 +48,7 @@ import numpy as np
 
 # The stage functions below are the documented reference that the fused
 # loops reproduce bit for bit; they stay importable from here because the
-# benchmark's per-layer tracer wraps them under these names.
+# benchmark's per-layer tracer wraps them under these names (tests/test_bench.py).
 from .controller import (  # noqa: F401
     SINGULARITY_FLOOR,
     SmcGains,
@@ -146,8 +146,6 @@ class Scenario:
                 raise ValueError(f"kind {self.kind} needs sliding-mode gains")
             if self.observer is None and not self.perfect_observer:
                 raise ValueError(f"kind {self.kind} needs observer gains")
-            if self.tsmc.n != 2:
-                raise ValueError("scenarios drive the second-order plant (n = 2)")
         if self.kind in ("tsmc_saturated", "adaptive_tsmc_saturated"):
             if self.tsmc.tau is None or self.tsmc.sat is None:
                 raise ValueError(f"kind {self.kind} needs tau and saturation bounds")
@@ -161,8 +159,10 @@ class Scenario:
                 raise ValueError(
                     f"ekf Ts={self.ekf.Ts} must be a whole multiple of dt={self.dt}"
                 )
-        if self.process_noise and self.ekf is None:
-            raise ValueError("process_noise needs an [ekf] section for its covariances")
+        if self.process_noise and self.kind != "adaptive_tsmc_saturated":
+            raise ValueError(
+                f"process_noise applies to the adaptive kind only, not to {self.kind}"
+            )
 
 
 @dataclass
@@ -338,16 +338,16 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     saturated = sc.kind != "tsmc"
     has_observer = not sc.perfect_observer
     rk4 = sc.integrator == "rk4"
-    noisy = adaptive and sc.process_noise
+    noisy = sc.process_noise
 
     pp, tg = sc.plant, sc.tsmc
     nK1, K2, g = -pp.K1, pp.K2, pp.g
     ng = -g  # G, the input coefficient in system form
     ninv_g = -(1.0 / g)
-    a1, b1 = tg.alphas[0], tg.betas[0]
-    r1 = tg.exps[0].ratio
+    a1, b1 = tg.alpha1, tg.beta1
+    r1 = tg.e1.ratio
     r1m1 = r1 - 1.0
-    r2 = tg.exps[-1].ratio
+    r2 = tg.e2.ratio
     delta, mu = tg.delta, tg.mu
     floor = SINGULARITY_FLOOR
     if saturated:

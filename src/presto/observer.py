@@ -60,11 +60,14 @@ class ObserverGains:
 
 @dataclass(frozen=True)
 class ObserverState:
-    """Value state of the observer: integrator z, auxiliary s, estimate d_hat."""
+    """Value state of the observer: integrator z and auxiliary s = z - x_n.
+
+    The estimate itself is not stored; `disturbance_estimate` reads it off
+    (s, f(x)) whenever it is needed.
+    """
 
     z: float
     s: float
-    d_hat: float
 
 
 def _sw(s: float, gains: ObserverGains) -> float:
@@ -73,24 +76,15 @@ def _sw(s: float, gains: ObserverGains) -> float:
     return float(sgn(s))
 
 
-def observer_init(
-    x_n: float,
-    fx: float = 0.0,
-    z_offset: float = 0.0,
-    gains: ObserverGains | None = None,
-) -> ObserverState:
+def observer_init(x_n: float, z_offset: float = 0.0) -> ObserverState:
     """Start the observer at z = x_n + z_offset (so s starts at z_offset).
 
     The default offset 0 is a convenience, not a requirement: the
     convergence deadline holds for any initial s, and a nonzero z_offset is
     how the randomized deadline checks seed s(0).  At s = 0 the estimate
-    reduces to -fx regardless of gains; for a nonzero offset the gains are
-    needed to evaluate the initial estimate.
+    reduces to -f(x) regardless of gains.
     """
-    st = ObserverState(z=x_n + z_offset, s=z_offset, d_hat=-fx)
-    if z_offset == 0.0 or gains is None:
-        return st
-    return ObserverState(z=st.z, s=st.s, d_hat=disturbance_estimate(st, fx, gains))
+    return ObserverState(z=x_n + z_offset, s=z_offset)
 
 
 def _prefix(s: float, fx: float, gains: ObserverGains) -> float:
@@ -138,11 +132,10 @@ def observer_advance(
     s is always recomputed as z - x_n, never integrated separately, so it
     cannot drift from its definition.  fx and forcing are the values that
     acted over the elapsed step; x_n is the measured or estimated state at
-    the new instant.
+    the new instant.  The new estimate is read with `disturbance_estimate`
+    against the drift at that instant.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
     z = st.z + dt * z_derivative(st, fx, forcing, gains)
-    s = z - x_n
-    new = ObserverState(z=z, s=s, d_hat=0.0)
-    return ObserverState(z=z, s=s, d_hat=disturbance_estimate(new, fx, gains))
+    return ObserverState(z=z, s=z - x_n)

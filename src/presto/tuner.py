@@ -254,14 +254,5 @@ def _patch_scenario(scenario, updates: dict[str, float]):
     if ctl_keys:
         if sc.tsmc is None:
             raise ValueError("template scenario has no sliding-mode gains to tune")
-        tg = sc.tsmc
-        kw = {}
-        if "alpha1" in ctl_keys:
-            kw["alphas"] = (ctl_keys["alpha1"],) + tg.alphas[1:]
-        if "beta1" in ctl_keys:
-            kw["betas"] = (ctl_keys["beta1"],) + tg.betas[1:]
-        for name in ("delta", "mu", "tau"):
-            if name in ctl_keys:
-                kw[name] = ctl_keys[name]
-        sc = replace(sc, tsmc=replace(tg, **kw))
+        sc = replace(sc, tsmc=replace(sc.tsmc, **ctl_keys))
     return sc

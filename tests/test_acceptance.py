@@ -158,7 +158,7 @@ class TestCriterion6SlidingDynamicsOracle:
         s2 = trace.column("s2")
         dt = sc.dt
         delta, mu = sc.tsmc.delta, sc.tsmc.mu
-        e2 = sc.tsmc.exps[-1]
+        e2 = sc.tsmc.e2
         band = 10 * dt * (sc.observer.beta0 + sc.observer.eps)
         worst = 0.0
         checked = 0

@@ -3,6 +3,7 @@ import textwrap
 import pytest
 
 from presto.cli import main
+from presto.config import resolve_config_path
 
 
 class TestUsage:
@@ -162,6 +163,17 @@ class TestSimulate:
         )
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
         assert (tmp_path / "boom_partial.csv").exists()
+
+
+    def test_process_noise_on_non_adaptive_kind_exits_one(self, tmp_path, capsys):
+        text = resolve_config_path("s72").read_text()
+        ekf = resolve_config_path("s73").read_text().split("[ekf]")[1]
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text(
+            text.replace("[scenario]\n", "[scenario]\nprocess_noise = true\n") + "\n[ekf]" + ekf
+        )
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "process_noise applies to the adaptive kind only" in capsys.readouterr().err
 
 
 class TestTune:

@@ -12,7 +12,6 @@ from presto.controller import (
     ddt_signed_pow,
     saturate,
     saturated_tsmc_control,
-    sliding_stack,
     sliding_stack_n2,
     smc_control,
     tsmc_control,
@@ -23,17 +22,19 @@ from presto.plant import PlantParams
 REF = PlantParams(K1=97.4, K2=-19.97, g=-1.09)
 
 G71 = TsmcGains(
-    alphas=(100.0,),
-    betas=(9.0,),
-    exps=(ExponentPair(3, 5), ExponentPair(1, 3)),
+    alpha1=100.0,
+    beta1=9.0,
+    e1=ExponentPair(3, 5),
+    e2=ExponentPair(1, 3),
     delta=5.0,
     mu=1e-4,
 )
 
 G72 = TsmcGains(
-    alphas=(4.9,),
-    betas=(3.0,),
-    exps=(ExponentPair(3, 5), ExponentPair(1, 3)),
+    alpha1=4.9,
+    beta1=3.0,
+    e1=ExponentPair(3, 5),
+    e2=ExponentPair(1, 3),
     delta=3.0,
     mu=0.01,
     tau=3.7,
@@ -45,25 +46,27 @@ class TestGainGates:
     def test_inadmissible_first_stage_pair_is_rejected(self):
         with pytest.raises(ValueError, match=r"p1/q1 > 1/2"):
             TsmcGains(
-                alphas=(100.0,),
-                betas=(9.0,),
-                exps=(ExponentPair(1, 3), ExponentPair(1, 3)),
+                alpha1=100.0,
+                beta1=9.0,
+                e1=ExponentPair(1, 3),
+                e2=ExponentPair(1, 3),
                 delta=5.0,
                 mu=1e-4,
             )
 
     def test_positivity(self):
         with pytest.raises(ValueError):
-            TsmcGains((0.0,), (9.0,), (ExponentPair(3, 5), ExponentPair(1, 3)), 5.0, 1e-4)
+            TsmcGains(0.0, 9.0, ExponentPair(3, 5), ExponentPair(1, 3), 5.0, 1e-4)
         with pytest.raises(ValueError):
-            TsmcGains((1.0,), (9.0,), (ExponentPair(3, 5), ExponentPair(1, 3)), 0.0, 1e-4)
+            TsmcGains(1.0, 9.0, ExponentPair(3, 5), ExponentPair(1, 3), 0.0, 1e-4)
 
     def test_clamp_must_bracket_zero(self):
         with pytest.raises(ValueError):
             TsmcGains(
-                (1.0,),
-                (1.0,),
-                (ExponentPair(3, 5), ExponentPair(1, 3)),
+                1.0,
+                1.0,
+                ExponentPair(3, 5),
+                ExponentPair(1, 3),
                 1.0,
                 1.0,
                 tau=1.0,
@@ -79,66 +82,23 @@ class TestGainGates:
 
 class TestSlidingStack:
     def test_origin(self):
-        st = sliding_stack_n2((0.0, 0.0), 0.0, 0.0, G71)
-        assert st.s_values == (0.0, 0.0)
+        assert sliding_stack_n2((0.0, 0.0), 0.0, G71) == 0.0
 
     def test_reference_state(self):
-        st = sliding_stack_n2((1.0, 5.0), 0.0, 0.0, G71)
-        assert st.s_values[0] == 1.0
-        assert st.s_n == pytest.approx(114.0)  # 5 + 100 + 9
-        assert st.sdot_values == (5.0,)
+        assert sliding_stack_n2((1.0, 5.0), 0.0, G71) == pytest.approx(114.0)  # 5 + 100 + 9
 
     def test_odd_symmetry(self):
-        a = sliding_stack_n2((1.0, 5.0), 0.0, 0.0, G71)
-        b = sliding_stack_n2((-1.0, -5.0), 0.0, 0.0, G71)
-        assert b.s_n == pytest.approx(-a.s_n)
+        a = sliding_stack_n2((1.0, 5.0), 0.0, G71)
+        b = sliding_stack_n2((-1.0, -5.0), 0.0, G71)
+        assert b == pytest.approx(-a)
 
-    def test_generic_matches_n2(self):
+    def test_matches_closed_form(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            x = tuple(rng.uniform(-2, 2, size=2))
+            x1, x2 = (float(v) for v in rng.uniform(-2, 2, size=2))
             s_obs = float(rng.uniform(-1, 1))
-            a = sliding_stack_n2(x, 0.0, s_obs, G71)
-            b = sliding_stack(x, G71, s_obs=s_obs)
-            assert b.s_values == pytest.approx(a.s_values)
-            assert b.sdot_values == pytest.approx(a.sdot_values)
-
-    def test_three_stage_hand_assembly(self):
-        gains = TsmcGains(
-            alphas=(2.0, 3.0),
-            betas=(1.5, 0.8),
-            exps=(ExponentPair(7, 9), ExponentPair(3, 5), ExponentPair(1, 3)),
-            delta=1.0,
-            mu=1.0,
-        )
-        x = (0.7, -0.4, 1.2)
-        s_obs = 0.3
-        st = sliding_stack(x, gains, s_obs=s_obs)
-        s1 = 0.7
-        sd1 = -0.4
-        s2 = sd1 + 2.0 * s1 + 1.5 * s1 ** (7 / 9)
-        sd2 = 1.2 + (2.0 + 1.5 * (7 / 9) * s1 ** (7 / 9 - 1)) * sd1
-        s3 = sd2 + 3.0 * s2 + 0.8 * signed_pow(s2, ExponentPair(3, 5)) + s_obs
-        assert st.s_values == pytest.approx((s1, s2, s3), rel=1e-12)
-        assert st.sdot_values == pytest.approx((sd1, sd2), rel=1e-12)
-
-    def test_deeper_stacks_need_supplied_derivatives(self):
-        gains = TsmcGains(
-            alphas=(2.0, 2.0, 2.0),
-            betas=(1.0, 1.0, 1.0),
-            exps=(
-                ExponentPair(7, 9),
-                ExponentPair(7, 9),
-                ExponentPair(3, 5),
-                ExponentPair(1, 3),
-            ),
-            delta=1.0,
-            mu=1.0,
-        )
-        with pytest.raises(NotImplementedError):
-            sliding_stack((0.5, 0.5, 0.5, 0.5), gains)
-        st = sliding_stack((0.5, 0.5, 0.5, 0.5), gains, sdot_overrides=(0.0, 0.0, 0.25))
-        assert st.sdot_values[2] == 0.25
+            expected = x2 + 100.0 * x1 + 9.0 * signed_pow(x1, ExponentPair(3, 5)) + s_obs
+            assert sliding_stack_n2((x1, x2), s_obs, G71) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFractionalDerivativeGuard:
@@ -163,31 +123,30 @@ class TestFractionalDerivativeGuard:
 
 class TestTsmcControl:
     def test_origin_gives_zero_input(self):
-        st = sliding_stack_n2((0.0, 0.0), 0.0, 0.0, G71)
-        assert tsmc_control((0.0, 0.0), 0.0, st, REF, G71) == 0.0
+        s2 = sliding_stack_n2((0.0, 0.0), 0.0, G71)
+        assert tsmc_control((0.0, 0.0), 0.0, s2, REF, G71) == 0.0
 
     def test_hand_assembled_reference_value(self):
         x = (1.0, 5.0)
-        st = sliding_stack_n2(x, 0.0, 0.0, G71)
-        s2 = 114.0
+        s2 = sliding_stack_n2(x, 0.0, G71)
         expected = -(1.0 / REF.g) * (
             (97.4 - 19.97)
             - 100.0 * 5.0
             - 9.0 * (3 / 5) * 5.0
             - 0.0
-            - 5.0 * s2
-            - 1e-4 * s2 ** (1 / 3)
+            - 5.0 * 114.0
+            - 1e-4 * 114.0 ** (1 / 3)
         )
-        got = tsmc_control(x, 0.0, st, REF, G71)
+        got = tsmc_control(x, 0.0, s2, REF, G71)
         assert got == pytest.approx(expected, rel=1e-9)
         # stabilizing direction: the loop must push x2 down from +5
         assert -REF.g * got < 0
 
     def test_linear_in_disturbance_estimate(self):
         x = (0.3, -1.2)
-        st = sliding_stack_n2(x, 0.0, 0.0, G71)
-        u0 = tsmc_control(x, 1.0, st, REF, G71)
-        u1 = tsmc_control(x, 2.0, st, REF, G71)
+        s2 = sliding_stack_n2(x, 0.0, G71)
+        u0 = tsmc_control(x, 1.0, s2, REF, G71)
+        u1 = tsmc_control(x, 2.0, s2, REF, G71)
         assert u1 - u0 == pytest.approx(1.0 / REF.g, rel=1e-12)
 
     def test_closed_loop_surface_decay_with_perfect_estimate(self):
@@ -243,14 +202,14 @@ class TestSaturation:
 
 class TestSaturatedTsmc:
     def test_origin(self):
-        st = sliding_stack_n2((0.0, 0.0), 0.0, 0.0, G72)
-        assert saturated_tsmc_control((0.0, 0.0), 0.0, st, REF, G72) == (0.0, 0.0, 0.0)
+        s2 = sliding_stack_n2((0.0, 0.0), 0.0, G72)
+        assert saturated_tsmc_control((0.0, 0.0), 0.0, s2, REF, G72) == (0.0, 0.0, 0.0)
 
     def test_regularized_input_map(self):
         # v_r = 10 through u_c = G*v_r/(G^2 + tau) with G = -g = 1.09
         x = (0.0, 0.0)
-        st = sliding_stack_n2(x, 0.0, 0.0, G72)
-        v_r, u_c, u = saturated_tsmc_control(x, -10.0, st, REF, G72)  # -D_hat = +10
+        s2 = sliding_stack_n2(x, 0.0, G72)
+        v_r, u_c, u = saturated_tsmc_control(x, -10.0, s2, REF, G72)  # -D_hat = +10
         assert v_r == pytest.approx(10.0, rel=1e-12)
         assert u_c == pytest.approx(1.09 * 10.0 / (1.09**2 + 3.7), rel=1e-12)
         assert u == u_c
@@ -262,14 +221,14 @@ class TestSaturatedTsmc:
         for _ in range(300):
             x = tuple(rng.uniform(-2, 2, size=2))
             dhat = float(rng.uniform(-50, 50))
-            st = sliding_stack_n2(x, 0.0, float(rng.uniform(-1, 1)), G72)
-            v_r, u_c, _ = saturated_tsmc_control(x, dhat, st, REF, G72)
+            s2 = sliding_stack_n2(x, float(rng.uniform(-1, 1)), G72)
+            v_r, u_c, _ = saturated_tsmc_control(x, dhat, s2, REF, G72)
             assert abs(u_c) <= cap * abs(v_r) + 1e-12
 
     def test_requires_tau_and_bounds(self):
-        st = sliding_stack_n2((0.0, 0.0), 0.0, 0.0, G71)
+        s2 = sliding_stack_n2((0.0, 0.0), 0.0, G71)
         with pytest.raises(ValueError):
-            saturated_tsmc_control((0.0, 0.0), 0.0, st, REF, G71)
+            saturated_tsmc_control((0.0, 0.0), 0.0, s2, REF, G71)
 
 
 class TestSmcBaseline:

@@ -43,6 +43,49 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EkfState(x_hat=np.zeros(3), P=np.diag([1.0, -1.0, 1.0]))
 
+    def test_state_check_matches_allclose(self):
+        # the scalar covariance check accepts exactly what
+        # np.allclose(P, P.T, atol=1e-10) plus a nonnegative diagonal accepts
+        def reference(P):
+            with np.errstate(over="ignore"):
+                symmetric = bool(np.allclose(P, P.T, atol=1e-10))
+            return symmetric and not np.min(np.diag(P)) < 0.0
+
+        def accepted(P):
+            try:
+                EkfState(x_hat=np.zeros(3), P=P)
+            except ValueError:
+                return False
+            return True
+
+        rng = np.random.default_rng(44)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-10, -1e-10, 1e308, -1e308]
+        cases = []
+        for _ in range(3000):
+            A = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-12, 6)
+            P = 0.5 * (A + A.T)
+            i, j = rng.choice(3, size=2, replace=False)
+            kind = rng.integers(7)
+            if kind == 0:
+                # one side of the pair sits on the relative/absolute tolerance edge
+                P[i, j] = P[j, i] + rng.choice([-1, 1]) * (1e-10 + 1e-5 * abs(P[j, i])) * (
+                    1.0 + rng.choice([-1e-12, 0.0, 1e-12])
+                )
+            elif kind == 1:
+                P[i, j] = P[j, i] * (1.0 + rng.uniform(-2e-5, 2e-5))
+            elif kind == 2:
+                P[i, j] = rng.choice(specials)
+            elif kind == 3:
+                P[i, j] = P[j, i] = rng.choice(specials)
+            elif kind == 4:
+                P[i, i] = rng.choice(specials)
+            else:
+                P[i, j], P[j, i] = rng.choice(specials, size=2)
+            cases.append(P)
+        for P in cases:
+            assert accepted(P) == reference(P), P
+        assert 0 < sum(map(reference, cases)) < len(cases)
+
 
 class TestTransition:
     def test_rest_is_fixed_point(self):

@@ -55,7 +55,7 @@ class TestRunScenario:
         d_hat = trace.column("d_hat")
         for i in range(0, trace.n_samples, 97):
             fx = -sc.plant.K1 * x1[i] - sc.plant.K2 * x1[i] ** 3
-            st = ObserverState(z=0.0, s=float(s[i]), d_hat=0.0)
+            st = ObserverState(z=0.0, s=float(s[i]))
             forcing = -sc.plant.g * u[i]
             zdot = z_derivative(st, fx, forcing, sc.observer)
             assert d_hat[i] - (zdot - forcing) == pytest.approx(-fx, rel=1e-9, abs=1e-9)
@@ -154,6 +154,15 @@ class TestScenarioValidation:
         base = load_scenario("s74")
         with pytest.raises(ValueError, match="nominal"):
             replace(base, smc_k1_nominal=None)
+
+    @pytest.mark.parametrize("name", ["s71", "s72"])
+    def test_process_noise_only_in_adaptive_kind(self, name):
+        # only the adaptive loop draws process noise, so the option must
+        # not be accepted, and then ignored, on the other kinds
+        ekf = load_scenario("s73").ekf
+        base = replace(load_scenario(name), ekf=ekf)
+        with pytest.raises(ValueError, match="process_noise"):
+            replace(base, process_noise=True)
 
 
 class TestCompare:

@@ -79,19 +79,19 @@ def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
             fx = -k1_fb * fb1 - pp.K2 * fb1**3
             if has_observer:
                 if obs is None:
-                    obs = observer_init(fb2, fx, sc.z0_offset, sc.observer)
+                    obs = observer_init(fb2, sc.z0_offset)
                 d_hat, s_obs = disturbance_estimate(obs, fx, sc.observer), obs.s
             else:
                 d_hat, s_obs = d, 0.0
-            stack = sliding_stack_n2((fb1, fb2), 0.0, s_obs, sc.tsmc)
+            s2 = sliding_stack_n2((fb1, fb2), s_obs, sc.tsmc)
             pp_fb = replace(pp, K1=k1_fb)
             if saturated:
-                v_r, u_c, u = saturated_tsmc_control((fb1, fb2), d_hat, stack, pp_fb, sc.tsmc)
+                v_r, u_c, u = saturated_tsmc_control((fb1, fb2), d_hat, s2, pp_fb, sc.tsmc)
                 forcing = v_r
             else:
-                u = tsmc_control((fb1, fb2), d_hat, stack, pp_fb, sc.tsmc)
+                u = tsmc_control((fb1, fb2), d_hat, s2, pp_fb, sc.tsmc)
                 forcing = -pp.g * u
-            row = (t, x1, x2, u, d, d_hat, s_obs, stack.s_n)
+            row = (t, x1, x2, u, d, d_hat, s_obs, s2)
             if saturated:
                 row += (v_r, u_c)
             if adaptive:

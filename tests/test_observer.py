@@ -35,26 +35,26 @@ class TestInit:
         assert st.z == 0.0 and st.s == 0.0
 
     def test_estimate_at_zero_drift(self):
-        assert observer_init(5.0, fx=0.0).d_hat == 0.0
-        assert observer_init(5.0, fx=-2.5).d_hat == 2.5
+        assert disturbance_estimate(observer_init(5.0), 0.0, G71) == 0.0
+        assert disturbance_estimate(observer_init(5.0), -2.5, G71) == 2.5
 
     def test_offset_start(self):
-        st = observer_init(5.0, fx=0.0, z_offset=2.0, gains=G71)
-        assert st.z == 7.0 and st.s == 2.0
-        ref = ObserverState(z=7.0, s=2.0, d_hat=0.0)
-        assert st.d_hat == disturbance_estimate(ref, 0.0, G71)
+        st = observer_init(5.0, z_offset=2.0)
+        assert st == ObserverState(z=7.0, s=2.0)
+        # -k*s - beta0 - eps*s**(1/7) at s = 2 and zero drift
+        assert disturbance_estimate(st, 0.0, G71) == pytest.approx(-8.0 - 7.0 - 10.0 * 2 ** (1 / 7))
 
 
 class TestZDerivative:
     def test_rest_at_zero(self):
-        st = ObserverState(z=1.0, s=0.0, d_hat=0.0)
+        st = ObserverState(z=1.0, s=0.0)
         assert z_derivative(st, fx=123.0, forcing=0.0, gains=G71) == 0.0
 
     def test_reference_arithmetic(self):
-        st = ObserverState(z=0.0, s=1.0, d_hat=0.0)
+        st = ObserverState(z=0.0, s=1.0)
         # -k - beta0 - eps - |fx| = -4 - 7 - 10 - 2
         assert z_derivative(st, fx=-2.0, forcing=0.0, gains=G71) == pytest.approx(-23.0)
-        st = ObserverState(z=0.0, s=-1.0, d_hat=0.0)
+        st = ObserverState(z=0.0, s=-1.0)
         assert z_derivative(st, fx=-2.0, forcing=0.0, gains=G71) == pytest.approx(23.0)
 
     def test_odd_symmetry(self):
@@ -63,18 +63,18 @@ class TestZDerivative:
             s = float(rng.uniform(-5, 5))
             fx = float(rng.uniform(-100, 100))
             forcing = float(rng.uniform(-50, 50))
-            a = z_derivative(ObserverState(0.0, s, 0.0), fx, forcing, G71)
-            b = z_derivative(ObserverState(0.0, -s, 0.0), fx, -forcing, G71)
+            a = z_derivative(ObserverState(0.0, s), fx, forcing, G71)
+            b = z_derivative(ObserverState(0.0, -s), fx, -forcing, G71)
             assert b == pytest.approx(-a, rel=1e-12, abs=1e-12)
 
 
 class TestDisturbanceEstimate:
     def test_zero_state_zero_drift(self):
-        st = ObserverState(z=0.0, s=0.0, d_hat=0.0)
+        st = ObserverState(z=0.0, s=0.0)
         assert disturbance_estimate(st, 0.0, G71) == 0.0
 
     def test_reference_arithmetic(self):
-        st = ObserverState(z=0.0, s=1.0, d_hat=0.0)
+        st = ObserverState(z=0.0, s=1.0)
         # -4 - 7 - 10 - 2 + 2
         assert disturbance_estimate(st, -2.0, G71) == pytest.approx(-21.0)
 
@@ -82,7 +82,7 @@ class TestDisturbanceEstimate:
         # d_hat - (zdot - forcing) == -fx, shared terms cancel exactly
         rng = np.random.default_rng(32)
         for _ in range(300):
-            st = ObserverState(z=0.0, s=float(rng.uniform(-4, 4)), d_hat=0.0)
+            st = ObserverState(z=0.0, s=float(rng.uniform(-4, 4)))
             fx = float(rng.uniform(-200, 200))
             forcing = float(rng.uniform(-100, 100))
             dhat = disturbance_estimate(st, fx, G71)
@@ -98,7 +98,7 @@ class TestAdvance:
         assert new.s == pytest.approx(0.0, abs=1e-15)
 
     def test_determinism(self):
-        st = ObserverState(z=1.0, s=0.4, d_hat=0.0)
+        st = ObserverState(z=1.0, s=0.4)
         a = observer_advance(st, 0.7, -3.0, 2.0, G71, 1e-4)
         b = observer_advance(st, 0.7, -3.0, 2.0, G71, 1e-4)
         assert a == b
