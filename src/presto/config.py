@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -49,6 +50,21 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Configuration file missing, malformed, or inconsistent."""
+
+
+@contextmanager
+def _section(name: str):
+    """Name the section in a validation error the block raises.
+
+    A ConfigError passes through unchanged: it already names its section
+    and key, and the loader of the file prefixes its path once.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, configparser.Error) as err:
+        raise ConfigError(f"[{name}]: {err}") from err
 
 
 def resolve_config_path(name: str | Path) -> Path:
@@ -96,9 +112,9 @@ def _floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _require(cp, section, path):
+def _require(cp, section):
     if not cp.has_section(section):
-        raise ConfigError(f"{path}: missing required section [{section}]")
+        raise ConfigError(f"missing required section [{section}]")
 
 
 def load_beam_params(cp_or_path, section: str = "beam") -> BeamParams:
@@ -115,21 +131,19 @@ def load_beam_params(cp_or_path, section: str = "beam") -> BeamParams:
     )
 
 
-def _load_plant(cp, path) -> PlantParams:
+def _load_plant(cp) -> PlantParams:
     if cp.has_section("plant"):
-        try:
+        with _section("plant"):
             return PlantParams(
                 K1=_get_float(cp, "plant", "K1"),
                 K2=_get_float(cp, "plant", "K2"),
                 g=_get_float(cp, "plant", "g"),
             )
-        except ValueError as err:
-            raise ConfigError(f"{path}: [plant]: {err}") from err
     if cp.has_section("beam"):
         bp = load_beam_params(cp)
         mass_term = cp.get("beam", "mass_term", fallback="as_printed")
         return galerkin_coefficients(bp, mass_term)
-    raise ConfigError(f"{path}: needs a [plant] or [beam] section")
+    raise ConfigError("needs a [plant] or [beam] section")
 
 
 def _load_disturbance(cp, path) -> DisturbanceSpec:
@@ -144,15 +158,13 @@ def _load_disturbance(cp, path) -> DisturbanceSpec:
                 continue
             parts = chunk.split()
             if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}: disturbance term {chunk!r} is not 'amplitude kind rate'"
-                )
+                raise ConfigError(f"disturbance term {chunk!r} is not 'amplitude kind rate'")
             try:
                 terms.append(
                     DisturbanceTerm(amplitude=float(parts[0]), kind=parts[1], rate=float(parts[2]))
                 )
             except ValueError as err:
-                raise ConfigError(f"{path}: disturbance term {chunk!r}: {err}") from err
+                raise ConfigError(f"disturbance term {chunk!r}: {err}") from err
     table = None
     table_file = cp.get("disturbance", "table_file", fallback="").strip()
     if table_file:
@@ -164,9 +176,9 @@ def _load_disturbance(cp, path) -> DisturbanceSpec:
     return DisturbanceSpec(terms=tuple(terms), table=table)
 
 
-def _load_observer(cp, path) -> ObserverGains:
-    _require(cp, "observer", path)
-    try:
+def _load_observer(cp) -> ObserverGains:
+    _require(cp, "observer")
+    with _section("observer"):
         return ObserverGains(
             k=_get_float(cp, "observer", "k"),
             beta0=_get_float(cp, "observer", "beta0"),
@@ -174,27 +186,19 @@ def _load_observer(cp, path) -> ObserverGains:
             e0=ExponentPair(_get_int(cp, "observer", "p0"), _get_int(cp, "observer", "q0")),
             smooth_sgn_width=_get_float(cp, "observer", "smooth_sgn_width", 0.0),
         )
-    except ValueError as err:
-        raise ConfigError(f"{path}: [observer]: {err}") from err
 
 
-def _load_tsmc(cp, path, saturated: bool) -> TsmcGains:
-    _require(cp, "controller", path)
-    sat = None
-    tau = None
-    if cp.has_option("controller", "u_min") or cp.has_option("controller", "u_max"):
-        try:
+def _load_tsmc(cp) -> TsmcGains:
+    _require(cp, "controller")
+    sat = tau = None
+    with _section("controller"):
+        if cp.has_option("controller", "u_min") or cp.has_option("controller", "u_max"):
             sat = SatBounds(
                 u_min=_get_float(cp, "controller", "u_min"),
                 u_max=_get_float(cp, "controller", "u_max"),
             )
-        except ValueError as err:
-            raise ConfigError(f"{path}: [controller] saturation: {err}") from err
-    if cp.has_option("controller", "tau"):
-        tau = _get_float(cp, "controller", "tau")
-    if saturated and (sat is None or tau is None):
-        raise ConfigError(f"{path}: saturated kinds need tau, u_min and u_max")
-    try:
+        if cp.has_option("controller", "tau"):
+            tau = _get_float(cp, "controller", "tau")
         return TsmcGains(
             alpha1=_get_float(cp, "controller", "alpha1"),
             beta1=_get_float(cp, "controller", "beta1"),
@@ -205,13 +209,11 @@ def _load_tsmc(cp, path, saturated: bool) -> TsmcGains:
             tau=tau,
             sat=sat,
         )
-    except ValueError as err:
-        raise ConfigError(f"{path}: [controller]: {err}") from err
 
 
-def _load_smc(cp, path) -> tuple[SmcGains, float]:
-    _require(cp, "smc", path)
-    try:
+def _load_smc(cp) -> tuple[SmcGains, float]:
+    _require(cp, "smc")
+    with _section("smc"):
         gains = SmcGains(
             Y=_get_float(cp, "smc", "Y"),
             eta=_get_float(cp, "smc", "eta"),
@@ -219,15 +221,12 @@ def _load_smc(cp, path) -> tuple[SmcGains, float]:
             K1_min=_get_float(cp, "smc", "K1_min"),
             K1_max=_get_float(cp, "smc", "K1_max"),
         )
-    except ValueError as err:
-        raise ConfigError(f"{path}: [smc]: {err}") from err
-    nominal = _get_float(cp, "smc", "K1_nominal")
-    return gains, nominal
+    return gains, _get_float(cp, "smc", "K1_nominal")
 
 
-def _load_ekf(cp, path) -> EkfConfig:
-    _require(cp, "ekf", path)
-    try:
+def _load_ekf(cp) -> EkfConfig:
+    _require(cp, "ekf")
+    with _section("ekf"):
         q = _floats(cp.get("ekf", "q_diag"))
         p0 = _floats(cp.get("ekf", "p0_diag"))
         x0 = _floats(cp.get("ekf", "x0_hat"))
@@ -240,47 +239,44 @@ def _load_ekf(cp, path) -> EkfConfig:
             P0=np.diag(p0),
             x0_hat=np.array(x0),
         )
-    except (ValueError, configparser.Error) as err:
-        raise ConfigError(f"{path}: [ekf]: {err}") from err
 
 
 def load_scenario(name: str | Path) -> Scenario:
     """Load and validate one scenario config; PRESTO_SEED overrides the seed."""
     path = resolve_config_path(name)
     cp = _read(path)
-    _require(cp, "scenario", path)
-    kind = cp.get("scenario", "kind", fallback="").strip()
-    x0_raw = _floats(cp.get("scenario", "x0", fallback="1.0 5.0"))
-    if len(x0_raw) != 2:
-        raise ConfigError(f"{path}: x0 needs two entries")
-    seed = _get_int(cp, "scenario", "seed", 0)
-    env_seed = os.environ.get("PRESTO_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as err:
-            raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
-
-    saturated = kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
-    tsmc = observer = ekf = smc = None
-    smc_nominal = None
-    if kind == "smc_baseline":
-        smc, smc_nominal = _load_smc(cp, path)
-    elif kind in ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated"):
-        tsmc = _load_tsmc(cp, path, saturated)
-        observer = _load_observer(cp, path)
-        if kind == "adaptive_tsmc_saturated":
-            ekf = _load_ekf(cp, path)
-    else:
-        raise ConfigError(f"{path}: unknown scenario kind {kind!r}")
-
-    z0 = 0.0
-    if cp.has_section("observer"):
-        z0 = _get_float(cp, "observer", "z0_offset", 0.0)
     try:
+        _require(cp, "scenario")
+        kind = cp.get("scenario", "kind", fallback="").strip()
+        x0_raw = _floats(cp.get("scenario", "x0", fallback="1.0 5.0"))
+        if len(x0_raw) != 2:
+            raise ConfigError("x0 needs two entries")
+        seed = _get_int(cp, "scenario", "seed", 0)
+        env_seed = os.environ.get("PRESTO_SEED")
+        if env_seed is not None:
+            try:
+                seed = int(env_seed)
+            except ValueError as err:
+                raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
+
+        tsmc = observer = ekf = smc = None
+        smc_nominal = None
+        if kind == "smc_baseline":
+            smc, smc_nominal = _load_smc(cp)
+        elif kind in ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated"):
+            tsmc = _load_tsmc(cp)
+            observer = _load_observer(cp)
+            if kind == "adaptive_tsmc_saturated":
+                ekf = _load_ekf(cp)
+        else:
+            raise ConfigError(f"unknown scenario kind {kind!r}")
+
+        z0 = 0.0
+        if cp.has_section("observer"):
+            z0 = _get_float(cp, "observer", "z0_offset", 0.0)
         return Scenario(
             kind=kind,
-            plant=_load_plant(cp, path),
+            plant=_load_plant(cp),
             disturbance=_load_disturbance(cp, path),
             x0=(x0_raw[0], x0_raw[1]),
             dt=_get_float(cp, "scenario", "dt", 1e-4),
@@ -340,45 +336,46 @@ def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
     semicolons; a bare name takes its default search box.
     """
     path = resolve_config_path(name)
-    cp = _read(path)
-    _require(cp, "pso", path)
     scenario = load_scenario(path)
-    raw = cp.get("pso", "tune", fallback="").strip()
-    if not raw:
-        raise ConfigError(f"{path}: [pso] tune must list at least one gain")
-    names: list[str] = []
-    bounds: list[tuple[float, float]] = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split()
-        gain = parts[0]
-        if gain not in DEFAULT_TUNE_BOXES:
-            raise ConfigError(
-                f"{path}: cannot tune {gain!r}; tunable: {sorted(DEFAULT_TUNE_BOXES)}"
-            )
-        if len(parts) == 1:
-            box = DEFAULT_TUNE_BOXES[gain]
-        elif len(parts) == 3:
-            box = (float(parts[1]), float(parts[2]))
-        else:
-            raise ConfigError(f"{path}: tune entry {chunk!r} is not 'name [lo hi]'")
-        names.append(gain)
-        bounds.append(box)
-    vmax_fraction = _get_float(cp, "pso", "vmax_fraction", 0.2)
-    v_max = tuple(vmax_fraction * (hi - lo) for lo, hi in bounds)
+    cp = _read(path)
     try:
-        cfg = PsoConfig(
-            bounds=tuple(bounds),
-            swarm_size=_get_int(cp, "pso", "swarm_size", 20),
-            max_generations=_get_int(cp, "pso", "generations", 40),
-            seed=_get_int(cp, "pso", "seed", 0),
-            W=_get_float(cp, "pso", "w", 0.72),
-            C1=_get_float(cp, "pso", "c1", 1.49),
-            C2=_get_float(cp, "pso", "c2", 1.49),
-            v_max=v_max,
-        )
+        _require(cp, "pso")
+        raw = cp.get("pso", "tune", fallback="").strip()
+        if not raw:
+            raise ConfigError("[pso] tune must list at least one gain")
+        names: list[str] = []
+        bounds: list[tuple[float, float]] = []
+        for chunk in raw.split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            parts = chunk.split()
+            gain = parts[0]
+            if gain not in DEFAULT_TUNE_BOXES:
+                raise ConfigError(f"cannot tune {gain!r}; tunable: {sorted(DEFAULT_TUNE_BOXES)}")
+            if gain == "tau" and scenario.kind == "tsmc":
+                raise ConfigError("cannot tune 'tau' on kind tsmc: it has no saturated input map")
+            if len(parts) == 1:
+                box = DEFAULT_TUNE_BOXES[gain]
+            elif len(parts) == 3:
+                box = (float(parts[1]), float(parts[2]))
+            else:
+                raise ConfigError(f"tune entry {chunk!r} is not 'name [lo hi]'")
+            names.append(gain)
+            bounds.append(box)
+        vmax_fraction = _get_float(cp, "pso", "vmax_fraction", 0.2)
+        v_max = tuple(vmax_fraction * (hi - lo) for lo, hi in bounds)
+        with _section("pso"):
+            cfg = PsoConfig(
+                bounds=tuple(bounds),
+                swarm_size=_get_int(cp, "pso", "swarm_size", 20),
+                max_generations=_get_int(cp, "pso", "generations", 40),
+                seed=_get_int(cp, "pso", "seed", 0),
+                W=_get_float(cp, "pso", "w", 0.72),
+                C1=_get_float(cp, "pso", "c1", 1.49),
+                C2=_get_float(cp, "pso", "c2", 1.49),
+                v_max=v_max,
+            )
+        return cfg, TuneTemplate(scenario=scenario, names=tuple(names))
     except ValueError as err:
-        raise ConfigError(f"{path}: [pso]: {err}") from err
-    return cfg, TuneTemplate(scenario=scenario, names=tuple(names))
+        raise ConfigError(f"{path}: {err}") from err

@@ -92,7 +92,7 @@ class TsmcGains:
             raise ValueError("surface gains alpha1 and beta1 must be > 0")
         if not (self.delta > 0.0 and self.mu > 0.0):
             raise ValueError("reaching gains delta and mu must be > 0")
-        if not check_exponent_pair(self.e1, 2, 1):
+        if not check_exponent_pair(self.e1):
             raise ValueError(
                 f"exponent pair ({self.e1.p}, {self.e1.q}) is inadmissible: requires "
                 "p1/q1 > 1/2 to keep the control law nonsingular at zero error"

@@ -4,7 +4,8 @@ A Scenario bundles one plant, one disturbance, one controller kind and its
 gains, and the integration setup.  `run_scenario` advances everything on a
 single fixed step:
 
-    1. sample the disturbance;
+    1. read the disturbance sample (`disturbance_value` evaluates the
+       waveform once per run, at every step time, before the loop starts);
     2. (adaptive kind) EKF predict with the input averaged over the elapsed
        measurement interval, then correct with the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
@@ -27,8 +28,8 @@ of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
 
 A run ends in DivergenceError, carrying the partial trace, when the truth
 state leaves the divergence limit or turns non-finite, when the observer
-integrator turns non-finite, or when an EKF cycle yields a non-finite
-estimate or covariance diagonal.
+integrator turns non-finite, or when an EKF cycle yields a state estimate
+beyond the divergence limit, or a non-finite estimate or covariance diagonal.
 
 Runs are deterministic for a fixed seed.  The per-run report carries the
 discrete-sample norms of the input and output error (plus the estimation
@@ -149,6 +150,12 @@ class Scenario:
         if self.kind in ("tsmc_saturated", "adaptive_tsmc_saturated"):
             if self.tsmc.tau is None or self.tsmc.sat is None:
                 raise ValueError(f"kind {self.kind} needs tau and saturation bounds")
+        elif self.kind == "tsmc" and (self.tsmc.tau is not None or self.tsmc.sat is not None):
+            # the plain law neither regularizes nor clamps its input
+            raise ValueError(
+                "tau and the clamp (tsmc.tau, tsmc.sat: u_min, u_max) apply to the "
+                "saturated kinds only, not to tsmc"
+            )
         if self.kind == "adaptive_tsmc_saturated":
             if self.ekf is None:
                 raise ValueError("adaptive kind needs an [ekf] section")
@@ -259,17 +266,20 @@ def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int
     return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
 
 
-def _disturbance_terms(spec: DisturbanceSpec):
-    """(amplitude, is sin_linear, rate*pi or rate) per term, plus the table arrays."""
-    terms = tuple(
-        (term.amplitude, term.kind == "sin_linear",
-         term.rate * math.pi if term.kind == "sin_linear" else term.rate)
-        for term in spec.terms
-    )
-    if spec.table is None:
-        return terms, None, None
-    times, values = spec.table
-    return terms, np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+def _disturbance_series(sc: Scenario):
+    """d at every step time i*dt, as a 1-D memoryview that yields floats.
+
+    With the RK4 integrator, also d at the substage times t + dt/2 and
+    t + dt; otherwise those two are None.
+    """
+    t = np.arange(int(round(sc.horizon / sc.dt)), dtype=float)
+    t *= sc.dt
+    d = memoryview(disturbance_value(sc.disturbance, t))
+    if sc.integrator != "rk4":
+        return d, None, None
+    d_mid = disturbance_value(sc.disturbance, t + 0.5 * sc.dt)
+    d_end = disturbance_value(sc.disturbance, t + sc.dt)
+    return d, memoryview(d_mid), memoryview(d_end)
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -283,23 +293,16 @@ def _smc_loop(sc: Scenario) -> Trace:
     Y, Kg, K1n = gains.Y, gains.Kg, sc.smc_k1_nominal
     dK = K1n - gains.K1_min
     dt, dec = sc.dt, sc.decimation
-    terms, tab_t, tab_v = _disturbance_terms(sc.disturbance)
     rk4 = sc.integrator == "rk4"
-    sin, sqrt, interp = math.sin, math.sqrt, np.interp
     lim = DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
+    d_series, d_mid, d_end = _disturbance_series(sc)
     log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
-    for i in range(int(round(sc.horizon / dt))):
+    for i, d in enumerate(d_series):
         t = i * dt
-        d = 0.0
-        for amp, linear, c in terms:
-            d += amp * sin(c * t) if linear else amp * sin(c * sqrt(t + 1.0))
-        if tab_t is not None:
-            d += float(interp(t, tab_t, tab_v))
-
         b = K2 * x1**3
         s = x2 + Y * x1
         u_eq = (Y * x2 - K1n * x1 - b) / g
@@ -312,13 +315,14 @@ def _smc_loop(sc: Scenario) -> Trace:
             offset += row_bytes
 
         if rk4:
-            x1, x2 = _rk4_step(x1, x2, u, t, dt, pp, sc.disturbance)
+            x1, x2 = _rk4_step(x1, x2, u, dt, pp, d, d_mid[i], d_end[i])
         else:
             dx2 = nK1 * x1 - b - g * u + d
             x1 += dt * x2
             x2 += dt * dx2
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
             raise _state_diverged(x1, x2, t, log, offset)
+    del d_series, d_mid, d_end  # the series must not outlive the loop into the trace copy
     return log.trace(offset)
 
 
@@ -359,8 +363,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         width = og.smooth_sgn_width
         smooth = width > 0.0
     dt, dec = sc.dt, sc.decimation
-    terms, tab_t, tab_v = _disturbance_terms(sc.disturbance)
-    sin, sqrt, interp, isfinite = math.sin, math.sqrt, np.interp, math.isfinite
+    isfinite = math.isfinite
     lim, inf = DIVERGENCE_LIMIT, math.inf
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
@@ -380,20 +383,13 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         u_acc = 0.0
 
     z = s = s_obs = u_c = 0.0
-    max_abs_d = 0.0
+    d_series, d_mid, d_end = _disturbance_series(sc)
+    max_abs_d = float(np.max(np.abs(d_series)))
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
-    for i in range(int(round(sc.horizon / dt))):
+    for i, d in enumerate(d_series):
         t = i * dt
-        d = 0.0
-        for amp, linear, c in terms:
-            d += amp * sin(c * t) if linear else amp * sin(c * sqrt(t + 1.0))
-        if tab_t is not None:
-            d += float(interp(t, tab_t, tab_v))
-        if abs(d) > max_abs_d:
-            max_abs_d = abs(d)
-
         if i == next_fb:
             next_fb += fb_stride
             if adaptive:
@@ -405,10 +401,12 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 fb2 = float(ekf_state.x_hat[1])
                 k1_hat = float(ekf_state.x_hat[2])
                 p_trace = float(np.trace(ekf_state.P))
-                if not (isfinite(fb1) and isfinite(fb2) and isfinite(k1_hat)
+                # the limit on the state estimate also keeps fb1**3 finite
+                # and the next predict's covariance free of overflow
+                if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and isfinite(k1_hat)
                         and isfinite(p_trace)):
-                    raise _diverged("EKF", "non-finite estimate or covariance diagonal",
-                                    t, inf, log, offset)
+                    raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
+                                    f"trace P = {p_trace:.3g}", t, inf, log, offset)
             else:
                 fb1, fb2 = x1, x2
             # terms of the drift, the surface and the law that only the
@@ -461,7 +459,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             offset += row_bytes
 
         if rk4:
-            x1, x2 = _rk4_step(x1, x2, u, t, dt, pp, sc.disturbance)
+            x1, x2 = _rk4_step(x1, x2, u, dt, pp, d, d_mid[i], d_end[i])
         else:
             dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
             x1 += dt * x2
@@ -479,19 +477,17 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             if -inf < z < inf:
                 raise _state_diverged(x1, x2, t, log, offset)
             raise _diverged("observer", f"z reached {z}", t, inf, log, offset)
+    del d_series, d_mid, d_end  # the series must not outlive the loop into the trace copy
     return log.trace(offset), max_abs_d
 
 
-def _rk4_step(x1, x2, u, t, dt, pp: PlantParams, spec: DisturbanceSpec):
+def _rk4_step(x1, x2, u, dt, pp: PlantParams, d: float, d_mid: float, d_end: float):
     # classic RK4 on the truth with the input held over the step and the
-    # disturbance evaluated at the substage times
-    def f(xa, xb, tt):
-        return plant_derivative((xa, xb), u, disturbance_value(spec, tt), pp)
-
-    k1 = f(x1, x2, t)
-    k2 = f(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1], t + 0.5 * dt)
-    k3 = f(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1], t + 0.5 * dt)
-    k4 = f(x1 + dt * k3[0], x2 + dt * k3[1], t + dt)
+    # disturbance at the step start, midpoint and end
+    k1 = plant_derivative((x1, x2), u, d, pp)
+    k2 = plant_derivative((x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1]), u, d_mid, pp)
+    k3 = plant_derivative((x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1]), u, d_mid, pp)
+    k4 = plant_derivative((x1 + dt * k3[0], x2 + dt * k3[1]), u, d_end, pp)
     return (
         x1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
         x2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),

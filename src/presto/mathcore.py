@@ -143,24 +143,13 @@ def prescribed_time_bound(inp: TimeBoundInputs) -> float:
     )
 
 
-def check_exponent_pair(e, n: int, j: int) -> bool:
-    """Admissibility gate for the j-th fractional exponent of an n-stage stack.
+def check_exponent_pair(e: ExponentPair) -> bool:
+    """Admissibility gate of the surface exponent: True iff p1/q1 > 1/2.
 
-    True iff (p, q) is a valid odd pair with p < q and the ratio exceeds
-    (n - j)/(n - j + 1).  The ratio condition keeps the (n - j)-th time
-    derivative of ``s**(p/q)`` bounded at s = 0, which is what rules out
-    singular feedback terms.  Accepts an ExponentPair or a raw (p, q) tuple
-    so that invalid pairs can be screened before construction.
+    The ratio condition keeps the first time derivative of ``x1**(p1/q1)``
+    bounded at x1 = 0, which is what rules out a singular control law.
     """
-    if not (1 <= j <= n):
-        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
-    if isinstance(e, ExponentPair):
-        p, q = e.p, e.q
-    else:
-        p, q = e
-        if p <= 0 or q <= 0 or p % 2 == 0 or q % 2 == 0 or p >= q:
-            return False
-    return p * (n - j + 1) > q * (n - j)
+    return 2 * e.p > e.q
 
 
 @dataclass

@@ -126,18 +126,30 @@ class DisturbanceSpec:
         return b
 
 
-def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
-    """Evaluate the disturbance waveform at time t >= 0."""
-    d = 0.0
+def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the disturbance waveform at time t >= 0, or at each time of an array.
+
+    Terms are summed from 0.0 in file order and the table added last, so
+    each element of an array result is bitwise the float call's value, sign
+    of zero included.  The times are only read; one scratch buffer holds a term.
+    """
+    t = np.asarray(t, dtype=float)
+    d = np.zeros(t.shape)
+    term_value = np.empty(t.shape)
     for term in spec.terms:
         if term.kind == "sin_linear":
-            d += term.amplitude * math.sin(term.rate * math.pi * t)
+            np.multiply(term.rate * math.pi, t, out=term_value)
         else:
-            d += term.amplitude * math.sin(term.rate * math.sqrt(t + 1.0))
+            np.add(t, 1.0, out=term_value)
+            np.sqrt(term_value, out=term_value)
+            term_value *= term.rate
+        np.sin(term_value, out=term_value)
+        term_value *= term.amplitude
+        d += term_value
     if spec.table is not None:
         times, values = spec.table
-        d += float(np.interp(t, times, values))
-    return d
+        d += np.interp(t, times, values)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)

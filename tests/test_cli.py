@@ -175,6 +175,15 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
         assert "process_noise applies to the adaptive kind only" in capsys.readouterr().err
 
+    def test_clamp_on_tsmc_kind_exits_one(self, tmp_path, capsys):
+        text = resolve_config_path("s71").read_text()
+        cfg = tmp_path / "clamped.cfg"
+        clamp = "[controller]\ntau = 3.7\nu_min = -1\nu_max = 1\n"
+        cfg.write_text(text.replace("[controller]\n", clamp))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "saturated kinds only, not to tsmc" in capsys.readouterr().err
+        assert not (tmp_path / "clamped.csv").exists()
+
 
 class TestTune:
     def test_tiny_job(self, tmp_path, capsys):

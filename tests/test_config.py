@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import pytest
@@ -118,6 +119,32 @@ class TestScenarioParsing:
         assert sc.plant.g < 0
 
 
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "bundled,section,key",
+        [
+            ("s71", "plant", "K1"),
+            ("s71", "observer", "k"),
+            ("s71", "controller", "alpha1"),
+            ("s74", "smc", "Y"),
+            ("s74", "smc", "K1_nominal"),
+            ("s73", "ekf", "Ts"),
+        ],
+    )
+    def test_bad_value_names_path_and_key_once(self, tmp_path, bundled, section, key):
+        text = resolve_config_path(bundled).read_text()
+        head, body = text.split(f"[{section}]\n")
+        body = re.sub(rf"(?m)^{key} = .*$", f"{key} = abc", body, count=1)
+        p = write_cfg(tmp_path, head + f"[{section}]\n" + body, name="bad.cfg")
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(p)
+        msg = str(exc.value)
+        assert msg.startswith(f"{p}: ")
+        assert msg.count(str(p)) == 1
+        assert msg.count(f"[{section}]") == 1
+        assert f"[{section}] {key}: " in msg
+
+
 class TestCompareExpansion:
     def test_bundled_compare_config(self):
         entries = load_compare_entries(["compare"])
@@ -150,6 +177,11 @@ class TestPsoJob:
     def test_unknown_gain(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = warp 0 1\n")
         with pytest.raises(ConfigError, match="warp"):
+            load_pso_job(p)
+
+    def test_tau_not_tunable_on_tsmc_kind(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k; tau\n")
+        with pytest.raises(ConfigError, match="cannot tune 'tau' on kind tsmc"):
             load_pso_job(p)
 
     def test_default_boxes(self, tmp_path):

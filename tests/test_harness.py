@@ -119,11 +119,6 @@ class TestRunScenario:
         assert err.trace.n_samples > 0
         assert err.peak > 1e6 or math.isinf(err.peak)
 
-    def test_process_noise_needs_ekf(self):
-        base = load_scenario("s71")
-        with pytest.raises(ValueError, match="process_noise"):
-            replace(base, process_noise=True)
-
     def test_disturbance_bound_violation_is_diagnosed(self):
         from presto.plant import DisturbanceTerm
 
@@ -163,6 +158,16 @@ class TestScenarioValidation:
         base = replace(load_scenario(name), ekf=ekf)
         with pytest.raises(ValueError, match="process_noise"):
             replace(base, process_noise=True)
+
+    @pytest.mark.parametrize(
+        "changes", [dict(tau=3.7), dict(sat=SatBounds(-1.0, 1.0))], ids=["tau", "sat"]
+    )
+    def test_clamp_only_in_saturated_kinds(self, changes):
+        # the plain law neither regularizes nor clamps, so a configured
+        # clamp must not be accepted, and then ignored, on kind tsmc
+        base = load_scenario("s71")
+        with pytest.raises(ValueError, match=f"tsmc.{next(iter(changes))}"):
+            replace(base, tsmc=replace(base.tsmc, **changes))
 
 
 class TestCompare:

@@ -6,6 +6,7 @@ every report field of the fused loops must match it bit for bit.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from presto import load_scenario, run_scenario
 from presto.cli import main as cli_main
-from presto.config import load_pso_job
+from presto.config import load_pso_job, resolve_config_path
 from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
 from presto.estimator import EkfState, ekf_predict, ekf_update
 from presto.harness import DivergenceError, RunReport, Scenario
@@ -206,6 +207,16 @@ def poison_ekf(monkeypatch, index: int, from_call: int) -> None:
     monkeypatch.setattr(harness, "ekf_update", poisoned)
 
 
+def far_estimate_cfg(tmp_path, x1_hat: str):
+    """s73 over 0.1 s with the filter started at x1_hat, far from the truth."""
+    text = resolve_config_path("s73").read_text()
+    text = re.sub(r"(?m)^x0_hat = .*$", f"x0_hat = {x1_hat}, 5.0, 20.0", text)
+    text = re.sub(r"(?m)^horizon = .*$", "horizon = 0.1", text)
+    path = tmp_path / "far.cfg"
+    path.write_text(text)
+    return path
+
+
 class TestNonFiniteLoops:
     """Non-finite values outside the truth state end the run as a divergence."""
 
@@ -228,6 +239,30 @@ class TestNonFiniteLoops:
         assert lines[1].startswith("s71") and "FAILED" not in lines[1]
         assert lines[2].startswith("s73") and "FAILED" in lines[2]
         assert (tmp_path / "s73.csv").read_text().count("\n") > 1
+
+    # 1e80 overflowed the next covariance predict into an EkfState
+    # ValueError, 1e110 the cube of the estimate into an OverflowError
+    @pytest.mark.parametrize("x1_hat", ["1.0e80", "1.0e110"])
+    def test_runaway_estimate_raises_divergence(self, tmp_path, x1_hat):
+        sc = load_scenario(far_estimate_cfg(tmp_path, x1_hat))
+        with pytest.raises(DivergenceError, match="EKF"):
+            run_scenario(sc)
+
+    @pytest.mark.parametrize("x1_hat", ["1.0e80", "1.0e110"])
+    def test_runaway_estimate_exits_two(self, tmp_path, capsys, x1_hat):
+        cfg = far_estimate_cfg(tmp_path, x1_hat)
+        assert cli_main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "EKF diverged" in capsys.readouterr().err
+        assert (tmp_path / "far_partial.csv").exists()
+
+    @pytest.mark.parametrize("x1_hat", ["1.0e80", "1.0e110"])
+    def test_runaway_estimate_is_a_failed_row(self, tmp_path, x1_hat):
+        cfg = far_estimate_cfg(tmp_path, x1_hat)
+        out = tmp_path / "out"
+        assert cli_main(["compare", "s71", str(cfg), "--out", str(out)]) == 2
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[1].startswith("s71") and "FAILED" not in lines[1]
+        assert lines[2].startswith("far") and "FAILED: EKF diverged" in lines[2]
 
     def test_overflowing_observer_raises_divergence(self):
         # the clamp keeps the truth finite while delta*s2 overflows the

@@ -132,21 +132,10 @@ class TestPrescribedTimeBound:
 
 class TestCheckExponentPair:
     def test_reference_gates(self):
-        assert check_exponent_pair(ExponentPair(3, 5), n=2, j=1) is True
-        assert check_exponent_pair(ExponentPair(1, 3), n=2, j=2) is True
-        assert check_exponent_pair(ExponentPair(1, 3), n=2, j=1) is False
-
-    def test_rejects_malformed_raw_pairs(self):
-        assert check_exponent_pair((2, 5), n=2, j=2) is False
-        assert check_exponent_pair((3, 6), n=2, j=2) is False
-        assert check_exponent_pair((5, 3), n=2, j=2) is False
-        assert check_exponent_pair((3, 3), n=2, j=2) is False
-
-    def test_stage_bounds(self):
-        with pytest.raises(ValueError):
-            check_exponent_pair(ExponentPair(3, 5), n=2, j=0)
-        with pytest.raises(ValueError):
-            check_exponent_pair(ExponentPair(3, 5), n=2, j=3)
+        assert check_exponent_pair(ExponentPair(3, 5)) is True
+        assert check_exponent_pair(ExponentPair(5, 9)) is True
+        assert check_exponent_pair(ExponentPair(1, 3)) is False
+        assert check_exponent_pair(ExponentPair(3, 7)) is False
 
 
 class TestTrace:
