@@ -4,7 +4,8 @@
     presto compare <config>... [--out DIR] run several, write the comparison table
     presto tune <config> [--out DIR]       swarm-tune gains declared in [pso]
     presto coeffs <config>                 print plant coefficients for [beam]
-    presto validate <config>               check a config and its gain gates
+    presto validate <config>               check a scenario, [compare] or [pso]
+                                           config and its gain gates
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 runtime
 divergence.  Bare names like 's71' resolve to the bundled configs.
@@ -123,15 +124,19 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = cfgmod.resolve_config_path(args.config)
-    sc = cfgmod.load_scenario(path)
-    bound = sc.disturbance.bound
-    if sc.observer is not None and bound > sc.observer.beta0:
-        print(
-            f"warning: disturbance amplitude bound {bound:g} exceeds observer "
-            f"beta0={sc.observer.beta0:g}",
-            file=sys.stderr,
-        )
-    print(f"{path}: OK ({sc.kind})")
+    if cfgmod._read(path).has_section("pso"):
+        scenarios = [cfgmod.load_pso_job(path)[1].scenario]
+    else:
+        scenarios = [sc for _, sc in cfgmod.load_compare_entries([path])]
+    for sc in scenarios:
+        bound = sc.disturbance.bound
+        if sc.observer is not None and bound > sc.observer.beta0:
+            print(
+                f"warning [{sc.label}]: disturbance amplitude bound {bound:g} exceeds "
+                f"observer beta0={sc.observer.beta0:g}",
+                file=sys.stderr,
+            )
+    print(f"{path}: OK ({', '.join(sc.kind for sc in scenarios)})")
     return EXIT_OK
 
 

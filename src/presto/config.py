@@ -14,17 +14,21 @@ One flat INI-style file per job, one section per subsystem:
                   tune = name lo hi; ...
     [compare]     scenarios = a.cfg, b.cfg, ...   labels = A, B, ...
 
-Scenario kinds pull in their required sections and reject configs missing
-them.  The environment variable PRESTO_SEED, when set, overrides every
-scenario seed loaded through this module.  Config names that are not
-existing paths fall back to the bundled files under presto/configs.
+This module only reads keys and converts their values.  A key the file
+omits is not passed on, so it takes the default of the field it feeds
+(Scenario, BeamParams, ObserverGains, TsmcGains, PsoConfig), for instance
+x0 = 1.0, 5.0 or [pso] generations = 40.  The checks live on those types
+too.  Values are literal: a '%' needs no escaping.  Scenario kinds pull in
+their required sections and reject configs missing them.  The environment
+variable PRESTO_SEED, when set, overrides every scenario seed loaded
+through this module.  Config names that are not existing paths fall back
+to the bundled files under presto/configs.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .controller import SatBounds, SmcGains, TsmcGains
 from .estimator import EkfConfig
-from .harness import Scenario
+from .harness import KINDS, Scenario
 from .mathcore import ExponentPair
 from .observer import ObserverGains
 from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams, galerkin_coefficients
@@ -52,21 +56,6 @@ class ConfigError(ValueError):
     """Configuration file missing, malformed, or inconsistent."""
 
 
-@contextmanager
-def _section(name: str):
-    """Name the section in a validation error the block raises.
-
-    A ConfigError passes through unchanged: it already names its section
-    and key, and the loader of the file prefixes its path once.
-    """
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, configparser.Error) as err:
-        raise ConfigError(f"[{name}]: {err}") from err
-
-
 def resolve_config_path(name: str | Path) -> Path:
     """Existing path as-is; otherwise fall back to a bundled config name."""
     p = Path(name)
@@ -83,221 +72,217 @@ def resolve_config_path(name: str | Path) -> Path:
 
 
 def _read(path: Path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    loaded = cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        loaded = cp.read(str(path))
+    except configparser.Error as err:  # its message names the file
+        raise ConfigError(str(err)) from err
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
     return cp
 
 
-def _get_float(cp, section, key, default=None) -> float:
+def _in_file(path: Path, build, cp: configparser.ConfigParser):
+    """build(cp, path), with the path prefixed once to any error it raises."""
     try:
-        if default is not None and not cp.has_option(section, key):
-            return default
-        return cp.getfloat(section, key)
-    except (configparser.Error, ValueError) as err:
-        raise ConfigError(f"[{section}] {key}: {err}") from err
+        return build(cp, path)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
-def _get_int(cp, section, key, default=None) -> int:
-    try:
-        if default is not None and not cp.has_option(section, key):
-            return default
-        return cp.getint(section, key)
-    except (configparser.Error, ValueError) as err:
-        raise ConfigError(f"[{section}] {key}: {err}") from err
-
-
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _require(cp, section):
+def _get(cp, section: str, key: str, conv=float):
+    """One required key, converted; every failure names [section] key."""
     if not cp.has_section(section):
         raise ConfigError(f"missing required section [{section}]")
+    if not cp.has_option(section, key):
+        raise ConfigError(f"missing required key [{section}] {key}")
+    try:
+        return conv(cp.get(section, key))
+    except (ValueError, OSError) as err:
+        raise ConfigError(f"[{section}] {key}: {err}") from err
+
+
+def _given(cp, section: str, keys: dict) -> dict:
+    """The keys the file sets, converted and named by the field they feed.
+
+    Each key maps to its converter, or to (field, converter) when the field
+    has another name.  An omitted key is left out, so the field's own
+    default applies.
+    """
+    out = {}
+    for key, spec in keys.items():
+        if cp.has_option(section, key):
+            field, conv = spec if isinstance(spec, tuple) else (key, spec)
+            out[field] = _get(cp, section, key, conv)
+    return out
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _names(raw: str) -> list[str]:
+    return [s.strip() for s in raw.split(",") if s.strip()]
+
+
+def _bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return states[raw.lower()]
+
+
+def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
+    terms = []
+    for chunk in filter(None, (c.strip() for c in raw.split(";"))):
+        parts = chunk.split()
+        if len(parts) != 3:
+            raise ValueError(f"disturbance term {chunk!r} is not 'amplitude kind rate'")
+        try:
+            terms.append(DisturbanceTerm(float(parts[0]), parts[1], float(parts[2])))
+        except ValueError as err:
+            raise ValueError(f"disturbance term {chunk!r}: {err}") from err
+    return tuple(terms)
+
+
+def _table(base: Path, name: str):
+    """(times, values) from a two-column CSV file, relative to the config."""
+    if not name:
+        return None
+    data = np.loadtxt(base / name, delimiter=",", ndmin=2)
+    if data.shape[1] < 2:
+        raise ValueError(f"{name} needs two columns (time, value)")
+    return (tuple(data[:, 0]), tuple(data[:, 1]))
+
+
+def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
+    """'name [lo hi]' entries separated by semicolons; None takes the default box."""
+    entries = []
+    for chunk in raw.split(";"):
+        parts = chunk.split()
+        if len(parts) == 1:
+            entries.append((parts[0], None))
+        elif len(parts) == 3:
+            entries.append((parts[0], (float(parts[1]), float(parts[2]))))
+        elif parts:
+            raise ValueError(f"entry {chunk.strip()!r} is not 'name [lo hi]'")
+    if not entries:
+        raise ValueError("must list at least one gain")
+    return entries
 
 
 def load_beam_params(cp_or_path, section: str = "beam") -> BeamParams:
-    cp = _read(resolve_config_path(cp_or_path)) if not isinstance(
-        cp_or_path, configparser.ConfigParser
-    ) else cp_or_path
-    if not cp.has_section(section):
-        raise ConfigError(f"missing [{section}] section")
+    cp = cp_or_path if isinstance(cp_or_path, configparser.ConfigParser) else _read(
+        resolve_config_path(cp_or_path)
+    )
     return BeamParams(
-        alpha=_get_float(cp, section, "alpha"),
-        beta=_get_float(cp, section, "beta"),
-        lam=_get_float(cp, section, "lambda", 1.0),
-        quadrature_points=_get_int(cp, section, "quadrature_points", 64),
+        alpha=_get(cp, section, "alpha"),
+        beta=_get(cp, section, "beta"),
+        **_given(cp, section, {"lambda": ("lam", float), "quadrature_points": int}),
     )
 
 
 def _load_plant(cp) -> PlantParams:
     if cp.has_section("plant"):
-        with _section("plant"):
-            return PlantParams(
-                K1=_get_float(cp, "plant", "K1"),
-                K2=_get_float(cp, "plant", "K2"),
-                g=_get_float(cp, "plant", "g"),
-            )
+        return PlantParams(**{key: _get(cp, "plant", key) for key in ("K1", "K2", "g")})
     if cp.has_section("beam"):
-        bp = load_beam_params(cp)
-        mass_term = cp.get("beam", "mass_term", fallback="as_printed")
-        return galerkin_coefficients(bp, mass_term)
+        return galerkin_coefficients(load_beam_params(cp), **_given(cp, "beam", {"mass_term": str}))
     raise ConfigError("needs a [plant] or [beam] section")
 
 
-def _load_disturbance(cp, path) -> DisturbanceSpec:
-    if not cp.has_section("disturbance"):
-        return DisturbanceSpec()
-    terms = []
-    raw = cp.get("disturbance", "terms", fallback="").strip()
-    if raw:
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split()
-            if len(parts) != 3:
-                raise ConfigError(f"disturbance term {chunk!r} is not 'amplitude kind rate'")
-            try:
-                terms.append(
-                    DisturbanceTerm(amplitude=float(parts[0]), kind=parts[1], rate=float(parts[2]))
-                )
-            except ValueError as err:
-                raise ConfigError(f"disturbance term {chunk!r}: {err}") from err
-    table = None
-    table_file = cp.get("disturbance", "table_file", fallback="").strip()
-    if table_file:
-        table_path = Path(table_file)
-        if not table_path.is_absolute():
-            table_path = path.parent / table_path
-        data = np.loadtxt(table_path, delimiter=",", ndmin=2)
-        table = (tuple(data[:, 0]), tuple(data[:, 1]))
-    return DisturbanceSpec(terms=tuple(terms), table=table)
-
-
 def _load_observer(cp) -> ObserverGains:
-    _require(cp, "observer")
-    with _section("observer"):
-        return ObserverGains(
-            k=_get_float(cp, "observer", "k"),
-            beta0=_get_float(cp, "observer", "beta0"),
-            eps=_get_float(cp, "observer", "eps"),
-            e0=ExponentPair(_get_int(cp, "observer", "p0"), _get_int(cp, "observer", "q0")),
-            smooth_sgn_width=_get_float(cp, "observer", "smooth_sgn_width", 0.0),
-        )
+    o = "observer"
+    return ObserverGains(
+        k=_get(cp, o, "k"),
+        beta0=_get(cp, o, "beta0"),
+        eps=_get(cp, o, "eps"),
+        e0=ExponentPair(_get(cp, o, "p0", int), _get(cp, o, "q0", int)),
+        **_given(cp, o, {"smooth_sgn_width": float}),
+    )
 
 
 def _load_tsmc(cp) -> TsmcGains:
-    _require(cp, "controller")
-    sat = tau = None
-    with _section("controller"):
-        if cp.has_option("controller", "u_min") or cp.has_option("controller", "u_max"):
-            sat = SatBounds(
-                u_min=_get_float(cp, "controller", "u_min"),
-                u_max=_get_float(cp, "controller", "u_max"),
-            )
-        if cp.has_option("controller", "tau"):
-            tau = _get_float(cp, "controller", "tau")
-        return TsmcGains(
-            alpha1=_get_float(cp, "controller", "alpha1"),
-            beta1=_get_float(cp, "controller", "beta1"),
-            e1=ExponentPair(_get_int(cp, "controller", "p1"), _get_int(cp, "controller", "q1")),
-            e2=ExponentPair(_get_int(cp, "controller", "p2"), _get_int(cp, "controller", "q2")),
-            delta=_get_float(cp, "controller", "delta"),
-            mu=_get_float(cp, "controller", "mu"),
-            tau=tau,
-            sat=sat,
-        )
-
-
-def _load_smc(cp) -> tuple[SmcGains, float]:
-    _require(cp, "smc")
-    with _section("smc"):
-        gains = SmcGains(
-            Y=_get_float(cp, "smc", "Y"),
-            eta=_get_float(cp, "smc", "eta"),
-            Kg=_get_float(cp, "smc", "Kg"),
-            K1_min=_get_float(cp, "smc", "K1_min"),
-            K1_max=_get_float(cp, "smc", "K1_max"),
-        )
-    return gains, _get_float(cp, "smc", "K1_nominal")
+    c = "controller"
+    optional = _given(cp, c, {"tau": float})
+    if cp.has_option(c, "u_min") or cp.has_option(c, "u_max"):
+        optional["sat"] = SatBounds(u_min=_get(cp, c, "u_min"), u_max=_get(cp, c, "u_max"))
+    return TsmcGains(
+        alpha1=_get(cp, c, "alpha1"),
+        beta1=_get(cp, c, "beta1"),
+        e1=ExponentPair(_get(cp, c, "p1", int), _get(cp, c, "q1", int)),
+        e2=ExponentPair(_get(cp, c, "p2", int), _get(cp, c, "q2", int)),
+        delta=_get(cp, c, "delta"),
+        mu=_get(cp, c, "mu"),
+        **optional,
+    )
 
 
 def _load_ekf(cp) -> EkfConfig:
-    _require(cp, "ekf")
-    with _section("ekf"):
-        q = _floats(cp.get("ekf", "q_diag"))
-        p0 = _floats(cp.get("ekf", "p0_diag"))
-        x0 = _floats(cp.get("ekf", "x0_hat"))
-        if len(q) != 3 or len(p0) != 3 or len(x0) != 3:
-            raise ValueError("q_diag, p0_diag and x0_hat each need three entries")
-        return EkfConfig(
-            Ts=_get_float(cp, "ekf", "Ts"),
-            Q=np.diag(q),
-            R=_get_float(cp, "ekf", "r"),
-            P0=np.diag(p0),
-            x0_hat=np.array(x0),
-        )
+    e = "ekf"
+    return EkfConfig(
+        Ts=_get(cp, e, "Ts"),
+        Q=np.diag(_get(cp, e, "q_diag", _floats)),
+        R=_get(cp, e, "r"),
+        P0=np.diag(_get(cp, e, "p0_diag", _floats)),
+        x0_hat=np.array(_get(cp, e, "x0_hat", _floats)),
+    )
+
+
+_SCENARIO_KEYS = {
+    "x0": _floats,
+    "dt": float,
+    "horizon": float,
+    "decimation": int,
+    "seed": int,
+    "threshold_fraction": float,
+    "hold_duration": float,
+    "integrator": str,
+    "perfect_observer": _bool,
+    "process_noise": _bool,
+    "label": str,
+}
+
+
+def _scenario(cp, path: Path) -> Scenario:
+    kind = _get(cp, "scenario", "kind", str)
+    fields = {"label": path.stem, **_given(cp, "scenario", _SCENARIO_KEYS)}
+    fields.update(_given(cp, "observer", {"z0_offset": float}))
+    env_seed = os.environ.get("PRESTO_SEED")
+    if env_seed is not None:
+        try:
+            fields["seed"] = int(env_seed)
+        except ValueError as err:
+            raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
+    if kind == "smc_baseline":
+        smc = {key: _get(cp, "smc", key) for key in ("Y", "eta", "Kg", "K1_min", "K1_max")}
+        fields["smc"] = SmcGains(**smc)
+        fields["smc_k1_nominal"] = _get(cp, "smc", "K1_nominal")
+    elif kind in KINDS:
+        fields["tsmc"] = _load_tsmc(cp)
+        fields["observer"] = _load_observer(cp)
+        if kind == "adaptive_tsmc_saturated":
+            fields["ekf"] = _load_ekf(cp)
+    disturbance = DisturbanceSpec(**_given(cp, "disturbance", {
+        "terms": _terms,
+        "table_file": ("table", lambda name: _table(path.parent, name)),
+    }))
+    return Scenario(kind=kind, plant=_load_plant(cp), disturbance=disturbance, **fields)
 
 
 def load_scenario(name: str | Path) -> Scenario:
     """Load and validate one scenario config; PRESTO_SEED overrides the seed."""
     path = resolve_config_path(name)
-    cp = _read(path)
-    try:
-        _require(cp, "scenario")
-        kind = cp.get("scenario", "kind", fallback="").strip()
-        x0_raw = _floats(cp.get("scenario", "x0", fallback="1.0 5.0"))
-        if len(x0_raw) != 2:
-            raise ConfigError("x0 needs two entries")
-        seed = _get_int(cp, "scenario", "seed", 0)
-        env_seed = os.environ.get("PRESTO_SEED")
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError as err:
-                raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
+    return _in_file(path, _scenario, _read(path))
 
-        tsmc = observer = ekf = smc = None
-        smc_nominal = None
-        if kind == "smc_baseline":
-            smc, smc_nominal = _load_smc(cp)
-        elif kind in ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated"):
-            tsmc = _load_tsmc(cp)
-            observer = _load_observer(cp)
-            if kind == "adaptive_tsmc_saturated":
-                ekf = _load_ekf(cp)
-        else:
-            raise ConfigError(f"unknown scenario kind {kind!r}")
 
-        z0 = 0.0
-        if cp.has_section("observer"):
-            z0 = _get_float(cp, "observer", "z0_offset", 0.0)
-        return Scenario(
-            kind=kind,
-            plant=_load_plant(cp),
-            disturbance=_load_disturbance(cp, path),
-            x0=(x0_raw[0], x0_raw[1]),
-            dt=_get_float(cp, "scenario", "dt", 1e-4),
-            horizon=_get_float(cp, "scenario", "horizon", 8.0),
-            decimation=_get_int(cp, "scenario", "decimation", 10),
-            seed=seed,
-            tsmc=tsmc,
-            observer=observer,
-            ekf=ekf,
-            smc=smc,
-            smc_k1_nominal=smc_nominal,
-            threshold_fraction=_get_float(cp, "scenario", "threshold_fraction", 0.02),
-            hold_duration=_get_float(cp, "scenario", "hold_duration", 0.5),
-            integrator=cp.get("scenario", "integrator", fallback="euler").strip(),
-            perfect_observer=cp.getboolean("scenario", "perfect_observer", fallback=False),
-            z0_offset=z0,
-            process_noise=cp.getboolean("scenario", "process_noise", fallback=False),
-            label=cp.get("scenario", "label", fallback=path.stem),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _compare_members(cp, path: Path) -> list[tuple[str, str | None]]:
+    files = _get(cp, "compare", "scenarios", _names)
+    if not files:
+        raise ConfigError("[compare] scenarios: lists no scenario file")
+    labels = _names(cp.get("compare", "labels", fallback=""))
+    if labels and len(labels) != len(files):
+        raise ConfigError("labels must match scenarios one-for-one")
+    return list(zip(files, labels or [None] * len(files)))
 
 
 def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
@@ -310,23 +295,34 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
     for name in names:
         path = resolve_config_path(name)
         cp = _read(path)
-        if cp.has_section("compare"):
-            files = [s.strip() for s in cp.get("compare", "scenarios").split(",") if s.strip()]
-            labels_raw = cp.get("compare", "labels", fallback="")
-            labels = [s.strip() for s in labels_raw.split(",") if s.strip()]
-            if labels and len(labels) != len(files):
-                raise ConfigError(f"{path}: labels must match scenarios one-for-one")
-            for idx, fname in enumerate(files):
-                sub = Path(fname)
-                if not sub.is_absolute() and (path.parent / sub).exists():
-                    sub = path.parent / sub
-                sc = load_scenario(sub)
-                label = labels[idx] if labels else sc.label
-                entries.append((label, sc))
-        else:
-            sc = load_scenario(path)
+        if not cp.has_section("compare"):
+            sc = _in_file(path, _scenario, cp)
             entries.append((sc.label, sc))
+            continue
+        for fname, label in _in_file(path, _compare_members, cp):
+            sub = path.parent / fname
+            sc = load_scenario(sub if sub.exists() else fname)
+            entries.append((label or sc.label, sc))
     return entries
+
+
+def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
+    scenario = _scenario(cp, path)
+    tune = _get(cp, "pso", "tune", _tune)
+    template = TuneTemplate(scenario=scenario, names=tuple(name for name, _ in tune))
+    bounds = tuple(box or DEFAULT_TUNE_BOXES[name] for name, box in tune)
+    optional = _given(cp, "pso", {
+        "swarm_size": int,
+        "generations": ("max_generations", int),
+        "seed": int,
+        "w": ("W", float),
+        "c1": ("C1", float),
+        "c2": ("C2", float),
+    })
+    if cp.has_option("pso", "vmax_fraction"):
+        fraction = _get(cp, "pso", "vmax_fraction")
+        optional["v_max"] = tuple(fraction * (hi - lo) for lo, hi in bounds)
+    return PsoConfig(bounds=bounds, **optional), template
 
 
 def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
@@ -336,46 +332,4 @@ def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
     semicolons; a bare name takes its default search box.
     """
     path = resolve_config_path(name)
-    scenario = load_scenario(path)
-    cp = _read(path)
-    try:
-        _require(cp, "pso")
-        raw = cp.get("pso", "tune", fallback="").strip()
-        if not raw:
-            raise ConfigError("[pso] tune must list at least one gain")
-        names: list[str] = []
-        bounds: list[tuple[float, float]] = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split()
-            gain = parts[0]
-            if gain not in DEFAULT_TUNE_BOXES:
-                raise ConfigError(f"cannot tune {gain!r}; tunable: {sorted(DEFAULT_TUNE_BOXES)}")
-            if gain == "tau" and scenario.kind == "tsmc":
-                raise ConfigError("cannot tune 'tau' on kind tsmc: it has no saturated input map")
-            if len(parts) == 1:
-                box = DEFAULT_TUNE_BOXES[gain]
-            elif len(parts) == 3:
-                box = (float(parts[1]), float(parts[2]))
-            else:
-                raise ConfigError(f"tune entry {chunk!r} is not 'name [lo hi]'")
-            names.append(gain)
-            bounds.append(box)
-        vmax_fraction = _get_float(cp, "pso", "vmax_fraction", 0.2)
-        v_max = tuple(vmax_fraction * (hi - lo) for lo, hi in bounds)
-        with _section("pso"):
-            cfg = PsoConfig(
-                bounds=tuple(bounds),
-                swarm_size=_get_int(cp, "pso", "swarm_size", 20),
-                max_generations=_get_int(cp, "pso", "generations", 40),
-                seed=_get_int(cp, "pso", "seed", 0),
-                W=_get_float(cp, "pso", "w", 0.72),
-                C1=_get_float(cp, "pso", "c1", 1.49),
-                C2=_get_float(cp, "pso", "c2", 1.49),
-                v_max=v_max,
-            )
-        return cfg, TuneTemplate(scenario=scenario, names=tuple(names))
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return _in_file(path, _pso_job, _read(path))

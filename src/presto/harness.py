@@ -108,7 +108,7 @@ class Scenario:
     kind: str
     plant: PlantParams
     disturbance: DisturbanceSpec
-    x0: tuple[float, float]
+    x0: tuple[float, float] = (1.0, 5.0)
     dt: float = 1e-4
     horizon: float = 8.0
     decimation: int = 10
@@ -129,6 +129,8 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
+        if len(self.x0) != 2:
+            raise ValueError(f"x0 needs two entries, got {len(self.x0)}")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (self.horizon > self.dt):

@@ -54,6 +54,8 @@ DEFAULT_TUNE_BOXES: dict[str, tuple[float, float]] = {
     "mu": (1e-6, 0.1),
     "tau": (1e-3, 10.0),
 }
+# tunable gains of ObserverGains; the rest belong to TsmcGains
+_OBSERVER_GAINS = ("k", "beta0", "eps")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class PsoConfig:
 
     bounds: tuple[tuple[float, float], ...]
     swarm_size: int = 20
-    max_generations: int = 100
+    max_generations: int = 40
     seed: int = 0
     W: float = 0.72
     C1: float = 1.49
@@ -199,7 +201,11 @@ def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult
 
 @dataclass(frozen=True)
 class TuneTemplate:
-    """A scenario plus the ordered names of the gains the vector patches."""
+    """A scenario plus the ordered names of the gains the vector patches.
+
+    Every name must be a gain the scenario has: the observer gains need an
+    observer, the others sliding-mode gains, and tau a saturated kind.
+    """
 
     scenario: "Scenario"
     names: tuple[str, ...]
@@ -209,6 +215,13 @@ class TuneTemplate:
         if unknown:
             raise ValueError(f"cannot tune {sorted(unknown)}; tunable: "
                              f"{sorted(DEFAULT_TUNE_BOXES)}")
+        sc = self.scenario
+        if sc.observer is None and set(self.names) & set(_OBSERVER_GAINS):
+            raise ValueError("template scenario has no observer to tune")
+        if sc.tsmc is None and set(self.names) - set(_OBSERVER_GAINS):
+            raise ValueError("template scenario has no sliding-mode gains to tune")
+        if sc.kind == "tsmc" and "tau" in self.names:
+            raise ValueError("cannot tune 'tau' on kind tsmc: it has no saturated input map")
 
 
 def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate) -> float:
@@ -242,17 +255,11 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
 
 
 def _patch_scenario(scenario, updates: dict[str, float]):
-    obs_keys = {k: v for k, v in updates.items() if k in ("k", "beta0", "eps")}
-    ctl_keys = {
-        k: v for k, v in updates.items() if k in ("alpha1", "beta1", "delta", "mu", "tau")
-    }
+    obs_keys = {k: v for k, v in updates.items() if k in _OBSERVER_GAINS}
+    ctl_keys = {k: v for k, v in updates.items() if k not in _OBSERVER_GAINS}
     sc = scenario
     if obs_keys:
-        if sc.observer is None:
-            raise ValueError("template scenario has no observer to tune")
         sc = replace(sc, observer=replace(sc.observer, **obs_keys))
     if ctl_keys:
-        if sc.tsmc is None:
-            raise ValueError("template scenario has no sliding-mode gains to tune")
         sc = replace(sc, tsmc=replace(sc.tsmc, **ctl_keys))
     return sc

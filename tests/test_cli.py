@@ -19,7 +19,7 @@ class TestUsage:
 
 class TestValidate:
     def test_bundled_configs_pass(self, capsys):
-        for name in ("s71", "s72", "s73", "s74"):
+        for name in ("s71", "s72", "s73", "s74", "compare", "tune_s71"):
             assert main(["validate", name]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
@@ -60,6 +60,12 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "p1/q1 > 1/2" in err
+
+    def test_tune_job_checks_pso(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(resolve_config_path("s71").read_text() + "\n[pso]\ntune = warp\n")
+        assert main(["validate", str(cfg)]) == 1
+        assert "warp" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, capsys):
         assert main(["validate", "nope.cfg"]) == 1
@@ -244,3 +250,69 @@ class TestEnvSeed:
 
         monkeypatch.setenv("PRESTO_SEED", "31337")
         assert load_scenario("s73").seed == 31337
+
+
+TUNE_JOB = """
+[scenario]
+kind = tsmc
+dt = 1e-3
+horizon = 0.5
+
+[plant]
+K1 = 97.4
+K2 = -19.97
+g = -1.09
+
+[observer]
+k = 4.0
+beta0 = 7.0
+eps = 10.0
+p0 = 1
+q0 = 7
+
+[controller]
+alpha1 = 100.0
+beta1 = 9.0
+delta = 5.0
+mu = 1e-4
+p1 = 3
+q1 = 5
+p2 = 1
+q2 = 3
+
+[pso]
+swarm_size = 2
+generations = 1
+tune = k
+"""
+
+MALFORMED = {
+    "percent_in_value": TUNE_JOB.replace("kind = tsmc", "kind = tsmc\nx0 = 1.0, 5.0%"),
+    "no_section_header": "kind = tsmc\n" + TUNE_JOB,
+    "duplicate_section": TUNE_JOB + "\n[plant]\nK1 = 1.0\n",
+    "duplicate_option": TUNE_JOB.replace("K1 = 97.4", "K1 = 97.4\nK1 = 97.4"),
+    "compare_without_scenarios": "[compare]\nlabels = a\n",
+    "compare_empty_list": "[compare]\nscenarios = ,\n",
+    "one_column_table": TUNE_JOB + "\n[disturbance]\ntable_file = one.csv\n",
+    "non_numeric_value": TUNE_JOB.replace("K1 = 97.4", "K1 = abc"),
+    "missing_required_key": TUNE_JOB.replace("k = 4.0\n", ""),
+    "bad_boolean": TUNE_JOB.replace("[scenario]\n", "[scenario]\nperfect_observer = maybe\n"),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_every_command_exits_one(self, tmp_path, capsys, case):
+        # main returning 1, rather than raising, is what keeps a traceback
+        # off the terminal: the console entry point only wraps its result
+        (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(MALFORMED[case])
+        for command in ("validate", "simulate", "compare", "tune"):
+            argv = [command, str(cfg)]
+            if command != "validate":
+                argv += ["--out", str(tmp_path / "out")]
+            assert main(argv) == 1, command
+            err = capsys.readouterr().err
+            assert "error:" in err, command
+            assert "Traceback" not in err, command

@@ -1,8 +1,10 @@
+import dataclasses
 import re
 import textwrap
 
 import pytest
 
+import presto.config
 from presto.config import (
     ConfigError,
     load_compare_entries,
@@ -10,6 +12,8 @@ from presto.config import (
     load_scenario,
     resolve_config_path,
 )
+from presto.harness import Scenario
+from presto.tuner import PsoConfig
 
 MINIMAL_TSMC = """
 [scenario]
@@ -109,6 +113,31 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="disturbance term"):
             load_scenario(write_cfg(tmp_path, text))
 
+    def test_omitted_keys_take_field_defaults(self, tmp_path):
+        text = MINIMAL_TSMC.replace("x0 = 1.0, 5.0\n", "")
+        text = text.replace("dt = 1e-3\n", "").replace("horizon = 0.5\n", "")
+        sc = load_scenario(write_cfg(tmp_path, text))
+        for f in dataclasses.fields(Scenario):
+            if f.name not in ("kind", "plant", "disturbance", "tsmc", "observer", "label"):
+                assert getattr(sc, f.name) == f.default, f.name
+        assert sc.x0 == (1.0, 5.0)
+        assert sc.observer.smooth_sgn_width == 0.0
+
+    def test_percent_is_literal(self, tmp_path):
+        text = MINIMAL_TSMC.replace("kind = tsmc", "kind = tsmc\nlabel = s71 at 50%")
+        assert load_scenario(write_cfg(tmp_path, text)).label == "s71 at 50%"
+
+    def test_x0_needs_two_entries(self, tmp_path):
+        text = MINIMAL_TSMC.replace("x0 = 1.0, 5.0", "x0 = 1.0, 5.0, 2.0")
+        with pytest.raises(ConfigError, match="x0 needs two entries"):
+            load_scenario(write_cfg(tmp_path, text))
+
+    def test_one_column_table(self, tmp_path):
+        (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
+        text = MINIMAL_TSMC + "\n[disturbance]\ntable_file = one.csv\n"
+        with pytest.raises(ConfigError, match=r"\[disturbance\] table_file: .* needs two columns"):
+            load_scenario(write_cfg(tmp_path, text))
+
     def test_beam_section_builds_plant(self, tmp_path):
         text = MINIMAL_TSMC.replace(
             "[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
@@ -166,6 +195,12 @@ class TestCompareExpansion:
         with pytest.raises(ConfigError, match="labels"):
             load_compare_entries([p])
 
+    @pytest.mark.parametrize("line", ["labels = a", "scenarios =", "scenarios = ,"])
+    def test_scenarios_must_be_listed(self, tmp_path, line):
+        p = write_cfg(tmp_path, f"[compare]\n{line}\n")
+        with pytest.raises(ConfigError, match=r"\[compare\] scenarios"):
+            load_compare_entries([p])
+
 
 class TestPsoJob:
     def test_bundled_job(self):
@@ -189,3 +224,28 @@ class TestPsoJob:
         cfg, template = load_pso_job(p)
         assert template.names == ("k", "eps")
         assert cfg.bounds[0] == (1e-3, 20.0)
+
+    def test_omitted_keys_take_field_defaults(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k\n")
+        cfg, _ = load_pso_job(p)
+        assert cfg == PsoConfig(bounds=((1e-3, 20.0),))
+        assert cfg.max_generations == 40
+
+    def test_observer_gain_on_smc_template_fails_at_load(self, tmp_path):
+        text = resolve_config_path("s74").read_text() + "\n[pso]\ntune = k\n"
+        p = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match="no observer to tune") as exc:
+            load_pso_job(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
+    def test_reads_its_file_once(self, monkeypatch):
+        calls = []
+        read = presto.config._read
+
+        def counting_read(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(presto.config, "_read", counting_read)
+        load_pso_job("tune_s71")
+        assert len(calls) == 1

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from presto.config import load_pso_job
+from presto.config import load_pso_job, load_scenario
 from presto.tuner import (
     Particle,
     PsoConfig,
+    TuneTemplate,
     fitness_settling_time,
     position_update,
     pso_run,
@@ -185,3 +186,22 @@ class TestSettlingFitness:
         _, template = job
         with pytest.raises(ValueError):
             fitness_settling_time([1.0], template)
+
+
+class TestTuneTemplate:
+    @pytest.mark.parametrize(
+        "name,names,message",
+        [
+            ("s71", ("warp",), "cannot tune"),
+            ("s74", ("k",), "no observer to tune"),
+            ("s74", ("alpha1",), "no sliding-mode gains to tune"),
+            ("s71", ("k", "tau"), "cannot tune 'tau' on kind tsmc"),
+        ],
+    )
+    def test_rejects_gains_the_scenario_lacks(self, name, names, message):
+        with pytest.raises(ValueError, match=message):
+            TuneTemplate(scenario=load_scenario(name), names=names)
+
+    def test_saturated_kind_tunes_tau(self):
+        template = TuneTemplate(scenario=load_scenario("s72"), names=("k", "tau"))
+        assert template.names == ("k", "tau")
