@@ -62,7 +62,7 @@ def _cmd_simulate(args) -> int:
         trace, report = harness.run_scenario(sc)
     except harness.DivergenceError as err:
         partial = out / f"{sc.label}_partial.csv"
-        harness.export_trace(err.trace, partial)
+        harness.export_trace(err.trace, partial, err.names)
         print(f"error: {err} (partial trace: {partial})", file=sys.stderr)
         return EXIT_DIVERGED
     trace_path = out / f"{sc.label}.csv"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -149,7 +150,10 @@ def _table(base: Path, name: str):
     """(times, values) from a two-column CSV file, relative to the config."""
     if not name:
         return None
-    data = np.loadtxt(base / name, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is reported below as a missing column, not as numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(base / name, delimiter=",", ndmin=2)
     if data.shape[1] < 2:
         raise ValueError(f"{name} needs two columns (time, value)")
     return (tuple(data[:, 0]), tuple(data[:, 1]))
@@ -172,9 +176,11 @@ def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
 
 
 def load_beam_params(cp_or_path, section: str = "beam") -> BeamParams:
-    cp = cp_or_path if isinstance(cp_or_path, configparser.ConfigParser) else _read(
-        resolve_config_path(cp_or_path)
-    )
+    """Beam data from a parsed config, or from a config file named by path."""
+    if not isinstance(cp_or_path, configparser.ConfigParser):
+        path = resolve_config_path(cp_or_path)
+        return _in_file(path, lambda cp, _: load_beam_params(cp, section), _read(path))
+    cp = cp_or_path
     return BeamParams(
         alpha=_get(cp, section, "alpha"),
         beta=_get(cp, section, "beta"),

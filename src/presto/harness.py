@@ -12,7 +12,8 @@ single fixed step:
        filter estimate with its stiffness estimate in the adaptive kind);
     4. read the disturbance estimate and sliding surface, evaluate the
        control law for the kind (plus the actuator clamp where configured);
-    5. log the decimated sample;
+    5. log the decimated sample, and end the run there when the scenario
+       stops at its first settling window and this sample completes it;
     6. advance the truth plant (explicit Euler by default, RK4 optional);
     7. advance the observer with the forcing the plant actually received
        (g(x)*u in the plain loop, v_r in the saturated loops), re-anchored
@@ -25,6 +26,13 @@ scenario before the loop starts.  The stage functions of `plant`,
 tests/test_kernels.py holds the fused loops to a step-by-step composition
 of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
 `ekf_update`.
+
+A scenario with `stop_when_settled` (observer kinds only) ends its loop at
+the logged sample that completes the first settling window: the band
+`threshold_fraction * max(|x1(0)|, |x2(0)|)` and the hold window of
+`settling_time` are known before the first step, so `t_s` is the full
+run's and every trace column is a prefix of the full run's.  The PSO
+fitness sets it; a run that never settles still covers the horizon.
 
 A run ends in DivergenceError, carrying the partial trace, when the truth
 state leaves the divergence limit or turns non-finite, when the observer
@@ -90,20 +98,29 @@ DIVERGENCE_LIMIT = 1e6
 class DivergenceError(RuntimeError):
     """The truth state, observer or EKF blew past its divergence guard.
 
-    Carries the partial trace, the step time and the peak state magnitude
-    (inf when a value went non-finite).
+    Carries the partial trace, the names of the columns the run logs (the
+    header of a partial trace that holds no sample), the step time and the
+    peak state magnitude (inf when a value went non-finite).
     """
 
-    def __init__(self, message: str, trace: Trace, t: float, peak: float):
+    def __init__(self, message: str, trace: Trace, t: float, peak: float,
+                 names: tuple[str, ...] = ()):
         super().__init__(message)
         self.trace = trace
+        self.names = names
         self.t = t
         self.peak = peak
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop experiment definition."""
+    """One closed-loop experiment definition.
+
+    `stop_when_settled` (library only, observer kinds only) ends the run at
+    the logged sample that completes the first settling window.  `t_s` is
+    unchanged, but the report norms then cover only the simulated prefix,
+    and a divergence after that window goes unseen.
+    """
 
     kind: str
     plant: PlantParams
@@ -124,6 +141,7 @@ class Scenario:
     perfect_observer: bool = False
     z0_offset: float = 0.0
     process_noise: bool = False
+    stop_when_settled: bool = False
     label: str = "run"
 
     def __post_init__(self):
@@ -139,6 +157,13 @@ class Scenario:
             raise ValueError("decimation must be >= 1")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        # checked here too, so a bad settling rule fails before the run, not after it
+        if not (0.0 < self.threshold_fraction < 1.0):
+            raise ValueError(
+                f"threshold_fraction must lie in (0, 1), got {self.threshold_fraction}"
+            )
+        if not (self.hold_duration >= 0.0):
+            raise ValueError(f"hold_duration must be >= 0, got {self.hold_duration}")
         if self.kind == "smc_baseline":
             if self.smc is None:
                 raise ValueError("smc_baseline needs [smc] gains")
@@ -172,6 +197,9 @@ class Scenario:
             raise ValueError(
                 f"process_noise applies to the adaptive kind only, not to {self.kind}"
             )
+        if self.stop_when_settled and self.kind == "smc_baseline":
+            raise ValueError("stop_when_settled applies to the observer kinds only, "
+                             "not to smc_baseline")
 
 
 @dataclass
@@ -260,7 +288,8 @@ class _SampleLog:
 
 
 def _diverged(what: str, detail: str, t: float, peak: float, log: _SampleLog, offset: int):
-    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak)
+    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak,
+                           log.names)
 
 
 def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int):
@@ -390,6 +419,13 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
+    stop = sc.stop_when_settled
+    if stop:
+        # the band and hold window of `settling_time`, and the length of
+        # the current run of in-band samples
+        band = sc.threshold_fraction * max(abs(x1), abs(x2))
+        window = int(round(sc.hold_duration / log.dt)) + 1
+        in_band = 0
     for i, d in enumerate(d_series):
         t = i * dt
         if i == next_fb:
@@ -459,6 +495,13 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             pack(buf, offset, t, x1, x2, u, d, d_hat, s_obs, s2, v, u_c,
                  fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
             offset += row_bytes
+            if stop:
+                if abs(x1) <= band and abs(x2) <= band:
+                    in_band += 1
+                    if in_band >= window:
+                        break
+                else:
+                    in_band = 0
 
         if rk4:
             x1, x2 = _rk4_step(x1, x2, u, dt, pp, d, d_mid[i], d_end[i])
@@ -512,14 +555,15 @@ def compare_controllers(
     reports: list[RunReport] = []
     for label, sc in entries:
         sc = replace(sc, label=label)
+        names = ()
         try:
             trace, report = run_scenario(sc)
         except DivergenceError as err:
             report = RunReport(label=label, kind=sc.kind, failed=str(err))
-            trace = err.trace
+            trace, names = err.trace, err.names
         if out is not None:
             path = out / f"{label}.csv"
-            export_trace(trace, path)
+            export_trace(trace, path, names)
             report.trace_path = path.name
         reports.append(report)
     text = format_report_table(reports)
@@ -578,16 +622,20 @@ def report_csv_rows(reports: list[RunReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_trace(tr: Trace, path: Path | str) -> None:
-    """Write the trace as CSV: time first, 13 significant digits, LF endings."""
+def export_trace(tr: Trace, path: Path | str, names: tuple[str, ...] = ()) -> None:
+    """Write the trace as CSV: time first, 13 significant digits, LF endings.
+
+    `names` is the header written for a trace that holds no column, such as
+    the partial trace of a run that diverged before its first logged sample.
+    """
     path = Path(path)
-    names = list(tr.columns)
+    names = list(tr.columns or names)
     if "t" in names:
         names.remove("t")
         names.insert(0, "t")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        if not names:
+        if not tr.columns:
             return
         # rows are formatted one at a time, so no whole-file string is built
         fmt = ",".join(["%.12e"] * len(names)) + "\n"

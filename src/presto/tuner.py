@@ -16,7 +16,9 @@ toward both.  Specifics that pin the behavior down:
 The stock fitness for gain tuning runs one closed-loop scenario with the
 candidate gains patched in and scores it by settling time, with an
 unsettled or divergent run penalized by horizon plus peak state excursion
-so the ordering stays total.
+so the ordering stays total.  A run that settles stops at its first
+settling window: the tail is not simulated, so a divergence after settling
+is not scored.
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult
 class TuneTemplate:
     """A scenario plus the ordered names of the gains the vector patches.
 
-    Every name must be a gain the scenario has: the observer gains need an
-    observer, the others sliding-mode gains, and tau a saturated kind.
+    At least one name, and every name must be a gain the scenario has: the
+    observer gains need an observer, the others sliding-mode gains, and tau
+    a saturated kind.  So `smc_baseline` cannot be tuned.
     """
 
     scenario: "Scenario"
@@ -215,6 +218,8 @@ class TuneTemplate:
         if unknown:
             raise ValueError(f"cannot tune {sorted(unknown)}; tunable: "
                              f"{sorted(DEFAULT_TUNE_BOXES)}")
+        if not self.names:
+            raise ValueError("must name at least one gain to tune")
         sc = self.scenario
         if sc.observer is None and set(self.names) & set(_OBSERVER_GAINS):
             raise ValueError("template scenario has no observer to tune")
@@ -228,10 +233,13 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     """Cost of one candidate gain vector: closed-loop settling time.
 
     Nonpositive entries fail the positivity gate and cost +inf without
-    simulating.  An unsettled or divergent run costs horizon plus the peak
-    state magnitude reached, so every candidate is comparable.  Exponent
-    pairs are never part of the vector; they are discrete, gate-constrained
-    quantities and stay fixed in the template.
+    simulating.  A settled run stops at its first settling window
+    (`Scenario.stop_when_settled`) and costs its settling time; the tail is
+    not simulated, so a divergence after settling is not scored.  An
+    unsettled or divergent run costs horizon plus the peak state magnitude
+    reached, so every candidate is comparable.  Exponent pairs are never
+    part of the vector; they are discrete, gate-constrained quantities and
+    stay fixed in the template.
     """
     from . import harness  # local import; harness depends on this module's siblings
 
@@ -241,6 +249,7 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     if any(v <= 0.0 for v in vec):
         return math.inf
     sc = _patch_scenario(template.scenario, dict(zip(template.names, vec)))
+    sc = replace(sc, stop_when_settled=True)
     try:
         trace, report = harness.run_scenario(sc)
     except harness.DivergenceError as err:

@@ -1,14 +1,22 @@
-"""The benchmark's per-layer tracer must find every function it wraps.
+"""The benchmark's hooks into the program must keep fitting it.
 
 `bench/run.py --trace 1` wraps each `(module, attribute)` of its TRACED
 list where the caller looks it up.  The list is read out of the script's
 source, without importing the script, so a refactor that moves or renames
 one of those functions fails here instead of in a traced benchmark run.
+The benchmark also counts work by replacing `harness.run_scenario` with a
+wrapper that takes exactly one positional scenario.
 """
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
+
+import presto.harness as harness
+from presto.config import load_pso_job
+from presto.harness import Scenario
+from presto.tuner import TuneTemplate, fitness_settling_time
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -29,3 +37,21 @@ def test_traced_names_resolve():
     for layer, module, attribute in entries:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{layer}: {module}.{attribute} does not resolve"
+
+
+def test_fitness_runs_one_scenario_through_a_one_argument_wrapper(monkeypatch):
+    run_scenario = harness.run_scenario
+    seen = []
+
+    def counted_run(sc):  # the signature of the benchmark's counting wrapper
+        seen.append(sc)
+        return run_scenario(sc)
+
+    monkeypatch.setattr(harness, "run_scenario", counted_run)
+    _, template = load_pso_job("tune_s71")
+    unsettled = TuneTemplate(scenario=replace(template.scenario, horizon=0.05),
+                             names=template.names)
+    for calls, tpl in enumerate((template, unsettled, template), start=1):
+        fitness_settling_time([4.0, 7.0, 10.0], tpl)
+        assert len(seen) == calls
+        assert isinstance(seen[-1], Scenario) and seen[-1].stop_when_settled

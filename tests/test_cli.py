@@ -1,4 +1,5 @@
 import textwrap
+import warnings
 
 import pytest
 
@@ -117,6 +118,13 @@ class TestCoeffs:
         assert "as_printed" in out and "phi_squared" in out
         assert "K1=" in out
 
+    def test_beam_error_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "badbeam.cfg"
+        cfg.write_text("[beam]\nalpha = abc\nbeta = 0.05\n")
+        assert main(["coeffs", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: [beam] alpha: could not convert" in err
+
 
 class TestSimulate:
     def test_bundled_scenario(self, tmp_path, capsys):
@@ -169,6 +177,21 @@ class TestSimulate:
         )
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
         assert (tmp_path / "boom_partial.csv").exists()
+
+    def test_divergence_before_first_sample_keeps_the_header(self, tmp_path, capsys):
+        # the first EKF update runs away before the first sample is logged
+        text = resolve_config_path("s73").read_text()
+        edited = text.replace("x0_hat = 1.0, 5.0, 20.0", "x0_hat = 1.0e110, 5.0, 20.0")
+        edited = edited.replace("horizon = 8.0", "horizon = 0.1")
+        assert edited.count("1.0e110") == 1 and "horizon = 0.1" in edited
+        cfg = tmp_path / "early.cfg"
+        cfg.write_text(edited)
+        header = "t,x1,x2,u,d,d_hat,s,s2,v_r,u_c,x1_hat,x2_hat,K1_hat,e_x,innov,P_trace\n"
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "EKF diverged at t=0.0000" in capsys.readouterr().err
+        assert (tmp_path / "early_partial.csv").read_text() == header
+        assert main(["compare", str(cfg), "--out", str(tmp_path / "cmp")]) == 2
+        assert (tmp_path / "cmp" / "early.csv").read_text() == header
 
 
     def test_process_noise_on_non_adaptive_kind_exits_one(self, tmp_path, capsys):
@@ -294,9 +317,12 @@ MALFORMED = {
     "compare_without_scenarios": "[compare]\nlabels = a\n",
     "compare_empty_list": "[compare]\nscenarios = ,\n",
     "one_column_table": TUNE_JOB + "\n[disturbance]\ntable_file = one.csv\n",
+    "empty_table": TUNE_JOB + "\n[disturbance]\ntable_file = empty.csv\n",
     "non_numeric_value": TUNE_JOB.replace("K1 = 97.4", "K1 = abc"),
     "missing_required_key": TUNE_JOB.replace("k = 4.0\n", ""),
     "bad_boolean": TUNE_JOB.replace("[scenario]\n", "[scenario]\nperfect_observer = maybe\n"),
+    "threshold_out_of_range": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nthreshold_fraction = 1.5"),
+    "negative_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = -0.5"),
 }
 
 
@@ -306,13 +332,18 @@ class TestMalformedConfig:
         # main returning 1, rather than raising, is what keeps a traceback
         # off the terminal: the console entry point only wraps its result
         (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
+        (tmp_path / "empty.csv").write_text("")
         cfg = tmp_path / "case.cfg"
         cfg.write_text(MALFORMED[case])
         for command in ("validate", "simulate", "compare", "tune"):
             argv = [command, str(cfg)]
             if command != "validate":
                 argv += ["--out", str(tmp_path / "out")]
-            assert main(argv) == 1, command
+            # a warning would print its own lines to stderr beside the error
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1, command
+            assert not caught, (command, [str(w.message) for w in caught])
             err = capsys.readouterr().err
             assert "error:" in err, command
             assert "Traceback" not in err, command

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from presto import load_scenario, run_scenario
+from presto.config import load_pso_job
 from presto.controller import SatBounds
 from presto.harness import (
     DivergenceError,
@@ -219,3 +220,46 @@ class TestTraceFiles:
         export_trace(tr, path)
         assert path.read_text().splitlines()[0].startswith("t,")
         assert read_trace(path).dt == pytest.approx(0.5)
+
+
+# scenarios that settle, each with the full run's t_s
+SETTLING = {
+    "s71": lambda: load_scenario("s71"),
+    "s72": lambda: load_scenario("s72"),
+    "tune_s71": lambda: load_pso_job("tune_s71")[1].scenario,
+    # the bundled s73 never settles in its 2e-4 band; it does in a 5% band
+    "s73_band_5pct": lambda: replace(load_scenario("s73"), threshold_fraction=0.05),
+}
+
+
+def assert_prefix(short, full):
+    assert list(short.columns) == list(full.columns)
+    for name, col in short.columns.items():
+        assert np.array_equal(col, full.columns[name][: len(col)]), name
+
+
+class TestStopWhenSettled:
+    @pytest.mark.parametrize("name", sorted(SETTLING))
+    def test_stops_at_first_window_with_the_same_t_s(self, name):
+        sc = SETTLING[name]()
+        full, full_report = run_scenario(sc)
+        short, report = run_scenario(replace(sc, stop_when_settled=True))
+        assert full_report.t_s is not None
+        assert report.t_s == full_report.t_s
+        assert_prefix(short, full)
+        # the last simulated sample completes the first hold window
+        first = int(np.flatnonzero(full.column("t") == full_report.t_s)[0])
+        window = int(round(sc.hold_duration / full.dt)) + 1
+        assert short.n_samples == first + window < full.n_samples
+
+    def test_unsettled_run_covers_the_horizon(self, bundled_runs):
+        sc, full, full_report, _ = bundled_runs["s73"]
+        assert full_report.t_s is None
+        short, report = run_scenario(replace(sc, stop_when_settled=True))
+        assert report.t_s is None
+        assert short.n_samples == full.n_samples
+        assert_prefix(short, full)
+
+    def test_rejected_on_smc_baseline(self):
+        with pytest.raises(ValueError, match="stop_when_settled"):
+            replace(load_scenario("s74"), stop_when_settled=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from presto.config import load_pso_job, load_scenario
+from presto.harness import DivergenceError, run_scenario
 from presto.tuner import (
     Particle,
     PsoConfig,
@@ -188,6 +189,64 @@ class TestSettlingFitness:
             fitness_settling_time([1.0], template)
 
 
+def full_horizon_fitness(design_vector, template: TuneTemplate) -> float:
+    """The settling-time cost from a run over the whole horizon, never stopped early."""
+    vec = [float(v) for v in design_vector]
+    if any(v <= 0.0 for v in vec):
+        return math.inf
+    sc = template.scenario
+    gains = dict(zip(template.names, vec))
+    observer = {k: v for k, v in gains.items() if k in ("k", "beta0", "eps")}
+    controller = {k: v for k, v in gains.items() if k not in observer}
+    sc = replace(sc, observer=replace(sc.observer, **observer),
+                 tsmc=replace(sc.tsmc, **controller))
+    assert not sc.stop_when_settled
+    try:
+        trace, report = run_scenario(sc)
+    except DivergenceError as err:
+        return sc.horizon + min(err.peak, 1e6)
+    if report.t_s is None:
+        envelope = np.maximum(np.abs(trace.column("x1")), np.abs(trace.column("x2")))
+        return sc.horizon + float(np.max(envelope))
+    return report.t_s
+
+
+class TestEarlyStopEquivalence:
+    def test_pso_answer_is_bit_identical(self, job):
+        cfg, template = job
+        costs = {"early": [], "full": []}
+
+        def recorded(key, fitness):
+            def run(x):
+                costs[key].append(fitness(x, template))
+                return costs[key][-1]
+            return run
+
+        early = pso_run(recorded("early", fitness_settling_time), cfg)
+        full = pso_run(recorded("full", full_horizon_fitness), cfg)
+        assert costs["early"] == costs["full"]
+        assert len(costs["early"]) == cfg.swarm_size * cfg.max_generations
+        assert np.array_equal(early.best_x, full.best_x)
+        assert early.best_cost == full.best_cost
+        assert early.history == full.history
+
+    def test_random_six_gain_candidates(self, job):
+        # settled and unsettled candidates alike cost the same
+        _, base = job
+        names = ("k", "beta0", "eps", "alpha1", "beta1", "delta")
+        template = TuneTemplate(scenario=replace(base.scenario, horizon=2.0), names=names)
+        box = np.array([(0.5, 20.0), (5.0, 20.0), (0.5, 20.0), (1.0, 150.0), (0.5, 15.0),
+                        (0.5, 8.0)])
+        rng = np.random.default_rng(6)
+        settled = 0
+        for _ in range(40):
+            x = box[:, 0] + rng.random(len(names)) * (box[:, 1] - box[:, 0])
+            cost = fitness_settling_time(x, template)
+            assert cost == full_horizon_fitness(x, template), x
+            settled += cost < template.scenario.horizon
+        assert 0 < settled < 40
+
+
 class TestTuneTemplate:
     @pytest.mark.parametrize(
         "name,names,message",
@@ -196,6 +255,7 @@ class TestTuneTemplate:
             ("s74", ("k",), "no observer to tune"),
             ("s74", ("alpha1",), "no sliding-mode gains to tune"),
             ("s71", ("k", "tau"), "cannot tune 'tau' on kind tsmc"),
+            ("s71", (), "at least one gain"),
         ],
     )
     def test_rejects_gains_the_scenario_lacks(self, name, names, message):
