@@ -30,7 +30,6 @@ from .plant import (
     DisturbanceSpec,
     DisturbanceTerm,
     PlantParams,
-    deflection_field,
     disturbance_value,
     galerkin_coefficients,
     mode_integrals,
@@ -55,7 +54,6 @@ from .harness import (
     Scenario,
     compare_controllers,
     export_trace,
-    read_trace,
     run_scenario,
 )
 from .config import ConfigError, load_compare_entries, load_pso_job, load_scenario

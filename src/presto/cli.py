@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness
-from .plant import galerkin_coefficients
+from .plant import MASS_TERMS, galerkin_coefficients
 from .tuner import fitness_settling_time, pso_run
 
 EXIT_OK = 0
@@ -112,11 +112,10 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    path = cfgmod.resolve_config_path(args.config)
-    bp = cfgmod.load_beam_params(path)
+    bp = cfgmod.load_beam_params(args.config)
     print(f"alpha={bp.alpha:g} beta={bp.beta:g} lambda={bp.lam:g} "
           f"points={bp.quadrature_points}")
-    for variant in ("as_printed", "phi_squared"):
+    for variant in MASS_TERMS:
         pp = galerkin_coefficients(bp, variant)
         print(f"  mass_term={variant:<12} K1={pp.K1:.10g}  K2={pp.K2:.10g}  g={pp.g:.10g}")
     return EXIT_OK
@@ -124,10 +123,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = cfgmod.resolve_config_path(args.config)
-    if cfgmod._read(path).has_section("pso"):
-        scenarios = [cfgmod.load_pso_job(path)[1].scenario]
-    else:
-        scenarios = [sc for _, sc in cfgmod.load_compare_entries([path])]
+    scenarios = [sc for _, sc in cfgmod.load_compare_entries([path])]
     for sc in scenarios:
         bound = sc.disturbance.bound
         if sc.observer is not None and bound > sc.observer.beta0:

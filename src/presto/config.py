@@ -19,15 +19,19 @@ omits is not passed on, so it takes the default of the field it feeds
 (Scenario, BeamParams, ObserverGains, TsmcGains, PsoConfig), for instance
 x0 = 1.0, 5.0 or [pso] generations = 40.  The checks live on those types
 too.  Values are literal: a '%' needs no escaping.  Scenario kinds pull in
-their required sections and reject configs missing them.  The environment
-variable PRESTO_SEED, when set, overrides every scenario seed loaded
-through this module.  Config names that are not existing paths fall back
-to the bundled files under presto/configs.
+their required sections and reject configs missing them.  A file may set
+only the keys its loaders ask for (case-folded): any other key, a section
+nothing reads, or [DEFAULT] is an error, and a scenario file with [pso]
+always loads as a tuning job.  The environment variable PRESTO_SEED, when
+set, overrides every scenario seed loaded through this module.  Config
+names that are not existing paths fall back to the bundled files under
+presto/configs.
 """
 
 from __future__ import annotations
 
 import configparser
+import difflib
 import os
 import warnings
 from importlib import resources
@@ -40,7 +44,8 @@ from .estimator import EkfConfig
 from .harness import KINDS, Scenario
 from .mathcore import ExponentPair
 from .observer import ObserverGains
-from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams, galerkin_coefficients
+from .plant import MASS_TERMS, BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
+from .plant import galerkin_coefficients
 from .tuner import DEFAULT_TUNE_BOXES, PsoConfig, TuneTemplate
 
 __all__ = [
@@ -72,21 +77,59 @@ def resolve_config_path(name: str | Path) -> Path:
     raise ConfigError(f"config file not found: {name}")
 
 
-def _read(path: Path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+class _Parser(configparser.ConfigParser):
+    """A parser that records every key a loader asks for, by section.
+
+    `asked[section]` maps each case-folded key to the spelling the loader
+    used, for the suggestion in an unknown-key error.  `_get` and `_given`
+    ask through `has_option` before they read a key.
+    """
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
+        self.asked: dict[str, dict[str, str]] = {}
+
+    def has_option(self, section, option):
+        self.asked.setdefault(section, {}).setdefault(self.optionxform(option), option)
+        return super().has_option(section, option)
+
+
+def _read(path: Path) -> _Parser:
+    cp = _Parser()
     try:
         loaded = cp.read(str(path))
     except configparser.Error as err:  # its message names the file
         raise ConfigError(str(err)) from err
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
+    if cp.defaults():
+        # configparser would copy these keys into every section
+        raise ConfigError(f"{path}: [{cp.default_section}]: not supported; "
+                          "set each key in the section that reads it")
     return cp
 
 
-def _in_file(path: Path, build, cp: configparser.ConfigParser):
-    """build(cp, path), with the path prefixed once to any error it raises."""
+def _check_all_read(cp: _Parser) -> None:
+    """Reject the first section or key of the file that no loader asked for."""
+    for section in cp.sections():
+        known = cp.asked.get(section)
+        if known is None:
+            read = ", ".join(f"[{name}]" for name in cp.sections() if name in cp.asked)
+            raise ConfigError(f"[{section}]: unused section; this file reads {read}")
+        for key in cp.options(section):
+            if key not in known:
+                near = difflib.get_close_matches(key, known, n=1)
+                hint = (f"did you mean {known[near[0]]}?" if near
+                        else "known keys: " + ", ".join(known.values()))
+                raise ConfigError(f"[{section}] {key}: unknown key; {hint}")
+
+
+def _in_file(path: Path, build, cp: _Parser):
+    """build(cp, path), then `_check_all_read`; the path prefixes any error once."""
     try:
-        return build(cp, path)
+        out = build(cp, path)
+        _check_all_read(cp)
+        return out
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -175,24 +218,34 @@ def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
     return entries
 
 
-def load_beam_params(cp_or_path, section: str = "beam") -> BeamParams:
-    """Beam data from a parsed config, or from a config file named by path."""
-    if not isinstance(cp_or_path, configparser.ConfigParser):
-        path = resolve_config_path(cp_or_path)
-        return _in_file(path, lambda cp, _: load_beam_params(cp, section), _read(path))
-    cp = cp_or_path
-    return BeamParams(
-        alpha=_get(cp, section, "alpha"),
-        beta=_get(cp, section, "beta"),
-        **_given(cp, section, {"lambda": ("lam", float), "quadrature_points": int}),
+def _mass_term(raw: str) -> str:
+    if raw not in MASS_TERMS:
+        raise ValueError(f"{raw!r} is not one of {', '.join(MASS_TERMS)}")
+    return raw
+
+
+def _beam(cp) -> tuple[BeamParams, dict]:
+    """The [beam] data, plus the mass_term choice when the file sets one."""
+    bp = BeamParams(
+        alpha=_get(cp, "beam", "alpha"),
+        beta=_get(cp, "beam", "beta"),
+        **_given(cp, "beam", {"lambda": ("lam", float), "quadrature_points": int}),
     )
+    return bp, _given(cp, "beam", {"mass_term": _mass_term})
+
+
+def load_beam_params(name: str | Path) -> BeamParams:
+    """Beam data of a file holding only [beam]; its mass_term is checked too."""
+    path = resolve_config_path(name)
+    return _in_file(path, lambda cp, _: _beam(cp)[0], _read(path))
 
 
 def _load_plant(cp) -> PlantParams:
     if cp.has_section("plant"):
         return PlantParams(**{key: _get(cp, "plant", key) for key in ("K1", "K2", "g")})
     if cp.has_section("beam"):
-        return galerkin_coefficients(load_beam_params(cp), **_given(cp, "beam", {"mass_term": str}))
+        bp, mass_term = _beam(cp)
+        return galerkin_coefficients(bp, **mass_term)
     raise ConfigError("needs a [plant] or [beam] section")
 
 
@@ -242,9 +295,7 @@ _SCENARIO_KEYS = {
     "seed": int,
     "threshold_fraction": float,
     "hold_duration": float,
-    "integrator": str,
     "perfect_observer": _bool,
-    "process_noise": _bool,
     "label": str,
 }
 
@@ -252,7 +303,6 @@ _SCENARIO_KEYS = {
 def _scenario(cp, path: Path) -> Scenario:
     kind = _get(cp, "scenario", "kind", str)
     fields = {"label": path.stem, **_given(cp, "scenario", _SCENARIO_KEYS)}
-    fields.update(_given(cp, "observer", {"z0_offset": float}))
     env_seed = os.environ.get("PRESTO_SEED")
     if env_seed is not None:
         try:
@@ -266,6 +316,7 @@ def _scenario(cp, path: Path) -> Scenario:
     elif kind in KINDS:
         fields["tsmc"] = _load_tsmc(cp)
         fields["observer"] = _load_observer(cp)
+        fields.update(_given(cp, "observer", {"z0_offset": float}))
         if kind == "adaptive_tsmc_saturated":
             fields["ekf"] = _load_ekf(cp)
     disturbance = DisturbanceSpec(**_given(cp, "disturbance", {
@@ -275,17 +326,24 @@ def _scenario(cp, path: Path) -> Scenario:
     return Scenario(kind=kind, plant=_load_plant(cp), disturbance=disturbance, **fields)
 
 
+def _scenario_file(cp, path: Path) -> Scenario:
+    """The file's scenario; a tuning job's is its template, read with the job."""
+    if cp.has_section("pso"):
+        return _pso_job(cp, path)[1].scenario
+    return _scenario(cp, path)
+
+
 def load_scenario(name: str | Path) -> Scenario:
     """Load and validate one scenario config; PRESTO_SEED overrides the seed."""
     path = resolve_config_path(name)
-    return _in_file(path, _scenario, _read(path))
+    return _in_file(path, _scenario_file, _read(path))
 
 
 def _compare_members(cp, path: Path) -> list[tuple[str, str | None]]:
     files = _get(cp, "compare", "scenarios", _names)
     if not files:
         raise ConfigError("[compare] scenarios: lists no scenario file")
-    labels = _names(cp.get("compare", "labels", fallback=""))
+    labels = _given(cp, "compare", {"labels": _names}).get("labels")
     if labels and len(labels) != len(files):
         raise ConfigError("labels must match scenarios one-for-one")
     return list(zip(files, labels or [None] * len(files)))
@@ -302,7 +360,7 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
         path = resolve_config_path(name)
         cp = _read(path)
         if not cp.has_section("compare"):
-            sc = _in_file(path, _scenario, cp)
+            sc = _in_file(path, _scenario_file, cp)
             entries.append((sc.label, sc))
             continue
         for fname, label in _in_file(path, _compare_members, cp):

@@ -14,7 +14,7 @@ single fixed step:
        control law for the kind (plus the actuator clamp where configured);
     5. log the decimated sample, and end the run there when the scenario
        stops at its first settling window and this sample completes it;
-    6. advance the truth plant (explicit Euler by default, RK4 optional);
+    6. advance the truth plant by one explicit Euler step;
     7. advance the observer with the forcing the plant actually received
        (g(x)*u in the plain loop, v_r in the saturated loops), re-anchored
        against the freshest feedback state.
@@ -75,7 +75,7 @@ from .observer import (  # noqa: F401
     observer_advance,
     observer_init,
 )
-from .plant import DisturbanceSpec, PlantParams, disturbance_value, plant_derivative
+from .plant import DisturbanceSpec, PlantParams, disturbance_value, plant_derivative  # noqa: F401
 
 __all__ = [
     "KINDS",
@@ -87,7 +87,6 @@ __all__ = [
     "format_report_table",
     "report_csv_rows",
     "export_trace",
-    "read_trace",
 ]
 
 KINDS = ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated", "smc_baseline")
@@ -137,10 +136,8 @@ class Scenario:
     smc_k1_nominal: float | None = None
     threshold_fraction: float = 0.02
     hold_duration: float = 0.5
-    integrator: str = "euler"
     perfect_observer: bool = False
     z0_offset: float = 0.0
-    process_noise: bool = False
     stop_when_settled: bool = False
     label: str = "run"
 
@@ -155,8 +152,6 @@ class Scenario:
             raise ValueError("horizon must exceed dt")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
-        if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         # checked here too, so a bad settling rule fails before the run, not after it
         if not (0.0 < self.threshold_fraction < 1.0):
             raise ValueError(
@@ -193,10 +188,6 @@ class Scenario:
                 raise ValueError(
                     f"ekf Ts={self.ekf.Ts} must be a whole multiple of dt={self.dt}"
                 )
-        if self.process_noise and self.kind != "adaptive_tsmc_saturated":
-            raise ValueError(
-                f"process_noise applies to the adaptive kind only, not to {self.kind}"
-            )
         if self.stop_when_settled and self.kind == "smc_baseline":
             raise ValueError("stop_when_settled applies to the observer kinds only, "
                              "not to smc_baseline")
@@ -297,20 +288,11 @@ def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int
     return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
 
 
-def _disturbance_series(sc: Scenario):
-    """d at every step time i*dt, as a 1-D memoryview that yields floats.
-
-    With the RK4 integrator, also d at the substage times t + dt/2 and
-    t + dt; otherwise those two are None.
-    """
+def _disturbance_series(sc: Scenario) -> memoryview:
+    """d at every step time i*dt, as a 1-D memoryview that yields floats."""
     t = np.arange(int(round(sc.horizon / sc.dt)), dtype=float)
     t *= sc.dt
-    d = memoryview(disturbance_value(sc.disturbance, t))
-    if sc.integrator != "rk4":
-        return d, None, None
-    d_mid = disturbance_value(sc.disturbance, t + 0.5 * sc.dt)
-    d_end = disturbance_value(sc.disturbance, t + sc.dt)
-    return d, memoryview(d_mid), memoryview(d_end)
+    return memoryview(disturbance_value(sc.disturbance, t))
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -324,11 +306,10 @@ def _smc_loop(sc: Scenario) -> Trace:
     Y, Kg, K1n = gains.Y, gains.Kg, sc.smc_k1_nominal
     dK = K1n - gains.K1_min
     dt, dec = sc.dt, sc.decimation
-    rk4 = sc.integrator == "rk4"
     lim = DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    d_series, d_mid, d_end = _disturbance_series(sc)
+    d_series = _disturbance_series(sc)
     log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
@@ -345,15 +326,12 @@ def _smc_loop(sc: Scenario) -> Trace:
             pack(buf, offset, t, x1, x2, u, d, s, u_eq, u_c)
             offset += row_bytes
 
-        if rk4:
-            x1, x2 = _rk4_step(x1, x2, u, dt, pp, d, d_mid[i], d_end[i])
-        else:
-            dx2 = nK1 * x1 - b - g * u + d
-            x1 += dt * x2
-            x2 += dt * dx2
+        dx2 = nK1 * x1 - b - g * u + d
+        x1 += dt * x2
+        x2 += dt * dx2
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
             raise _state_diverged(x1, x2, t, log, offset)
-    del d_series, d_mid, d_end  # the series must not outlive the loop into the trace copy
+    del d_series  # the series must not outlive the loop into the trace copy
     return log.trace(offset)
 
 
@@ -372,8 +350,6 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     adaptive = sc.kind == "adaptive_tsmc_saturated"
     saturated = sc.kind != "tsmc"
     has_observer = not sc.perfect_observer
-    rk4 = sc.integrator == "rk4"
-    noisy = sc.process_noise
 
     pp, tg = sc.plant, sc.tsmc
     nK1, K2, g = -pp.K1, pp.K2, pp.g
@@ -408,13 +384,10 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
         normal = rng.standard_normal
         meas_std = math.sqrt(cfg.R)
-        if noisy:
-            pn1 = math.sqrt(cfg.Q[0, 0] * dt / cfg.Ts)
-            pn2 = math.sqrt(cfg.Q[1, 1] * dt / cfg.Ts)
         u_acc = 0.0
 
     z = s = s_obs = u_c = 0.0
-    d_series, d_mid, d_end = _disturbance_series(sc)
+    d_series = _disturbance_series(sc)
     max_abs_d = float(np.max(np.abs(d_series)))
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
@@ -503,15 +476,9 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 else:
                     in_band = 0
 
-        if rk4:
-            x1, x2 = _rk4_step(x1, x2, u, dt, pp, d, d_mid[i], d_end[i])
-        else:
-            dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
-            x1 += dt * x2
-            x2 += dt * dx2
-        if noisy:
-            x1 += pn1 * normal()
-            x2 += pn2 * normal()
+        dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
+        x1 += dt * x2
+        x2 += dt * dx2
         if has_observer:
             z += dt * (prefix + forcing)
             s = z - (fb2 if adaptive else x2)
@@ -522,21 +489,8 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             if -inf < z < inf:
                 raise _state_diverged(x1, x2, t, log, offset)
             raise _diverged("observer", f"z reached {z}", t, inf, log, offset)
-    del d_series, d_mid, d_end  # the series must not outlive the loop into the trace copy
+    del d_series  # the series must not outlive the loop into the trace copy
     return log.trace(offset), max_abs_d
-
-
-def _rk4_step(x1, x2, u, dt, pp: PlantParams, d: float, d_mid: float, d_end: float):
-    # classic RK4 on the truth with the input held over the step and the
-    # disturbance at the step start, midpoint and end
-    k1 = plant_derivative((x1, x2), u, d, pp)
-    k2 = plant_derivative((x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1]), u, d_mid, pp)
-    k3 = plant_derivative((x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1]), u, d_mid, pp)
-    k4 = plant_derivative((x1 + dt * k3[0], x2 + dt * k3[1]), u, d_end, pp)
-    return (
-        x1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        x2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
 
 
 def compare_controllers(
@@ -641,21 +595,3 @@ def export_trace(tr: Trace, path: Path | str, names: tuple[str, ...] = ()) -> No
         fmt = ",".join(["%.12e"] * len(names)) + "\n"
         fh.writelines(fmt % row for row in zip(*(tr.columns[name] for name in names)))
 
-
-def read_trace(path: Path | str) -> Trace:
-    """Load a trace CSV written by export_trace; dt comes from the time column."""
-    path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError(f"{path} has no header row")
-        names = header.split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"{path} has no samples")
-    columns = {name: data[:, j] for j, name in enumerate(names)}
-    if "t" in columns and len(columns["t"]) > 1:
-        dt = float(columns["t"][1] - columns["t"][0])
-    else:
-        dt = 1.0
-    return Trace(dt=dt, columns=columns)

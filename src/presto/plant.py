@@ -34,8 +34,11 @@ __all__ = [
     "galerkin_coefficients",
     "plant_derivative",
     "disturbance_value",
-    "deflection_field",
+    "MASS_TERMS",
 ]
+
+# the modal-mass variants of `galerkin_coefficients`, the default first
+MASS_TERMS = ("as_printed", "phi_squared")
 
 
 class SingularModelError(ValueError):
@@ -221,7 +224,7 @@ def galerkin_coefficients(bp: BeamParams, mass_term: str = "as_printed") -> Plan
     Neither variant is asserted as the physically correct one; the reference
     plant coefficients are configuration inputs, not outputs of this path.
     """
-    if mass_term not in ("as_printed", "phi_squared"):
+    if mass_term not in MASS_TERMS:
         raise ValueError(f"unknown mass_term {mass_term!r}")
     mi = mode_integrals(bp.quadrature_points)
     a2 = bp.alpha**2
@@ -244,10 +247,3 @@ def plant_derivative(
     """Right-hand side of the reduced plant at state x = (x1, x2)."""
     x1, x2 = x
     return (x2, -pp.K1 * x1 - pp.K2 * x1**3 - pp.g * u + d)
-
-
-def deflection_field(Q: float, xbar: float) -> float:
-    """Physical deflection Q * sin(pi * xbar) at span position xbar in [0, 1]."""
-    if not (0.0 <= xbar <= 1.0):
-        raise ValueError(f"xbar must lie in [0, 1], got {xbar}")
-    return Q * math.sin(math.pi * xbar)

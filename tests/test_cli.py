@@ -118,6 +118,12 @@ class TestCoeffs:
         assert "as_printed" in out and "phi_squared" in out
         assert "K1=" in out
 
+    def test_mass_term_must_name_a_variant(self, tmp_path, capsys):
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text("[beam]\nalpha = 0.1\nbeta = 0.05\nmass_term = phi\n")
+        assert main(["coeffs", str(cfg)]) == 1
+        assert "[beam] mass_term: 'phi' is not one of" in capsys.readouterr().err
+
     def test_beam_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "badbeam.cfg"
         cfg.write_text("[beam]\nalpha = abc\nbeta = 0.05\n")
@@ -194,15 +200,9 @@ class TestSimulate:
         assert (tmp_path / "cmp" / "early.csv").read_text() == header
 
 
-    def test_process_noise_on_non_adaptive_kind_exits_one(self, tmp_path, capsys):
-        text = resolve_config_path("s72").read_text()
-        ekf = resolve_config_path("s73").read_text().split("[ekf]")[1]
-        cfg = tmp_path / "noisy.cfg"
-        cfg.write_text(
-            text.replace("[scenario]\n", "[scenario]\nprocess_noise = true\n") + "\n[ekf]" + ekf
-        )
-        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "process_noise applies to the adaptive kind only" in capsys.readouterr().err
+    def test_tuning_job_runs_its_template_scenario(self, tmp_path, capsys):
+        assert main(["simulate", "tune_s71", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "tune_s71.csv").exists()
 
     def test_clamp_on_tsmc_kind_exits_one(self, tmp_path, capsys):
         text = resolve_config_path("s71").read_text()
@@ -309,6 +309,14 @@ generations = 1
 tune = k
 """
 
+S73_TEXT = resolve_config_path("s73").read_text()
+ADAPTIVE_JOB = S73_TEXT.replace("horizon = 8.0", "horizon = 0.1") + """
+[pso]
+swarm_size = 2
+generations = 1
+tune = k
+"""
+
 MALFORMED = {
     "percent_in_value": TUNE_JOB.replace("kind = tsmc", "kind = tsmc\nx0 = 1.0, 5.0%"),
     "no_section_header": "kind = tsmc\n" + TUNE_JOB,
@@ -323,6 +331,26 @@ MALFORMED = {
     "bad_boolean": TUNE_JOB.replace("[scenario]\n", "[scenario]\nperfect_observer = maybe\n"),
     "threshold_out_of_range": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nthreshold_fraction = 1.5"),
     "negative_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = -0.5"),
+    "misspelled_key": TUNE_JOB.replace("horizon = 0.5", "horizn = 0.5"),
+    "removed_integrator": TUNE_JOB.replace("[scenario]\n", "[scenario]\nintegrator = rk4\n"),
+    # the adaptive kind, the one kind that used to take it
+    "removed_process_noise": ADAPTIVE_JOB.replace("[scenario]\n",
+                                                  "[scenario]\nprocess_noise = true\n"),
+    "removed_pso_workers": TUNE_JOB.replace("[pso]\n", "[pso]\nworkers = 2\n"),
+    "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
+    "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
+    "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
+}
+
+# what the error must say, for the cases that name a key or a section
+NAMED = {
+    "misspelled_key": "[scenario] horizn: unknown key; did you mean horizon?",
+    "removed_integrator": "[scenario] integrator: unknown key",
+    "removed_process_noise": "[scenario] process_noise: unknown key",
+    "removed_pso_workers": "[pso] workers: unknown key",
+    "unread_section": "[ekf]: unused section",
+    "default_section": "[DEFAULT]: not supported",
+    "beam_beside_plant": "[beam]: unused section",
 }
 
 
@@ -346,4 +374,6 @@ class TestMalformedConfig:
             assert not caught, (command, [str(w.message) for w in caught])
             err = capsys.readouterr().err
             assert "error:" in err, command
+            assert NAMED.get(case, "") in err, command
             assert "Traceback" not in err, command
+

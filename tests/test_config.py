@@ -249,3 +249,32 @@ class TestPsoJob:
         monkeypatch.setattr(presto.config, "_read", counting_read)
         load_pso_job("tune_s71")
         assert len(calls) == 1
+
+
+class TestUnreadKeys:
+    """The keys a file may set are the keys its loaders ask for."""
+
+    def test_observer_section_on_the_baseline_is_unused(self, tmp_path):
+        # z0_offset feeds the observer kinds only
+        text = resolve_config_path("s74").read_text() + "\n[observer]\nz0_offset = 1.0\n"
+        with pytest.raises(ConfigError, match=r"\[observer\]: unused section"):
+            load_scenario(write_cfg(tmp_path, text))
+
+    def test_optional_keys_are_suggested(self, tmp_path):
+        text = resolve_config_path("s71").read_text().replace("q0 = 7", "q0 = 7\nz0_ofset = 1")
+        with pytest.raises(ConfigError, match=r"\[observer\] z0_ofset: unknown key; did you mean "
+                                              r"z0_offset\?"):
+            load_scenario(write_cfg(tmp_path, text))
+
+    def test_compare_file_keys(self, tmp_path):
+        p = write_cfg(tmp_path, "[compare]\nscenarios = s71.cfg\nlabel = a\n")
+        with pytest.raises(ConfigError, match=r"\[compare\] label: unknown key; did you mean "
+                                              r"labels\?") as exc:
+            load_compare_entries([p])
+        assert str(exc.value).startswith(f"{p}: ")
+
+    def test_pso_keys_checked_when_run_as_a_scenario(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k\nswarm = 4\n")
+        for load in (load_scenario, load_pso_job):
+            with pytest.raises(ConfigError, match=r"\[pso\] swarm: unknown key"):
+                load(p)

@@ -25,20 +25,6 @@ from presto.plant import DisturbanceSpec, DisturbanceTerm, disturbance_value, pl
 STEPS = 3000
 
 
-def _rk4(x1, x2, u, t, dt, sc):
-    def f(xa, xb, tt):
-        return plant_derivative((xa, xb), u, disturbance_value(sc.disturbance, tt), sc.plant)
-
-    k1 = f(x1, x2, t)
-    k2 = f(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1], t + 0.5 * dt)
-    k3 = f(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1], t + 0.5 * dt)
-    k4 = f(x1 + dt * k3[0], x2 + dt * k3[1], t + dt)
-    return (
-        x1 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        x2 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
-
-
 def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
     """One scenario through the stage functions, one call per stage per step."""
     pp = sc.plant
@@ -56,8 +42,6 @@ def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
         cfg = sc.ekf
         ekf_state = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
         stride = int(round(cfg.Ts / dt))
-        pn1 = math.sqrt(cfg.Q[0, 0] * dt / cfg.Ts)
-        pn2 = math.sqrt(cfg.Q[1, 1] * dt / cfg.Ts)
     rows = []
     for i in range(int(round(sc.horizon / dt))):
         t = i * dt
@@ -99,15 +83,9 @@ def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
                 row += (fb1, fb2, k1_fb, x1 - fb1, innov, float(np.trace(ekf_state.P)))
         if i % sc.decimation == 0:
             rows.append(row)
-        if sc.integrator == "rk4":
-            x1, x2 = _rk4(x1, x2, u, t, dt, sc)
-        else:
-            dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
-            x1 += dt * dx1
-            x2 += dt * dx2
-        if adaptive and sc.process_noise:
-            x1 += pn1 * rng.standard_normal()
-            x2 += pn2 * rng.standard_normal()
+        dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
+        x1 += dt * dx1
+        x2 += dt * dx2
         if has_observer:
             obs = observer_advance(obs, fb2 if adaptive else x2, fx, forcing, sc.observer, dt)
         u_acc += u
@@ -143,13 +121,6 @@ def with_observer(name: str, **changes) -> Scenario:
     return replace(sc, observer=replace(sc.observer, **changes))
 
 
-def with_process_noise() -> Scenario:
-    # unequal state noise, so the two draws per step cannot trade places
-    sc = short("s73")
-    ekf = replace(sc.ekf, Q=np.diag([1e-4, 4e-4, 1e-2]))
-    return replace(sc, ekf=ekf, process_noise=True)
-
-
 TABLE = DisturbanceSpec(
     terms=(DisturbanceTerm(-1.5, "sin_sqrt", 0.3), DisturbanceTerm(2.0, "sin_linear", 0.1)),
     table=((0.0, 0.05, 0.1, 0.2), (0.0, 3.0, -2.0, 1.0)),
@@ -163,14 +134,11 @@ CASES = {
     "s73-seed2": lambda: short("s73", seed=2),
     "s74": lambda: short("s74"),
     "tune_s71": lambda: load_pso_job("tune_s71")[1].scenario,
-    "rk4-s71": lambda: short("s71", integrator="rk4"),
-    "rk4-s74": lambda: short("s74", integrator="rk4"),
     "perfect-observer-s72": lambda: short("s72", perfect_observer=True),
     "perfect-observer-s73": lambda: short("s73", perfect_observer=True),
     "smooth-sgn-s71": lambda: with_observer("s71", smooth_sgn_width=1e-3),
     "z0-offset-s72": lambda: short("s72", z0_offset=1.5),
     "z0-offset-s73": lambda: short("s73", z0_offset=-0.5),
-    "process-noise-s73": with_process_noise,
     "table-s71": lambda: short("s71", disturbance=TABLE),
     "table-s74": lambda: short("s74", disturbance=TABLE),
     "decimation1-s73": lambda: short("s73", decimation=1),

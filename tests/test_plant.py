@@ -8,7 +8,6 @@ from presto.plant import (
     DisturbanceSpec,
     DisturbanceTerm,
     PlantParams,
-    deflection_field,
     disturbance_value,
     galerkin_coefficients,
     mode_integrals,
@@ -240,21 +239,3 @@ class TestDisturbance:
         with pytest.raises(ValueError):
             DisturbanceSpec(table=((0.0,), (1.0,)))
 
-
-class TestDeflectionField:
-    def test_supported_ends_stay_fixed(self):
-        for q in (-2.0, 0.0, 5.5):
-            assert deflection_field(q, 0.0) == 0.0
-            assert deflection_field(q, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_midspan_is_modal_amplitude(self):
-        assert deflection_field(1.0, 0.5) == pytest.approx(1.0)
-
-    def test_quarter_span(self):
-        assert deflection_field(2.0, 0.25) == pytest.approx(2 * math.sin(PI / 4), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            deflection_field(1.0, -0.1)
-        with pytest.raises(ValueError):
-            deflection_field(1.0, 1.1)
