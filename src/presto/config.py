@@ -109,29 +109,50 @@ def _read(path: Path) -> _Parser:
     return cp
 
 
-def _check_all_read(cp: _Parser) -> None:
-    """Reject the first section or key of the file that no loader asked for."""
+def _unread(cp: _Parser) -> str:
+    """The first section or key of the file that no loader asked for, else ''."""
     for section in cp.sections():
         known = cp.asked.get(section)
         if known is None:
             read = ", ".join(f"[{name}]" for name in cp.sections() if name in cp.asked)
-            raise ConfigError(f"[{section}]: unused section; this file reads {read}")
+            return f"[{section}]: unused section; this file reads {read}"
         for key in cp.options(section):
             if key not in known:
                 near = difflib.get_close_matches(key, known, n=1)
                 hint = (f"did you mean {known[near[0]]}?" if near
                         else "known keys: " + ", ".join(known.values()))
-                raise ConfigError(f"[{section}] {key}: unknown key; {hint}")
+                return f"[{section}] {key}: unknown key; {hint}"
+    return ""
+
+
+def _misspelled(cp: _Parser) -> str:
+    """After a failed load, an unread key close to one the loader asked for
+    and did not find, as an unknown-key message, else ''.
+
+    Keys the loader had not reached yet may be valid, so the 0.8 cutoff
+    sits above every pair of keys one section reads (q_diag/p0_diag: 0.77).
+    """
+    for section, known in cp.asked.items():
+        present = cp.options(section) if cp.has_section(section) else []
+        absent = {key: spelled for key, spelled in known.items() if key not in present}
+        for key in (key for key in present if key not in known):
+            near = difflib.get_close_matches(key, absent, n=1, cutoff=0.8)
+            if near:
+                return f"[{section}] {key}: unknown key; did you mean {absent[near[0]]}?"
+    return ""
 
 
 def _in_file(path: Path, build, cp: _Parser):
-    """build(cp, path), then `_check_all_read`; the path prefixes any error once."""
+    """build(cp, path), then `_unread`; the path prefixes any error once, and
+    `_misspelled` names the key a failed build may have missed."""
     try:
         out = build(cp, path)
-        _check_all_read(cp)
-        return out
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+        hint = _misspelled(cp)
+        raise ConfigError(f"{path}: {err}" + (f"; {hint}" if hint else "")) from err
+    if unread := _unread(cp):
+        raise ConfigError(f"{path}: {unread}")
+    return out
 
 
 def _get(cp, section: str, key: str, conv=float):

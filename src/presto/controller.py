@@ -168,8 +168,6 @@ def tsmc_control(
     reaching-deadline bound is computed from.  The K1 in here is whatever
     estimate pp carries, so parameter-adaptive loops pass their own pp.
     """
-    if pp.g == 0.0:
-        raise ZeroDivisionError("input coefficient g must be nonzero")
     x1, x2 = x
     fx_hat = pp.K1 * x1 + pp.K2 * x1**3
     return -(1.0 / pp.g) * (
@@ -246,8 +244,6 @@ def smc_control(
     u_c = ((K1_nom - K1_min)*|x1| + Kg) / g * sgn(s) dominates the interval
     uncertainty on K1 and enforces the reaching condition s*s' <= -eta*|s|.
     """
-    if pp.g == 0.0:
-        raise ZeroDivisionError("input coefficient g must be nonzero")
     x1, x2 = x
     s = x2 + gains.Y * x1
     u_eq = (gains.Y * x2 - K1_nominal * x1 - pp.K2 * x1**3) / pp.g

@@ -13,14 +13,16 @@ The predict/correct cycle is the textbook form
 
 with H = [1 0 0] and F the full 3x3 Jacobian of the augmented map,
 including the parameter column dF2/dK1 = -Ts*x1 and a unit row for the
-random walk.  P is re-symmetrized after every step and its diagonal floored
-at zero; at state dimension 3 nothing fancier is warranted.
+random walk.  P is re-symmetrized after every step, so it is exactly
+symmetric, and the update floors its diagonal at zero; at state dimension 3
+nothing fancier is warranted.  `EkfConfig` checks the filter's input; the
+cycle checks only the innovation covariance it divides by.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +43,6 @@ def _check_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(M)) < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite")
-
-
-def _close(a: float, b: float) -> bool:
-    # np.isclose(a, b, rtol=1e-5, atol=1e-10) on two floats
-    return a == b or (abs(a - b) <= 1e-10 + 1e-5 * abs(b) and math.isfinite(b))
 
 
 @dataclass(frozen=True)
@@ -72,34 +69,17 @@ class EkfConfig:
             raise ValueError(f"R must be >= 0, got {self.R}")
         _check_psd(self.Q, "Q")
         _check_psd(self.P0, "P0")
+        if not (self.P0[0, 0] + self.R > 0.0):
+            raise ValueError("P0[0,0] + R, the first innovation covariance, must be > 0")
         if self.x0_hat.shape != (3,):
             raise ValueError(f"x0_hat must have 3 entries, got {self.x0_hat.shape}")
 
 
-@dataclass(frozen=True)
-class EkfState:
-    """Augmented estimate and covariance; P symmetric with nonnegative diagonal."""
+class EkfState(NamedTuple):
+    """Augmented estimate (3,) and covariance (3, 3); the cycle keeps P symmetric."""
 
     x_hat: np.ndarray
     P: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        if self.x_hat.shape != (3,) or self.P.shape != (3, 3):
-            raise ValueError("EkfState needs a 3-vector estimate and 3x3 covariance")
-        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.P.tolist()
-        # np.allclose(P, P.T, atol=1e-10) on scalars: each off-diagonal pair
-        # in both orders, and the diagonal against itself, which rejects NaN
-        if not (
-            _close(p01, p10) and _close(p10, p01)
-            and _close(p02, p20) and _close(p20, p02)
-            and _close(p12, p21) and _close(p21, p12)
-            and p00 == p00 and p11 == p11 and p22 == p22
-        ):
-            raise ValueError("covariance must be symmetric within 1e-10")
-        if p00 < 0.0 or p11 < 0.0 or p22 < 0.0:
-            raise ValueError("covariance diagonal must be nonnegative")
 
 
 def augmented_transition(
@@ -153,7 +133,8 @@ def ekf_update(st: EkfState, y: float, cfg: EkfConfig) -> tuple[EkfState, float]
     """Correction phase against the position measurement; returns the innovation.
 
     With H = [1 0 0] the innovation covariance is the scalar S = P11 + R,
-    so the gain is simply the first covariance column over S.
+    so the gain is simply the first covariance column over S; S <= 0 raises
+    ZeroDivisionError.  The updated diagonal is floored at zero.
     """
     S = st.P[0, 0] + cfg.R
     if S <= 0.0:
@@ -163,8 +144,6 @@ def ekf_update(st: EkfState, y: float, cfg: EkfConfig) -> tuple[EkfState, float]
     x_new = st.x_hat + K * innovation
     P_new = st.P - np.outer(K, K) * S
     P_new = 0.5 * (P_new + P_new.T)
-    d = np.diag(P_new).copy()
-    if np.any(d < 0.0):
-        P_new = P_new.copy()
-        np.fill_diagonal(P_new, np.maximum(d, 0.0))
+    diag = P_new.reshape(9)[::4]  # a view: P_new is a fresh contiguous array
+    np.maximum(diag, 0.0, out=diag)
     return EkfState(x_hat=x_new, P=P_new), float(innovation)

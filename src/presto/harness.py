@@ -25,7 +25,7 @@ scenario before the loop starts.  The stage functions of `plant`,
 `observer`, `controller` and `estimator` stay the documented reference:
 tests/test_kernels.py holds the fused loops to a step-by-step composition
 of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
-`ekf_update`.
+`ekf_update`, and the loop's divergence guard is its only run-time check.
 
 A scenario with `stop_when_settled` (observer kinds only) ends its loop at
 the logged sample that completes the first settling window: the band
@@ -37,7 +37,8 @@ fitness sets it; a run that never settles still covers the horizon.
 A run ends in DivergenceError, carrying the partial trace, when the truth
 state leaves the divergence limit or turns non-finite, when the observer
 integrator turns non-finite, or when an EKF cycle yields a state estimate
-beyond the divergence limit, or a non-finite estimate or covariance diagonal.
+beyond the divergence limit, a non-finite stiffness estimate or trace of the
+covariance, or a singular innovation covariance.
 
 Runs are deterministic for a fixed seed.  The per-run report carries the
 discrete-sample norms of the input and output error (plus the estimation
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -235,12 +235,10 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     # the plain observer estimates the raw external disturbance, so its
     # amplitude-bound assumption is checkable against the realized signal
     if sc.kind == "tsmc" and not sc.perfect_observer and max_abs_d > sc.observer.beta0:
-        msg = (
+        report.diagnostics.append(
             f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
             f"bound beta0={sc.observer.beta0:.4g}"
         )
-        report.diagnostics.append(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return trace, report
 
 
@@ -345,7 +343,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     The feedback terms that depend only on the feedback state are
     refreshed every step from the truth, or on each EKF cycle from the
     estimate in the adaptive kind; the EKF itself still runs through the
-    library functions and their `EkfState` validation.
+    library functions, checked by the divergence guard after each update.
     """
     adaptive = sc.kind == "adaptive_tsmc_saturated"
     saturated = sc.kind != "tsmc"
@@ -379,7 +377,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     innov = p_trace = 0.0
     if adaptive:
         cfg = sc.ekf
-        ekf_state = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
+        ekf_state = EkfState(cfg.x0_hat, cfg.P0)  # the cycle never writes its input
         fb_stride = int(round(cfg.Ts / dt))
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
         normal = rng.standard_normal
@@ -407,7 +405,10 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 if i:
                     ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
                 u_acc = 0.0
-                ekf_state, innov = ekf_update(ekf_state, x1 + meas_std * normal(), cfg)
+                try:
+                    ekf_state, innov = ekf_update(ekf_state, x1 + meas_std * normal(), cfg)
+                except ZeroDivisionError as err:
+                    raise _diverged("EKF", str(err), t, inf, log, offset) from None
                 fb1 = float(ekf_state.x_hat[0])
                 fb2 = float(ekf_state.x_hat[1])
                 k1_hat = float(ekf_state.x_hat[2])

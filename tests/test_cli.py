@@ -199,6 +199,41 @@ class TestSimulate:
         assert main(["compare", str(cfg), "--out", str(tmp_path / "cmp")]) == 2
         assert (tmp_path / "cmp" / "early.csv").read_text() == header
 
+    def test_singular_filter_exits_two(self, tmp_path, capsys):
+        # r = 0 with a filter certain of everything but x1: the first update
+        # leaves P = 0, Q = 0 keeps it there, and the second update, at
+        # t = Ts, divides by S = P[0,0] + r = 0
+        edited = (S73_TEXT.replace("horizon = 8.0", "horizon = 0.1")
+                  .replace("q_diag = 1e-4, 1e-4, 1e-2", "q_diag = 0.0, 0.0, 0.0")
+                  .replace("r = 0.01", "r = 0.0")
+                  .replace("p0_diag = 0.01, 0.01, 6000.0", "p0_diag = 1.0, 0.0, 0.0"))
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text(edited)
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "EKF diverged at t=0.0060 (singular innovation covariance S=0.0)" in err
+        assert "Traceback" not in err
+        lines = (tmp_path / "singular_partial.csv").read_text().splitlines()
+        assert lines[0].startswith("t,x1,x2,") and len(lines) == 1 + 6
+        out = tmp_path / "cmp"
+        assert main(["compare", "s71", str(cfg), "--out", str(out)]) == 2
+        rows = (out / "report.txt").read_text().splitlines()
+        assert rows[1].startswith("s71") and "FAILED" not in rows[1]
+        assert rows[2].startswith("singular") and "FAILED: EKF diverged" in rows[2]
+
+    def test_beta0_note_is_printed_once(self, tmp_path, capsys):
+        text = resolve_config_path("s71").read_text()
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(text.replace("horizon = 8.0", "horizon = 1.0").replace(
+            "terms = 2.0 sin_linear 0.1; 3.0 sin_sqrt 0.2", "terms = 10.0 sin_linear 0.4"))
+        for command in ("simulate", "compare"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([command, str(cfg), "--out", str(tmp_path)]) == 0
+            assert not caught, command
+            err = capsys.readouterr().err
+            assert err.count("beta0") == 1 and err.startswith("note"), (command, err)
 
     def test_tuning_job_runs_its_template_scenario(self, tmp_path, capsys):
         assert main(["simulate", "tune_s71", "--out", str(tmp_path)]) == 0
@@ -340,6 +375,10 @@ MALFORMED = {
     "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
     "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
     "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
+    "misspelled_required_key": ADAPTIVE_JOB.replace("u_max = 10.0", "u_mx = 10.0"),
+    # S = P0[0,0] + r is zero at the first update
+    "singular_first_innovation": ADAPTIVE_JOB.replace("r = 0.01", "r = 0.0").replace(
+        "p0_diag = 0.01,", "p0_diag = 0.0,"),
 }
 
 # what the error must say, for the cases that name a key or a section
@@ -351,6 +390,9 @@ NAMED = {
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",
     "beam_beside_plant": "[beam]: unused section",
+    "misspelled_required_key": "missing required key [controller] u_max; "
+                               "[controller] u_mx: unknown key; did you mean u_max?",
+    "singular_first_innovation": "P0[0,0] + R, the first innovation covariance, must be > 0",
 }
 
 

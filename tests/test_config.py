@@ -273,6 +273,31 @@ class TestUnreadKeys:
             load_compare_entries([p])
         assert str(exc.value).startswith(f"{p}: ")
 
+    def test_misspelled_required_key_is_named(self, tmp_path):
+        # the loader stops at the missing key, before the controller keys
+        # it has not asked for yet and before the [ekf] section it never reads
+        text = (resolve_config_path("s72").read_text().replace("u_max = 10.0", "u_mx = 10.0")
+                + "\n[ekf]" + resolve_config_path("s73").read_text().split("[ekf]")[1])
+        p = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(p)
+        assert str(exc.value) == (f"{p}: missing required key [controller] u_max; "
+                                  "[controller] u_mx: unknown key; did you mean u_max?")
+
+    @pytest.mark.parametrize("line", ["q_diag = 1e-4, 1e-4, 1e-2\n", "beta1 = 3.0\n",
+                                      "u_max = 10.0\n"])
+    def test_omitted_key_suggests_no_valid_key(self, tmp_path, line):
+        # p0_diag, delta and u_min come closest to the omitted keys, but
+        # they are valid keys the loader had not asked for yet, or had read
+        text = resolve_config_path("s73").read_text()
+        assert line in text
+        p = write_cfg(tmp_path, text.replace(line, ""))
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(p)
+        assert str(exc.value).endswith(line.split(" = ")[0])
+        assert "missing required key" in str(exc.value)
+        assert "unknown key" not in str(exc.value)
+
     def test_pso_keys_checked_when_run_as_a_scenario(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k\nswarm = 4\n")
         for load in (load_scenario, load_pso_job):

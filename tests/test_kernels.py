@@ -208,8 +208,8 @@ class TestNonFiniteLoops:
         assert lines[2].startswith("s73") and "FAILED" in lines[2]
         assert (tmp_path / "s73.csv").read_text().count("\n") > 1
 
-    # 1e80 overflowed the next covariance predict into an EkfState
-    # ValueError, 1e110 the cube of the estimate into an OverflowError
+    # 1e80 once overflowed the next covariance predict, 1e110 the cube of
+    # the estimate; the guard on the estimate now stops both at the first update
     @pytest.mark.parametrize("x1_hat", ["1.0e80", "1.0e110"])
     def test_runaway_estimate_raises_divergence(self, tmp_path, x1_hat):
         sc = load_scenario(far_estimate_cfg(tmp_path, x1_hat))
