@@ -46,7 +46,7 @@ from .controller import (
     smc_control,
     tsmc_control,
 )
-from .estimator import EkfConfig, EkfState, ekf_predict, ekf_update
+from .estimator import EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update
 from .tuner import PsoConfig, PsoResult, pso_run
 from .harness import (
     DivergenceError,

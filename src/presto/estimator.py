@@ -13,15 +13,19 @@ The predict/correct cycle is the textbook form
 
 with H = [1 0 0] and F the full 3x3 Jacobian of the augmented map,
 including the parameter column dF2/dK1 = -Ts*x1 and a unit row for the
-random walk.  P is re-symmetrized after every step, so it is exactly
-symmetric, and the update floors its diagonal at zero; at state dimension 3
-nothing fancier is warranted.  `EkfConfig` checks the filter's input; the
-cycle checks only the innovation covariance it divides by.
+random walk.  The state is plain floats: three for the estimate and the six
+of P's upper triangle, so P is symmetric by construction.  Each step adds
+and symmetrizes entry by entry in the order `0.5*(A + A.T)` would, and the
+update floors the diagonal at zero as `np.maximum(., 0.0)` does.  The one
+numpy call of the cycle is the product F P F': OpenBLAS evaluates it with
+fused multiply-adds, which plain float arithmetic cannot reproduce bit for
+bit before Python 3.13's `math.fma`.  `EkfConfig` checks the filter's
+input; the cycle checks only the innovation covariance it divides by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +33,7 @@ import numpy as np
 __all__ = [
     "EkfConfig",
     "EkfState",
+    "ekf_init",
     "augmented_transition",
     "transition_jacobian",
     "ekf_predict",
@@ -39,10 +44,16 @@ __all__ = [
 def _check_psd(M: np.ndarray, name: str) -> None:
     if M.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got {M.shape}")
-    if not np.allclose(M, M.T, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
+    # the filter keeps only the upper triangle, so any asymmetry would be dropped
+    if not np.array_equal(M, M.T):
+        raise ValueError(f"{name} must be exactly symmetric")
     if np.min(np.linalg.eigvalsh(M)) < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite")
+
+
+def _upper(M: np.ndarray) -> tuple[float, float, float, float, float, float]:
+    (m11, m12, m13), (_, m22, m23), (_, _, m33) = M.tolist()
+    return m11, m12, m13, m22, m23, m33
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,8 @@ class EkfConfig:
     """Filter constants: sample time, noise covariances, initial condition.
 
     Ts = 0 is tolerated so the exact Ts -> 0 algebra (F = I) can be
-    exercised directly; closed-loop scenarios require Ts > 0.
+    exercised directly; closed-loop scenarios require Ts > 0.  `q_upper`
+    is Q's upper triangle as floats, the form `ekf_predict` adds.
     """
 
     Ts: float
@@ -58,6 +70,7 @@ class EkfConfig:
     R: float
     P0: np.ndarray
     x0_hat: np.ndarray
+    q_upper: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
@@ -73,13 +86,24 @@ class EkfConfig:
             raise ValueError("P0[0,0] + R, the first innovation covariance, must be > 0")
         if self.x0_hat.shape != (3,):
             raise ValueError(f"x0_hat must have 3 entries, got {self.x0_hat.shape}")
+        object.__setattr__(self, "q_upper", _upper(self.Q))
 
 
 class EkfState(NamedTuple):
-    """Augmented estimate (3,) and covariance (3, 3); the cycle keeps P symmetric."""
+    """Estimate (x1, x2, K1) and covariance upper triangle (p11, p12, p13, p22, p23, p33)."""
 
-    x_hat: np.ndarray
-    P: np.ndarray
+    x_hat: tuple[float, float, float]
+    P: tuple[float, float, float, float, float, float]
+
+
+def ekf_init(cfg: EkfConfig) -> EkfState:
+    """The filter's state before its first update: x0_hat and P0 as floats."""
+    return EkfState(tuple(cfg.x0_hat.tolist()), _upper(cfg.P0))
+
+
+def _transition(x_hat, u: float, Ts: float, K2: float, g: float) -> tuple[float, float, float]:
+    x1, x2, k1 = x_hat
+    return x1 + Ts * x2, x2 + Ts * (-k1 * x1 - K2 * x1**3 - g * u), k1
 
 
 def augmented_transition(
@@ -93,14 +117,7 @@ def augmented_transition(
 
     The external disturbance is deliberately absent; Q absorbs it.
     """
-    x1, x2, k1 = x_hat
-    return np.array(
-        [
-            x1 + cfg.Ts * x2,
-            x2 + cfg.Ts * (-k1 * x1 - K2 * x1**3 - g * u),
-            k1,
-        ]
-    )
+    return np.array(_transition(x_hat, u, cfg.Ts, K2, g))
 
 
 def transition_jacobian(x_hat: np.ndarray, cfg: EkfConfig, K2: float) -> np.ndarray:
@@ -122,11 +139,28 @@ def transition_jacobian(x_hat: np.ndarray, cfg: EkfConfig, K2: float) -> np.ndar
 
 def ekf_predict(st: EkfState, u: float, cfg: EkfConfig, K2: float, g: float) -> EkfState:
     """Predictive phase: propagate the mean and inflate the covariance."""
+    p11, p12, p13, p22, p23, p33 = st.P
     F = transition_jacobian(st.x_hat, cfg, K2)
-    x_new = augmented_transition(st.x_hat, u, cfg, K2, g)
-    P_new = F @ st.P @ F.T + cfg.Q
-    P_new = 0.5 * (P_new + P_new.T)
-    return EkfState(x_hat=x_new, P=P_new)
+    P = np.array([[p11, p12, p13], [p12, p22, p23], [p13, p23, p33]])
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = (F @ P @ F.T).tolist()
+    q11, q12, q13, q22, q23, q33 = cfg.q_upper
+    a11, a22, a33 = m11 + q11, m22 + q22, m33 + q33
+    return EkfState(
+        _transition(st.x_hat, u, cfg.Ts, K2, g),
+        (
+            0.5 * (a11 + a11),
+            0.5 * ((m12 + q12) + (m21 + q12)),
+            0.5 * ((m13 + q13) + (m31 + q13)),
+            0.5 * (a22 + a22),
+            0.5 * ((m23 + q23) + (m32 + q23)),
+            0.5 * (a33 + a33),
+        ),
+    )
+
+
+def _floor(v: float) -> float:
+    # np.maximum(v, 0.0): NaN passes, -0.0 and negatives become +0.0
+    return v if v > 0.0 or v != v else 0.0
 
 
 def ekf_update(st: EkfState, y: float, cfg: EkfConfig) -> tuple[EkfState, float]:
@@ -136,14 +170,27 @@ def ekf_update(st: EkfState, y: float, cfg: EkfConfig) -> tuple[EkfState, float]
     so the gain is simply the first covariance column over S; S <= 0 raises
     ZeroDivisionError.  The updated diagonal is floored at zero.
     """
-    S = st.P[0, 0] + cfg.R
+    p11, p12, p13, p22, p23, p33 = st.P
+    S = p11 + cfg.R
     if S <= 0.0:
         raise ZeroDivisionError(f"singular innovation covariance S={S}")
-    innovation = y - st.x_hat[0]
-    K = st.P[:, 0] / S
-    x_new = st.x_hat + K * innovation
-    P_new = st.P - np.outer(K, K) * S
-    P_new = 0.5 * (P_new + P_new.T)
-    diag = P_new.reshape(9)[::4]  # a view: P_new is a fresh contiguous array
-    np.maximum(diag, 0.0, out=diag)
-    return EkfState(x_hat=x_new, P=P_new), float(innovation)
+    x1, x2, k1 = st.x_hat
+    innovation = y - x1
+    k_1, k_2, k_3 = p11 / S, p12 / S, p13 / S
+    c11 = p11 - (k_1 * k_1) * S
+    c12 = p12 - (k_1 * k_2) * S
+    c13 = p13 - (k_1 * k_3) * S
+    c22 = p22 - (k_2 * k_2) * S
+    c23 = p23 - (k_2 * k_3) * S
+    c33 = p33 - (k_3 * k_3) * S
+    return EkfState(
+        (x1 + k_1 * innovation, x2 + k_2 * innovation, k1 + k_3 * innovation),
+        (
+            _floor(0.5 * (c11 + c11)),
+            0.5 * (c12 + c12),
+            0.5 * (c13 + c13),
+            _floor(0.5 * (c22 + c22)),
+            0.5 * (c23 + c23),
+            _floor(0.5 * (c33 + c33)),
+        ),
+    ), innovation

@@ -5,7 +5,8 @@ gains, and the integration setup.  `run_scenario` advances everything on a
 single fixed step:
 
     1. read the disturbance sample (`disturbance_value` evaluates the
-       waveform once per run, at every step time, before the loop starts);
+       waveform at every step time before the loop starts, one fixed
+       block of steps at a time);
     2. (adaptive kind) EKF predict with the input averaged over the elapsed
        measurement interval, then correct with the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
@@ -25,7 +26,8 @@ scenario before the loop starts.  The stage functions of `plant`,
 `observer`, `controller` and `estimator` stay the documented reference:
 tests/test_kernels.py holds the fused loops to a step-by-step composition
 of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
-`ekf_update`, and the loop's divergence guard is its only run-time check.
+`ekf_update` on the filter's plain-float state, and the loop's divergence
+guard is its only run-time check.
 
 A scenario with `stop_when_settled` (observer kinds only) ends its loop at
 the logged sample that completes the first settling window: the band
@@ -67,7 +69,7 @@ from .controller import (  # noqa: F401
     smc_control,
     tsmc_control,
 )
-from .estimator import EkfConfig, EkfState, ekf_predict, ekf_update
+from .estimator import EkfConfig, ekf_init, ekf_predict, ekf_update
 from .mathcore import Trace, l2_norm, linf_norm, settling_time
 from .observer import (  # noqa: F401
     ObserverGains,
@@ -92,6 +94,8 @@ __all__ = [
 KINDS = ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated", "smc_baseline")
 
 DIVERGENCE_LIMIT = 1e6
+# steps of the disturbance waveform evaluated at once
+_SERIES_BLOCK = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -286,11 +290,22 @@ def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int
     return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
 
 
-def _disturbance_series(sc: Scenario) -> memoryview:
-    """d at every step time i*dt, as a 1-D memoryview that yields floats."""
-    t = np.arange(int(round(sc.horizon / sc.dt)), dtype=float)
-    t *= sc.dt
-    return memoryview(disturbance_value(sc.disturbance, t))
+def _disturbance_series(sc: Scenario) -> tuple[memoryview, float]:
+    """d at every step time i*dt, as a 1-D memoryview that yields floats, and max |d|.
+
+    The waveform is evaluated block by block into the preallocated series, so
+    the step times and the evaluation's scratch arrays stay block-sized.
+    """
+    n = int(round(sc.horizon / sc.dt))
+    series = np.empty(n)
+    peak = 0.0
+    for start in range(0, n, _SERIES_BLOCK):
+        block = series[start:start + _SERIES_BLOCK]
+        t = np.arange(start, start + len(block), dtype=float)
+        t *= sc.dt
+        block[:] = disturbance_value(sc.disturbance, t)
+        peak = float(np.max(np.abs(block), initial=peak))  # NaN propagates as in one max
+    return memoryview(series), peak
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -307,7 +322,7 @@ def _smc_loop(sc: Scenario) -> Trace:
     lim = DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    d_series = _disturbance_series(sc)
+    d_series, _ = _disturbance_series(sc)
     log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
@@ -342,8 +357,10 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     with every operand hoisted, bit for bit (tests/test_kernels.py).
     The feedback terms that depend only on the feedback state are
     refreshed every step from the truth, or on each EKF cycle from the
-    estimate in the adaptive kind; the EKF itself still runs through the
-    library functions, checked by the divergence guard after each update.
+    estimate in the adaptive kind.  The EKF itself runs through the library
+    functions, whose state is already plain floats: the loop unpacks the
+    estimate and sums the covariance trace from the three diagonal entries,
+    and the divergence guard checks both after each update.
     """
     adaptive = sc.kind == "adaptive_tsmc_saturated"
     saturated = sc.kind != "tsmc"
@@ -377,7 +394,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     innov = p_trace = 0.0
     if adaptive:
         cfg = sc.ekf
-        ekf_state = EkfState(cfg.x0_hat, cfg.P0)  # the cycle never writes its input
+        ekf_state = ekf_init(cfg)
         fb_stride = int(round(cfg.Ts / dt))
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
         normal = rng.standard_normal
@@ -385,8 +402,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         u_acc = 0.0
 
     z = s = s_obs = u_c = 0.0
-    d_series = _disturbance_series(sc)
-    max_abs_d = float(np.max(np.abs(d_series)))
+    d_series, max_abs_d = _disturbance_series(sc)
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
@@ -409,10 +425,8 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                     ekf_state, innov = ekf_update(ekf_state, x1 + meas_std * normal(), cfg)
                 except ZeroDivisionError as err:
                     raise _diverged("EKF", str(err), t, inf, log, offset) from None
-                fb1 = float(ekf_state.x_hat[0])
-                fb2 = float(ekf_state.x_hat[1])
-                k1_hat = float(ekf_state.x_hat[2])
-                p_trace = float(np.trace(ekf_state.P))
+                (fb1, fb2, k1_hat), P = ekf_state
+                p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
                 # the limit on the state estimate also keeps fb1**3 finite
                 # and the next predict's covariance free of overflow
                 if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and isfinite(k1_hat)

@@ -236,12 +236,12 @@ class TestCriterion8EstimatorAlgebra:
         cfg0 = EkfConfig(
             Ts=0.0, Q=np.diag([1.0, 0.0, 0.0]), R=1.0, P0=np.eye(3), x0_hat=np.zeros(3)
         )
-        st = EkfState(x_hat=np.zeros(3), P=np.diag([1.0, 0.0, 0.0]))
+        st = EkfState(x_hat=(0.0, 0.0, 0.0), P=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         st = ekf_predict(st, 0.0, cfg0, -19.97, -1.09)
-        predict_ok = abs(st.P[0, 0] - 2.0) < 1e-12
+        predict_ok = abs(st.P[0] - 2.0) < 1e-12
         st, _ = ekf_update(st, 2.0, cfg0)
         update_ok = (
-            abs(st.x_hat[0] - 4.0 / 3.0) < 1e-12 and abs(st.P[0, 0] - 2.0 / 3.0) < 1e-12
+            abs(st.x_hat[0] - 4.0 / 3.0) < 1e-12 and abs(st.P[0] - 2.0 / 3.0) < 1e-12
         )
         ok = jac_ok and predict_ok and update_ok
         _report(

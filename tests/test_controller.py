@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
 from presto.controller import (
@@ -16,7 +18,13 @@ from presto.controller import (
     smc_control,
     tsmc_control,
 )
-from presto.mathcore import ExponentPair, TimeBoundInputs, prescribed_time_bound, signed_pow
+from presto.mathcore import (
+    ExponentPair,
+    TimeBoundInputs,
+    check_exponent_pair,
+    prescribed_time_bound,
+    signed_pow,
+)
 from presto.plant import PlantParams
 
 REF = PlantParams(K1=97.4, K2=-19.97, g=-1.09)
@@ -198,6 +206,44 @@ class TestSaturation:
     def test_bounds_ordering(self):
         with pytest.raises(ValueError):
             SatBounds(10.0, -30.0)
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_SIGNED = st.floats(-1e3, 1e3)
+_ODD_PAIRS = st.integers(1, 50).flatmap(
+    lambda j: st.integers(0, j - 1).map(lambda i: ExponentPair(2 * i + 1, 2 * j + 1)))
+
+
+@st.composite
+def _saturated_gains(draw) -> TsmcGains:
+    return TsmcGains(
+        alpha1=draw(_POSITIVE), beta1=draw(_POSITIVE),
+        e1=draw(_ODD_PAIRS.filter(check_exponent_pair)), e2=draw(_ODD_PAIRS),
+        delta=draw(_POSITIVE), mu=draw(_POSITIVE), tau=draw(_POSITIVE),
+        sat=SatBounds(-draw(_POSITIVE), draw(_POSITIVE)),
+    )
+
+
+class TestClampContainment:
+    """u stays inside [u_min, u_max] whatever the gains and the state."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(u_c=st.floats(allow_nan=False), lo=st.floats(-1e300, -1e-300),
+           hi=st.floats(1e-300, 1e300))
+    def test_saturate(self, u_c, lo, hi):
+        u = saturate(u_c, SatBounds(lo, hi))
+        assert lo <= u <= hi
+        assert u == u_c or u in (lo, hi)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(gains=_saturated_gains(), K1=_SIGNED, K2=_SIGNED,
+           g=_SIGNED.filter(lambda v: v != 0.0), x1=_SIGNED, x2=_SIGNED,
+           d_hat=_SIGNED, s_obs=_SIGNED)
+    def test_saturated_law(self, gains, K1, K2, g, x1, x2, d_hat, s_obs):
+        s2 = sliding_stack_n2((x1, x2), s_obs, gains)
+        _, u_c, u = saturated_tsmc_control((x1, x2), d_hat, s2, PlantParams(K1, K2, g), gains)
+        assert gains.sat.u_min <= u <= gains.sat.u_max
+        assert u == u_c or u in (gains.sat.u_min, gains.sat.u_max)
 
 
 class TestSaturatedTsmc:

@@ -1,19 +1,71 @@
+from dataclasses import replace
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from presto import load_scenario, run_scenario
 from presto.estimator import (
     EkfConfig,
     EkfState,
     augmented_transition,
+    ekf_init,
     ekf_predict,
     ekf_update,
     transition_jacobian,
 )
 
 K2, G = -19.97, -1.09
+
+
+def np_predict(x_hat: np.ndarray, P: np.ndarray, u, cfg, K2, g):
+    """Oracle: the filter's predict over numpy arrays, as it was written before
+    its state became plain floats."""
+    F = transition_jacobian(x_hat, cfg, K2)
+    x_new = augmented_transition(x_hat, u, cfg, K2, g)
+    P_new = F @ P @ F.T + cfg.Q
+    P_new = 0.5 * (P_new + P_new.T)
+    return x_new, P_new
+
+
+def np_update(x_hat: np.ndarray, P: np.ndarray, y, cfg):
+    """Oracle: the matching numpy update; returns (x_hat, P, innovation)."""
+    S = P[0, 0] + cfg.R
+    if S <= 0.0:
+        raise ZeroDivisionError(f"singular innovation covariance S={S}")
+    innovation = y - x_hat[0]
+    K = P[:, 0] / S
+    x_new = x_hat + K * innovation
+    P_new = P - np.outer(K, K) * S
+    P_new = 0.5 * (P_new + P_new.T)
+    diag = P_new.reshape(9)[::4]
+    np.maximum(diag, 0.0, out=diag)
+    return x_new, P_new, float(innovation)
+
+
+def state(x_hat, P) -> EkfState:
+    """A filter state from an estimate and a symmetric 3x3 covariance."""
+    P = np.asarray(P, dtype=float)
+    return EkfState(tuple(np.asarray(x_hat, dtype=float).tolist()),
+                    tuple(P[np.triu_indices(3)].tolist()))
+
+
+def expand(P6) -> np.ndarray:
+    """The full 3x3 covariance of a six-float upper triangle."""
+    p11, p12, p13, p22, p23, p33 = P6
+    return np.array([[p11, p12, p13], [p12, p22, p23], [p13, p23, p33]])
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def assert_matches_oracle(out: EkfState, x_ref: np.ndarray, P_ref: np.ndarray) -> None:
+    # bytes, so the sign of a zero counts; all nine entries of P
+    assert bits(out.x_hat) == bits(x_ref)
+    assert bits(expand(out.P)) == bits(P_ref)
 
 
 def make_cfg(Ts=1e-3, q=(1e-4, 1e-4, 1e-2), r=0.01, p0=(1.0, 1.0, 500.0)):
@@ -41,6 +93,23 @@ class TestConfigValidation:
         q[0, 1] = 1e-3
         with pytest.raises(ValueError):
             EkfConfig(Ts=1e-3, Q=q, R=0.01, P0=np.eye(3), x0_hat=np.zeros(3))
+
+    @pytest.mark.parametrize("which", ["Q", "P0"])
+    def test_tiny_asymmetry_rejected(self, which):
+        # the filter keeps only the upper triangle, which cannot hold it
+        M = np.eye(3)
+        M[1, 2] += 1e-12
+        kw = dict(Ts=1e-3, Q=np.eye(3), R=0.01, P0=np.eye(3), x0_hat=np.zeros(3))
+        kw[which] = M
+        with pytest.raises(ValueError, match=f"{which} must be exactly symmetric"):
+            EkfConfig(**kw)
+
+    def test_initial_state_is_floats(self):
+        cfg = make_cfg()
+        st = ekf_init(cfg)
+        assert st.x_hat == (1.0, 5.0, 20.0)
+        assert st.P == (1.0, 0.0, 0.0, 1.0, 0.0, 500.0)
+        assert all(type(v) is float for v in st.x_hat + st.P)
 
     def test_zero_r_needs_initial_position_variance(self):
         with pytest.raises(ValueError, match="P0"):
@@ -103,7 +172,7 @@ class TestJacobian:
 class TestPredict:
     def test_identity_map_keeps_covariance(self):
         cfg = make_cfg(Ts=0.0, q=(0.0, 0.0, 0.0))
-        st = EkfState(x_hat=np.array([1.0, 2.0, 3.0]), P=np.diag([2.0, 3.0, 4.0]))
+        st = state([1.0, 2.0, 3.0], np.diag([2.0, 3.0, 4.0]))
         out = ekf_predict(st, 0.0, cfg, K2, G)
         assert out.P == pytest.approx(st.P)
         assert out.x_hat == pytest.approx(st.x_hat)
@@ -111,9 +180,9 @@ class TestPredict:
     def test_scalar_random_walk_oracle(self):
         # position-only embedding: P0 = 1, Q = 1, F = I gives predicted P = 2
         cfg = make_cfg(Ts=0.0, q=(1.0, 0.0, 0.0))
-        st = EkfState(x_hat=np.zeros(3), P=np.diag([1.0, 0.0, 0.0]))
+        st = state(np.zeros(3), np.diag([1.0, 0.0, 0.0]))
         out = ekf_predict(st, 0.0, cfg, K2, G)
-        assert out.P[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert out.P[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_trace_never_shrinks_under_identity_map(self):
         rng = np.random.default_rng(52)
@@ -121,15 +190,14 @@ class TestPredict:
         for _ in range(50):
             A = rng.normal(size=(3, 3))
             P = A @ A.T
-            st = EkfState(x_hat=np.zeros(3), P=P)
-            out = ekf_predict(st, 0.0, cfg, K2, G)
-            assert np.trace(out.P) >= np.trace(P) - 1e-12
+            out = ekf_predict(state(np.zeros(3), P), 0.0, cfg, K2, G)
+            assert np.trace(expand(out.P)) >= np.trace(P) - 1e-12
 
 
 class TestUpdate:
     def test_exact_measurement_keeps_mean(self):
         cfg = make_cfg()
-        st = EkfState(x_hat=np.array([1.5, 0.0, 20.0]), P=np.eye(3))
+        st = state([1.5, 0.0, 20.0], np.eye(3))
         out, innov = ekf_update(st, 1.5, cfg)
         assert innov == 0.0
         assert out.x_hat == pytest.approx(st.x_hat)
@@ -137,11 +205,11 @@ class TestUpdate:
     def test_scalar_oracle(self):
         # P = 2, R = 1, xhat = 0, y = 2  ->  K = 2/3, xhat = 4/3, P = 2/3
         cfg = make_cfg(r=1.0)
-        st = EkfState(x_hat=np.zeros(3), P=np.diag([2.0, 0.0, 0.0]))
+        st = state(np.zeros(3), np.diag([2.0, 0.0, 0.0]))
         out, innov = ekf_update(st, 2.0, cfg)
         assert innov == pytest.approx(2.0, abs=1e-15)
         assert out.x_hat[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert out.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert out.P[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_update_never_inflates_covariance(self):
         rng = np.random.default_rng(53)
@@ -149,13 +217,13 @@ class TestUpdate:
         for _ in range(100):
             A = rng.normal(size=(3, 3))
             P = A @ A.T + 1e-6 * np.eye(3)
-            st = EkfState(x_hat=rng.normal(size=3), P=P)
+            st = state(rng.normal(size=3), P)
             out, _ = ekf_update(st, float(rng.normal()), cfg)
-            assert np.min(np.linalg.eigvalsh(P - out.P)) >= -1e-10
+            assert np.min(np.linalg.eigvalsh(P - expand(out.P))) >= -1e-10
 
     def test_singular_innovation(self):
         cfg = make_cfg(r=0.0)
-        st = EkfState(x_hat=np.zeros(3), P=np.zeros((3, 3)))
+        st = state(np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(ZeroDivisionError):
             ekf_update(st, 1.0, cfg)
 
@@ -180,13 +248,13 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(np.random.SeedSequence([99]))
             cfg = make_cfg()
-            st = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
+            st = ekf_init(cfg)
             xs = []
             for k in range(200):
                 st = ekf_predict(st, 0.3, cfg, K2, G)
                 y = 0.5 + 0.1 * rng.standard_normal()
                 st, _ = ekf_update(st, y, cfg)
-                xs.append(st.x_hat.copy())
+                xs.append(st.x_hat)
             return np.array(xs)
 
         a, b = run(), run()
@@ -205,8 +273,8 @@ _states = hnp.arrays(float, 3, elements=_floats(-10.0, 10.0)).map(lambda x: x * 
 
 
 class TestCovarianceInvariant:
-    """The cycle keeps P exactly symmetric with a nonnegative diagonal, the
-    invariant `EkfState` once checked on every construction."""
+    """The cycle matches the numpy oracle bit for bit and keeps P's diagonal
+    nonnegative; P is symmetric by construction."""
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(A=_factors, x=_states, y=_floats(-10.0, 10.0), r=_floats(1e-12, 1e3))
@@ -214,9 +282,11 @@ class TestCovarianceInvariant:
         # any PSD P, rank one included: with r far below P[0,0] the exact
         # posterior variances are tiny and rounding would take some below zero
         cfg = make_cfg(r=r)
-        out, _ = ekf_update(EkfState(x_hat=x, P=A @ A.T), y, cfg)
-        assert np.array_equal(out.P, out.P.T)
-        assert np.all(np.diag(out.P) >= 0.0)
+        P = A @ A.T
+        out, _ = ekf_update(state(x, P), y, cfg)
+        x_ref, P_ref, _ = np_update(x, P, y, cfg)
+        assert_matches_oracle(out, x_ref, P_ref)
+        assert all(out.P[i] >= 0.0 for i in (0, 3, 5))
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(A=_matrices, x=_states, u=_floats(-30.0, 30.0), Ts=_floats(0.0, 0.1),
@@ -227,6 +297,77 @@ class TestCovarianceInvariant:
         P = A @ A.T
         P += 1e-6 * (1.0 + np.abs(P).max()) * np.eye(3)
         cfg = make_cfg(Ts=Ts, q=q)
-        out = ekf_predict(EkfState(x_hat=x, P=P), u, cfg, K2, G)
-        assert np.array_equal(out.P, out.P.T)
-        assert np.all(np.diag(out.P) >= 0.0)
+        out = ekf_predict(state(x, P), u, cfg, K2, G)
+        assert_matches_oracle(out, *np_predict(x, P, u, cfg, K2, G))
+        assert all(out.P[i] >= 0.0 for i in (0, 3, 5))
+
+
+class TestNumpyOracle:
+    """The float cycle against the numpy oracle, bit for bit."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(A=_factors, x=_states, u=_floats(-30.0, 30.0), Ts=_floats(0.0, 0.1),
+           r=_floats(1e-12, 1e3), q=hnp.arrays(float, 3, elements=_floats(0.0, 1.0)),
+           y=_floats(-10.0, 10.0))
+    def test_cycle(self, A, x, u, Ts, r, q, y):
+        cfg = make_cfg(Ts=Ts, q=q, r=r)
+        P = A @ A.T
+        pred = ekf_predict(state(x, P), u, cfg, K2, G)
+        x_ref, P_ref = np_predict(x, P, u, cfg, K2, G)
+        assert_matches_oracle(pred, x_ref, P_ref)
+        try:
+            out, innov = ekf_update(pred, y, cfg)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                np_update(x_ref, P_ref, y, cfg)
+            return
+        x_ref, P_ref, innov_ref = np_update(x_ref, P_ref, y, cfg)
+        assert_matches_oracle(out, x_ref, P_ref)
+        assert bits(innov) == bits(innov_ref)
+
+    def test_edge_values(self):
+        # a variance past half the float range doubles to inf in 0.5*(a + a),
+        # and the floor makes -0.0 and negatives +0.0 but passes NaN
+        x = np.zeros(3)
+        cfg = make_cfg(Ts=0.0, q=(0.0, 0.0, 0.0), r=1.0)
+        P = np.diag([1e308, 1.0, 1.0])
+        with np.errstate(over="ignore"):
+            ref = np_predict(x, P, 0.0, cfg, K2, G)
+        assert_matches_oracle(ekf_predict(state(x, P), 0.0, cfg, K2, G), *ref)
+        for diag in ([1.0, -0.0, np.nan], [1.0, -1e-3, 0.0]):
+            P = np.diag(diag)
+            out, _ = ekf_update(state(x, P), 0.5, cfg)
+            assert_matches_oracle(out, *np_update(x, P, 0.5, cfg)[:2])
+
+    def test_s73_replay(self, monkeypatch):
+        """2,000 closed-loop cycles of s73: the oracle, fed the inputs the
+        filter received, reproduces every state the filter produced."""
+        import presto.harness as harness
+
+        sc = load_scenario("s73")
+        cycles = 2000
+        sc = replace(sc, horizon=cycles * sc.ekf.Ts)
+        calls = []
+
+        def record(stage):
+            def wrapped(*args):
+                out = stage(*args)
+                calls.append((stage, args[1], out))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(harness, "ekf_predict", record(ekf_predict))
+        monkeypatch.setattr(harness, "ekf_update", record(ekf_update))
+        run_scenario(sc)
+        assert sum(stage is ekf_update for stage, _, _ in calls) == cycles
+
+        cfg, pp = sc.ekf, sc.plant
+        x_ref, P_ref = cfg.x0_hat, cfg.P0
+        for stage, arg, out in calls:
+            if stage is ekf_predict:
+                x_ref, P_ref = np_predict(x_ref, P_ref, arg, cfg, pp.K2, pp.g)
+            else:
+                x_ref, P_ref, innov_ref = np_update(x_ref, P_ref, arg, cfg)
+                out, innov = out
+                assert bits(innov) == bits(innov_ref)
+            assert_matches_oracle(out, x_ref, P_ref)

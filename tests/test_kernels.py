@@ -16,7 +16,7 @@ from presto import load_scenario, run_scenario
 from presto.cli import main as cli_main
 from presto.config import load_pso_job, resolve_config_path
 from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
-from presto.estimator import EkfState, ekf_predict, ekf_update
+from presto.estimator import ekf_init, ekf_predict, ekf_update
 from presto.harness import DivergenceError, RunReport, Scenario
 from presto.mathcore import Trace, l2_norm, linf_norm, settling_time
 from presto.observer import disturbance_estimate, observer_advance, observer_init
@@ -40,7 +40,7 @@ def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
     n_acc = stride = 0
     if adaptive:
         cfg = sc.ekf
-        ekf_state = EkfState(x_hat=cfg.x0_hat.copy(), P=cfg.P0.copy())
+        ekf_state = ekf_init(cfg)
         stride = int(round(cfg.Ts / dt))
     rows = []
     for i in range(int(round(sc.horizon / dt))):
@@ -80,7 +80,8 @@ def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
             if saturated:
                 row += (v_r, u_c)
             if adaptive:
-                row += (fb1, fb2, k1_fb, x1 - fb1, innov, float(np.trace(ekf_state.P)))
+                p_diag = (ekf_state.P[i] for i in (0, 3, 5))  # P is its upper triangle
+                row += (fb1, fb2, k1_fb, x1 - fb1, innov, sum(p_diag))
         if i % sc.decimation == 0:
             rows.append(row)
         dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
@@ -167,9 +168,9 @@ def poison_ekf(monkeypatch, index: int, from_call: int) -> None:
         new, innov = real_update(st, y, cfg)
         calls.append(1)
         if len(calls) >= from_call:
-            x_hat = new.x_hat.copy()
+            x_hat = list(new.x_hat)
             x_hat[index] = math.nan
-            new = EkfState(x_hat=x_hat, P=new.P)
+            new = new._replace(x_hat=tuple(x_hat))
         return new, innov
 
     monkeypatch.setattr(harness, "ekf_update", poisoned)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presto.mathcore import (
     ExponentPair,
@@ -16,6 +18,10 @@ from presto.mathcore import (
     signed_pow,
     smooth_sgn,
 )
+
+# every odd pair p < q with q <= 101
+ODD_PAIRS = st.integers(1, 50).flatmap(
+    lambda j: st.integers(0, j - 1).map(lambda i: ExponentPair(2 * i + 1, 2 * j + 1)))
 
 
 class TestSgn:
@@ -69,6 +75,11 @@ class TestSignedPow:
             s = float(rng.uniform(-50, 50))
             e = pairs[rng.integers(len(pairs))]
             assert signed_pow(-s, e) == -signed_pow(s, e)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(s=st.floats(allow_nan=False, allow_infinity=False), e=ODD_PAIRS)
+    def test_odd_symmetry_property(self, s, e):
+        assert signed_pow(-s, e) == -signed_pow(s, e)
 
     def test_positive_consistency(self):
         rng = np.random.default_rng(12)
