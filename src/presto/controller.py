@@ -181,11 +181,13 @@ def tsmc_control(
 
 
 def saturate(u_c: float, sat: SatBounds) -> float:
-    """Hard actuator clamp to [u_min, u_max]."""
+    """Hard actuator clamp to [u_min, u_max]; a NaN command raises ValueError."""
     if u_c > sat.u_max:
         return sat.u_max
     if u_c < sat.u_min:
         return sat.u_min
+    if u_c != u_c:
+        raise ValueError(f"cannot clamp the command u_c={u_c} to [{sat.u_min}, {sat.u_max}]")
     return u_c
 
 

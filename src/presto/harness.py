@@ -40,7 +40,10 @@ A run ends in DivergenceError, carrying the partial trace, when the truth
 state leaves the divergence limit or turns non-finite, when the observer
 integrator turns non-finite, or when an EKF cycle yields a state estimate
 beyond the divergence limit, a non-finite stiffness estimate or trace of the
-covariance, or a singular innovation covariance.
+covariance, or a singular innovation covariance.  The saturated kinds clamp
+inline, and a NaN command passes that clamp where `controller.saturate`
+refuses it; it turns x2 NaN in the same step's Euler update, so the state
+guard ends the run at that step.
 
 Runs are deterministic for a fixed seed.  The per-run report carries the
 discrete-sample norms of the input and output error (plus the estimation
@@ -396,13 +399,16 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         cfg = sc.ekf
         ekf_state = ekf_init(cfg)
         fb_stride = int(round(cfg.Ts / dt))
-        rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-        normal = rng.standard_normal
-        meas_std = math.sqrt(cfg.R)
         u_acc = 0.0
 
     z = s = s_obs = u_c = 0.0
     d_series, max_abs_d = _disturbance_series(sc)
+    if adaptive:
+        # the measurement noise of every EKF cycle in one draw: the same
+        # stream as one scalar draw per cycle
+        rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
+        n_cycles = len(range(0, len(d_series), fb_stride))
+        noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
@@ -422,7 +428,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                     ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
                 u_acc = 0.0
                 try:
-                    ekf_state, innov = ekf_update(ekf_state, x1 + meas_std * normal(), cfg)
+                    ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
                 except ZeroDivisionError as err:
                     raise _diverged("EKF", str(err), t, inf, log, offset) from None
                 (fb1, fb2, k1_hat), P = ekf_state
@@ -591,8 +597,135 @@ def report_csv_rows(reports: list[RunReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# values formatted per numpy block by the trace writer
+_BLOCK_VALUES = 4096
+# exponents covered by the power table: every floor(log10|x|) the trace
+# writer takes for 1e-99 <= |x| < 1e99
+_E_MIN, _E_MAX = -100, 99
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """10**(12 - e) for each table exponent e as the pair hi + lo, and hi split.
+
+    hi is the double nearest the power and lo the double nearest the rest,
+    both from exact integer arithmetic, so hi + lo is within 2**-106 of it.
+    """
+    hi, lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (12 - e), 1) if e <= 12 else (1, 10 ** (e - 12))
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, hi_hi, hi - hi_hi, np.array(lo)
+
+
+_POW_HI, _POW_HI_HI, _POW_HI_LO, _POW_LO = _powers_of_ten()
+# byte tables, four characters to a native uint32 word; NUL marks an empty byte
+_n = np.arange(10000, dtype=np.uint16)  # small dtypes keep the import's scratch small
+_DIGITS4 = np.ascontiguousarray(  # "0000" .. "9999"
+    np.stack([_n // 1000, _n // 100 % 10, _n // 10 % 10, _n % 10], 1) + ord("0"), np.uint8
+).view(np.uint32).ravel()
+del _n
+# NUL pad, sign, lead digit, point; indexed by the lead digit, plus 10 when negative
+_HEAD = np.frombuffer(b"".join(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)),
+                      np.uint32)
+_EXP = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), np.uint32)  # "e-99" .. "e+99"
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(12 - e) as p + t: p = fl(a*hi), t its exact error plus a*lo."""
+    i = e - _E_MIN
+    hi, hi_hi, hi_lo, lo = _POW_HI[i], _POW_HI_HI[i], _POW_HI_LO[i], _POW_LO[i]
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * hi
+    t = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    return p, t
+
+
+def _format_block(block: np.ndarray) -> np.ndarray:
+    """CSV bytes of a 2-D float block: each value as `'%.12e' % value`, rows ended by LF.
+
+    A value with 1e-99 <= |x| < 1e99, or a zero, takes the vector path.  Its
+    decimal exponent e is floor(log10|x|), kept only where the scaled value
+    p + t = |x| * 10**(12 - e) has p in [1e12, 1e13); the 13 digits are
+    p + t rounded to the nearest integer.  p + t lies within
+    2**-104 * 1e13 < 1e-18 of the exact product (the power pair within
+    2**-106, Dekker's product exact, two roundings of t at most 2**-105
+    each), and the residual (p - floor(p)) + t within one more rounding,
+    2**-53, of its exact value.  So every residual at least 1e-6 from the
+    tie at 0.5 rounds as the exact value does.  The doubles 1e-99 and 1e99
+    lie inside (10**-99, 10**99), so every exponent has two digits.
+
+    Each value fills a slot of six uint32 words (sign and lead digit, three
+    groups of four digits, the exponent, the separator) in which NUL marks
+    an empty byte.  A value off the vector path (non-finite, |x| out of
+    range, a residual near a tie) gets `'%.12e' % x` written into its slot
+    instead; next to a power of ten, where log10 can round across the
+    integer, that is the few values whose p misses the range.  Dropping the
+    NULs joins the slots.
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    vector = (a >= 1e-99) & (a < 1e99)
+    a[~vector] = 1.0  # a stand-in that keeps log10 and the table lookups in range
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p, t = _scaled(a, e)
+    vector &= (p >= 1e12) & (p < 1e13)  # confirms e, which log10 can miss next to a power of ten
+    whole = np.floor(p)
+    r = p - whole
+    r += t
+    digits = whole.astype(np.int64)
+    digits += r > 0.5
+    r -= 0.5
+    vector &= np.abs(r) >= 1e-6
+    carry = digits == 10**13  # rounding reached the next decade
+    digits[carry] = 10**12
+    e += carry
+    # zeros print as 0.000000000000e+00; the fallback overwrites the rest
+    digits *= vector
+    e *= vector
+    digits += np.signbit(x) * 10**13  # the lead digit plus 10 selects the '-' head
+    # exact int64 divmod; numpy divides by a scalar far faster than it takes %
+    lead = digits // 10**12
+    rest = digits - lead * 10**12
+    high = rest // 10**8
+    rest -= high * 10**8
+    mid = rest // 10**4
+    low = rest - mid * 10**4
+
+    slots = np.empty((*block.shape, 6), np.uint32)
+    words = slots.reshape(-1, 6)
+    words[:, 0] = _HEAD[lead]
+    words[:, 1] = _DIGITS4[high]
+    words[:, 2] = _DIGITS4[mid]
+    words[:, 3] = _DIGITS4[low]
+    words[:, 4] = _EXP[e + 99]
+    slots[:, :-1, 5] = _COMMA
+    slots[:, -1, 5] = _NEWLINE
+    chars = words.view(np.uint8)
+    for i in np.flatnonzero(~vector & (x != 0.0)):
+        text = ("%.12e" % x[i]).encode()  # at most 20 bytes, "-1.797693134862e+308"
+        chars[i, :20] = 0
+        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+    chars = chars.ravel()
+    return chars[chars != 0]
+
+
 def export_trace(tr: Trace, path: Path | str, names: tuple[str, ...] = ()) -> None:
-    """Write the trace as CSV: time first, 13 significant digits, LF endings.
+    """Write the trace as CSV: time first, then the other columns, LF endings.
+
+    Every value is written as the bytes of `'%.12e' % value` (13 significant
+    digits).  `_format_block` builds them in numpy a block of rows at a time
+    and formats a value it does not take with `%`, so the file is byte for
+    byte what a row-by-row `%` writer gives, and no whole-file string is built.
 
     `names` is the header written for a trace that holds no column, such as
     the partial trace of a run that diverged before its first logged sample.
@@ -602,11 +735,11 @@ def export_trace(tr: Trace, path: Path | str, names: tuple[str, ...] = ()) -> No
     if "t" in names:
         names.remove("t")
         names.insert(0, "t")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         if not tr.columns:
             return
-        # rows are formatted one at a time, so no whole-file string is built
-        fmt = ",".join(["%.12e"] * len(names)) + "\n"
-        fh.writelines(fmt % row for row in zip(*(tr.columns[name] for name in names)))
-
+        columns = [tr.columns[name] for name in names]
+        rows = max(1, _BLOCK_VALUES // len(columns))
+        for start in range(0, len(columns[0]), rows):
+            fh.write(_format_block(np.column_stack([c[start:start + rows] for c in columns])))

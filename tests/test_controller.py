@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
@@ -225,12 +225,19 @@ def _saturated_gains(draw) -> TsmcGains:
 
 
 class TestClampContainment:
-    """u stays inside [u_min, u_max] whatever the gains and the state."""
+    """u stays inside [u_min, u_max] whatever the gains and the state.
+
+    A NaN command has no place in the interval, so the clamp refuses it.
+    """
 
     @settings(derandomize=True, database=None, deadline=None)
-    @given(u_c=st.floats(allow_nan=False), lo=st.floats(-1e300, -1e-300),
-           hi=st.floats(1e-300, 1e300))
+    @given(u_c=st.floats(), lo=st.floats(-1e300, -1e-300), hi=st.floats(1e-300, 1e300))
+    @example(u_c=math.nan, lo=-30.0, hi=10.0)
     def test_saturate(self, u_c, lo, hi):
+        if math.isnan(u_c):
+            with pytest.raises(ValueError, match="command u_c=nan"):
+                saturate(u_c, SatBounds(lo, hi))
+            return
         u = saturate(u_c, SatBounds(lo, hi))
         assert lo <= u <= hi
         assert u == u_c or u in (lo, hi)

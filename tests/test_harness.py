@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
 from presto.config import load_pso_job
@@ -216,6 +218,84 @@ class TestTraceFiles:
         export_trace(tr, path)
         assert path.read_text().splitlines()[0].startswith("t,")
         assert load_csv(path).dt == pytest.approx(0.5)
+
+
+def oracle_export(tr: Trace, path, names: tuple[str, ...] = ()) -> None:
+    """The row-by-row `%.12e` writer that `export_trace` must match byte for byte."""
+    names = list(tr.columns or names)
+    if "t" in names:
+        names.remove("t")
+        names.insert(0, "t")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        if not tr.columns:
+            return
+        fmt = ",".join(["%.12e"] * len(names)) + "\n"
+        fh.writelines(fmt % row for row in zip(*(tr.columns[name] for name in names)))
+
+
+def assert_oracle_bytes(directory, tr: Trace, names: tuple[str, ...] = ()) -> None:
+    export_trace(tr, directory / "kernel.csv", names)
+    oracle_export(tr, directory / "oracle.csv", names)
+    assert (directory / "kernel.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+def column_trace(*columns) -> Trace:
+    return Trace(dt=1.0, columns={f"c{j}": np.asarray(c, dtype=float) for j, c in enumerate(columns)})
+
+
+def near_ties() -> list[float]:
+    """Doubles next to the halfway points of 13-digit rounding, and at range edges."""
+    rng = np.random.default_rng(71)
+    centres = [float(f"{D}5e{E - 13}")  # the double nearest (D + 0.5) * 10**(E - 12)
+               for D, E in zip(rng.integers(10**12, 10**13, 300), rng.integers(-99, 99, 300))]
+    centres += [10000000000000.5, 9.9999999999995, 1e-99, 1e99]
+    centres += [float(f"1e{k}") for k in range(-100, 100)]
+    values = []
+    for c in centres:
+        values += [c, np.nextafter(c, math.inf), np.nextafter(c, -math.inf)]
+    return values + [-v for v in values]
+
+
+class TestTraceBytes:
+    """`export_trace` writes exactly the bytes of the row-by-row `%` writer."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float_one_column(self, tmp_path_factory, values):
+        assert_oracle_bytes(tmp_path_factory.mktemp("one"), column_trace(values))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(rows=st.integers(1, 7).flatmap(
+        lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), min_size=1, max_size=20)))
+    def test_any_float_many_columns(self, tmp_path_factory, rows):
+        assert_oracle_bytes(tmp_path_factory.mktemp("many"), column_trace(*zip(*rows)))
+
+    def test_random_bits_over_several_blocks(self, tmp_path):
+        # 3 columns do not divide a block, so every block ends mid-file
+        bits = np.random.default_rng(72).integers(0, 2**64, 15000, dtype=np.uint64)
+        assert_oracle_bytes(tmp_path, column_trace(*bits.view(np.float64).reshape(3, -1)))
+
+    def test_near_ties_and_range_edges(self, tmp_path):
+        values = near_ties()
+        assert_oracle_bytes(tmp_path, column_trace(values))
+        assert_oracle_bytes(tmp_path, column_trace(values[::2], values[1::2]))
+
+    @pytest.mark.parametrize("name", ["s71", "s72", "s73", "s74"])
+    def test_bundled_traces(self, bundled_runs, tmp_path, name):
+        _, trace, _, _ = bundled_runs[name]
+        assert_oracle_bytes(tmp_path, trace)
+
+    def test_partial_trace_beyond_the_vector_range(self, tmp_path):
+        # the partial trace of test_overflowing_observer_raises_divergence:
+        # v_r and u_c near 1e301 take the `%` fallback
+        sc = load_scenario("s72")
+        sc = replace(sc, horizon=3000 * sc.dt, tsmc=replace(sc.tsmc, delta=1e300))
+        with pytest.raises(DivergenceError) as exc:
+            run_scenario(sc)
+        trace = exc.value.trace
+        assert np.all(np.abs(trace.column("v_r")) >= 1e99)
+        assert_oracle_bytes(tmp_path, trace, exc.value.names)
 
 
 # scenarios that settle, each with the full run's t_s
