@@ -14,13 +14,13 @@ The predict/correct cycle is the textbook form
 with H = [1 0 0] and F the full 3x3 Jacobian of the augmented map,
 including the parameter column dF2/dK1 = -Ts*x1 and a unit row for the
 random walk.  The state is plain floats: three for the estimate and the six
-of P's upper triangle, so P is symmetric by construction.  Each step adds
-and symmetrizes entry by entry in the order `0.5*(A + A.T)` would, and the
-update floors the diagonal at zero as `np.maximum(., 0.0)` does.  The one
-numpy call of the cycle is the product F P F': OpenBLAS evaluates it with
-fused multiply-adds, which plain float arithmetic cannot reproduce bit for
-bit before Python 3.13's `math.fma`.  `EkfConfig` checks the filter's
-input; the cycle checks only the innovation covariance it divides by.
+of P's upper triangle, so P is symmetric by construction.  The whole cycle
+is IEEE float operations in a fixed order, with no numpy and no BLAS call,
+so its bits are the same on every host: the predict forms F P F' + Q
+entry by entry from F's two trivial rows, and the update floors the
+diagonal at zero as `np.maximum(., 0.0)` does.  `EkfConfig` checks the
+filter's input; the cycle checks only the innovation covariance it divides
+by.
 """
 
 from __future__ import annotations
@@ -115,7 +115,10 @@ def augmented_transition(
     x2 <- x2 + Ts*(-K1_hat*x1 - K2*x1**3 - g*u)
     K1 <- K1                                  (random-walk parameter)
 
-    The external disturbance is deliberately absent; Q absorbs it.
+    The external disturbance d, |d| <= d_bar, is deliberately absent.  Held
+    over one cycle it moves x2 by at most Ts*d_bar and x1 by at most
+    Ts**2*d_bar/2, so Q's diagonal is q11 = (Ts**2*d_bar/2)**2,
+    q22 = (Ts*d_bar)**2 (s73.cfg derives its values).
     """
     return np.array(_transition(x_hat, u, cfg.Ts, K2, g))
 
@@ -138,22 +141,29 @@ def transition_jacobian(x_hat: np.ndarray, cfg: EkfConfig, K2: float) -> np.ndar
 
 
 def ekf_predict(st: EkfState, u: float, cfg: EkfConfig, K2: float, g: float) -> EkfState:
-    """Predictive phase: propagate the mean and inflate the covariance."""
+    """Predictive phase: propagate the mean and inflate the covariance.
+
+    F = [[1, Ts, 0], [a, 1, b], [0, 0, 1]] with a and b as in
+    `transition_jacobian`; the rows of F P come first, then the upper
+    triangle of (F P) F' + Q, so the result is symmetric by construction.
+    """
     p11, p12, p13, p22, p23, p33 = st.P
-    F = transition_jacobian(st.x_hat, cfg, K2)
-    P = np.array([[p11, p12, p13], [p12, p22, p23], [p13, p23, p33]])
-    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = (F @ P @ F.T).tolist()
+    x1, x2, k1 = st.x_hat
+    Ts = cfg.Ts
+    a = Ts * (-k1 - 3.0 * K2 * x1**2)
+    b = Ts * (-x1)
+    f11, f12, f13 = p11 + Ts * p12, p12 + Ts * p22, p13 + Ts * p23
+    f21, f22, f23 = a * p11 + p12 + b * p13, a * p12 + p22 + b * p23, a * p13 + p23 + b * p33
     q11, q12, q13, q22, q23, q33 = cfg.q_upper
-    a11, a22, a33 = m11 + q11, m22 + q22, m33 + q33
     return EkfState(
-        _transition(st.x_hat, u, cfg.Ts, K2, g),
+        _transition(st.x_hat, u, Ts, K2, g),
         (
-            0.5 * (a11 + a11),
-            0.5 * ((m12 + q12) + (m21 + q12)),
-            0.5 * ((m13 + q13) + (m31 + q13)),
-            0.5 * (a22 + a22),
-            0.5 * ((m23 + q23) + (m32 + q23)),
-            0.5 * (a33 + a33),
+            (f11 + Ts * f12) + q11,
+            (a * f11 + f12 + b * f13) + q12,
+            f13 + q13,
+            (a * f21 + f22 + b * f23) + q22,
+            f23 + q23,
+            p33 + q33,
         ),
     )
 

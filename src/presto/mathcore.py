@@ -191,9 +191,13 @@ class Trace:
 
 
 def l2_norm(tr: Trace, column: str) -> float:
-    """Euclidean norm sqrt(sum(x_k**2)) of the discrete sample sequence."""
+    """Euclidean norm sqrt(sum(x_k**2)) of the discrete sample sequence.
+
+    The sum is numpy's pairwise `add.reduce`, whose order is fixed, not a
+    BLAS dot product, whose order and fused multiply-adds depend on the host.
+    """
     x = tr.column(column)
-    return float(np.sqrt(np.dot(x, x)))
+    return math.sqrt(float(np.add.reduce(x * x)))
 
 
 def linf_norm(tr: Trace, column: str) -> float:

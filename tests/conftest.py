@@ -5,6 +5,19 @@ import pytest
 from presto import load_scenario, run_scenario
 
 
+def edit_config(text: str, *edits: tuple[str, str]) -> str:
+    """`text` with each (old, new) edit applied in turn.
+
+    Each `old` must occur exactly once, so an edit whose needle a config
+    change removed fails here, by name, instead of silently doing nothing.
+    """
+    for old, new in edits:
+        n = text.count(old)
+        assert n == 1, f"{old!r} occurs {n} times in the config, not once"
+        text = text.replace(old, new)
+    return text
+
+
 @pytest.fixture(scope="session")
 def bundled_runs():
     """Run each bundled scenario once and share (scenario, trace, report, seconds)."""

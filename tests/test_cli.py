@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from conftest import edit_config
 from presto.cli import main
 from presto.config import resolve_config_path
 
@@ -186,10 +187,8 @@ class TestSimulate:
 
     def test_divergence_before_first_sample_keeps_the_header(self, tmp_path, capsys):
         # the first EKF update runs away before the first sample is logged
-        text = resolve_config_path("s73").read_text()
-        edited = text.replace("x0_hat = 1.0, 5.0, 20.0", "x0_hat = 1.0e110, 5.0, 20.0")
-        edited = edited.replace("horizon = 8.0", "horizon = 0.1")
-        assert edited.count("1.0e110") == 1 and "horizon = 0.1" in edited
+        edited = edit_config(S73_TEXT, ("x0_hat = 1.0, 5.0, 20.0", "x0_hat = 1.0e110, 5.0, 20.0"),
+                             ("horizon = 8.0", "horizon = 0.1"))
         cfg = tmp_path / "early.cfg"
         cfg.write_text(edited)
         header = "t,x1,x2,u,d,d_hat,s,s2,v_r,u_c,x1_hat,x2_hat,K1_hat,e_x,innov,P_trace\n"
@@ -203,10 +202,10 @@ class TestSimulate:
         # r = 0 with a filter certain of everything but x1: the first update
         # leaves P = 0, Q = 0 keeps it there, and the second update, at
         # t = Ts, divides by S = P[0,0] + r = 0
-        edited = (S73_TEXT.replace("horizon = 8.0", "horizon = 0.1")
-                  .replace("q_diag = 1e-4, 1e-4, 1e-2", "q_diag = 0.0, 0.0, 0.0")
-                  .replace("r = 0.01", "r = 0.0")
-                  .replace("p0_diag = 0.01, 0.01, 6000.0", "p0_diag = 1.0, 0.0, 0.0"))
+        edited = edit_config(S73_TEXT, ("horizon = 8.0", "horizon = 0.1"),
+                             ("q_diag = 2.025e-11, 2.25e-6, 1e-2", "q_diag = 0.0, 0.0, 0.0"),
+                             ("r = 0.01", "r = 0.0"),
+                             ("p0_diag = 0.01, 0.01, 6000.0", "p0_diag = 1.0, 0.0, 0.0"))
         cfg = tmp_path / "singular.cfg"
         cfg.write_text(edited)
         assert main(["validate", str(cfg)]) == 0
@@ -225,8 +224,8 @@ class TestSimulate:
     def test_beta0_note_is_printed_once(self, tmp_path, capsys):
         text = resolve_config_path("s71").read_text()
         cfg = tmp_path / "loud.cfg"
-        cfg.write_text(text.replace("horizon = 8.0", "horizon = 1.0").replace(
-            "terms = 2.0 sin_linear 0.1; 3.0 sin_sqrt 0.2", "terms = 10.0 sin_linear 0.4"))
+        cfg.write_text(edit_config(text, ("horizon = 8.0", "horizon = 1.0"), (
+            "terms = 2.0 sin_linear 0.1; 3.0 sin_sqrt 0.2", "terms = 10.0 sin_linear 0.4")))
         for command in ("simulate", "compare"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -243,7 +242,7 @@ class TestSimulate:
         text = resolve_config_path("s71").read_text()
         cfg = tmp_path / "clamped.cfg"
         clamp = "[controller]\ntau = 3.7\nu_min = -1\nu_max = 1\n"
-        cfg.write_text(text.replace("[controller]\n", clamp))
+        cfg.write_text(edit_config(text, ("[controller]\n", clamp)))
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
         assert "saturated kinds only, not to tsmc" in capsys.readouterr().err
         assert not (tmp_path / "clamped.csv").exists()
@@ -345,7 +344,7 @@ tune = k
 """
 
 S73_TEXT = resolve_config_path("s73").read_text()
-ADAPTIVE_JOB = S73_TEXT.replace("horizon = 8.0", "horizon = 0.1") + """
+ADAPTIVE_JOB = edit_config(S73_TEXT, ("horizon = 8.0", "horizon = 0.1")) + """
 [pso]
 swarm_size = 2
 generations = 1
@@ -369,16 +368,16 @@ MALFORMED = {
     "misspelled_key": TUNE_JOB.replace("horizon = 0.5", "horizn = 0.5"),
     "removed_integrator": TUNE_JOB.replace("[scenario]\n", "[scenario]\nintegrator = rk4\n"),
     # the adaptive kind, the one kind that used to take it
-    "removed_process_noise": ADAPTIVE_JOB.replace("[scenario]\n",
-                                                  "[scenario]\nprocess_noise = true\n"),
+    "removed_process_noise": edit_config(ADAPTIVE_JOB,
+                                         ("[scenario]\n", "[scenario]\nprocess_noise = true\n")),
     "removed_pso_workers": TUNE_JOB.replace("[pso]\n", "[pso]\nworkers = 2\n"),
     "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
     "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
     "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
-    "misspelled_required_key": ADAPTIVE_JOB.replace("u_max = 10.0", "u_mx = 10.0"),
+    "misspelled_required_key": edit_config(ADAPTIVE_JOB, ("u_max = 10.0", "u_mx = 10.0")),
     # S = P0[0,0] + r is zero at the first update
-    "singular_first_innovation": ADAPTIVE_JOB.replace("r = 0.01", "r = 0.0").replace(
-        "p0_diag = 0.01,", "p0_diag = 0.0,"),
+    "singular_first_innovation": edit_config(ADAPTIVE_JOB, ("r = 0.01", "r = 0.0"),
+                                             ("p0_diag = 0.01,", "p0_diag = 0.0,")),
 }
 
 # what the error must say, for the cases that name a key or a section

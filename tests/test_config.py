@@ -284,7 +284,7 @@ class TestUnreadKeys:
         assert str(exc.value) == (f"{p}: missing required key [controller] u_max; "
                                   "[controller] u_mx: unknown key; did you mean u_max?")
 
-    @pytest.mark.parametrize("line", ["q_diag = 1e-4, 1e-4, 1e-2\n", "beta1 = 3.0\n",
+    @pytest.mark.parametrize("line", ["q_diag = 2.025e-11, 2.25e-6, 1e-2\n", "beta1 = 3.0\n",
                                       "u_max = 10.0\n"])
     def test_omitted_key_suggests_no_valid_key(self, tmp_path, line):
         # p0_diag, delta and u_min come closest to the omitted keys, but

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -21,8 +23,8 @@ K2, G = -19.97, -1.09
 
 
 def np_predict(x_hat: np.ndarray, P: np.ndarray, u, cfg, K2, g):
-    """Oracle: the filter's predict over numpy arrays, as it was written before
-    its state became plain floats."""
+    """Oracle: the filter's predict over numpy arrays.  Its product goes
+    through BLAS, so it agrees with the float predict only to rounding."""
     F = transition_jacobian(x_hat, cfg, K2)
     x_new = augmented_transition(x_hat, u, cfg, K2, g)
     P_new = F @ P @ F.T + cfg.Q
@@ -66,6 +68,43 @@ def assert_matches_oracle(out: EkfState, x_ref: np.ndarray, P_ref: np.ndarray) -
     # bytes, so the sign of a zero counts; all nine entries of P
     assert bits(out.x_hat) == bits(x_ref)
     assert bits(expand(out.P)) == bits(P_ref)
+
+
+def _exact(M) -> list[list[Fraction]]:
+    return [[Fraction(v) for v in row] for row in np.asarray(M, dtype=float).tolist()]
+
+
+# Each entry of the float F P F' + Q is at most a 3-term inner product (of
+# F's row with a row of F P) of 3-term inner products (F's row with P's
+# column), then one addition of q: the classical triple-product bound
+# gamma_6 = gamma_{2n}, n = 3, plus one rounding, so gamma_7 bounds the
+# relative error against S = |F||P||F|' + |Q|.  S itself is summed in floats
+# from nonnegative terms, so it rounds down by at most a factor 1 - gamma_7.
+# A product that underflows adds an absolute error of at most eta/2
+# (eta = 2**-1074, sums of subnormals are exact); at most two such errors
+# enter each entry of F P and each is then scaled by at most max|F|, whence
+# the 6*max(1, max|F|)*eta slack.
+_U = Fraction(1, 2**53)
+_GAMMA_7 = 7 * _U / (1 - 7 * _U)
+_ETA = Fraction(1, 2**1074)
+
+
+def assert_predict_close(out: EkfState, x: np.ndarray, P: np.ndarray, u, cfg) -> None:
+    """`out` is ekf_predict of (x, P): the mean bit for bit, the covariance
+    within the rounding bound of the exact F P F' + Q, with F taken from
+    `transition_jacobian`, and close to the numpy oracle."""
+    assert bits(out.x_hat) == bits(augmented_transition(x, u, cfg, K2, G))
+    F = transition_jacobian(x, cfg, K2)
+    Fx, Px, Qx = _exact(F), _exact(P), _exact(cfg.Q)
+    FP = [[sum(Fx[i][k] * Px[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    S = np.abs(F) @ np.abs(P) @ np.abs(F).T + np.abs(cfg.Q)
+    slack = 6 * max(1.0, float(np.abs(F).max())) * _ETA
+    for v, (i, j) in zip(out.P, zip(*np.triu_indices(3))):
+        exact = sum(FP[i][k] * Fx[j][k] for k in range(3)) + Qx[i][j]
+        bound = _GAMMA_7 / (1 - _GAMMA_7) * Fraction(float(S[i, j])) + slack
+        assert abs(Fraction(v) - exact) <= bound, (i, j, v)
+    _, P_ref = np_predict(x, P, u, cfg, K2, G)
+    assert np.allclose(expand(out.P), P_ref, rtol=0.0, atol=1e-13 * float(S.max()))
 
 
 def make_cfg(Ts=1e-3, q=(1e-4, 1e-4, 1e-2), r=0.01, p0=(1.0, 1.0, 500.0)):
@@ -273,8 +312,9 @@ _states = hnp.arrays(float, 3, elements=_floats(-10.0, 10.0)).map(lambda x: x * 
 
 
 class TestCovarianceInvariant:
-    """The cycle matches the numpy oracle bit for bit and keeps P's diagonal
-    nonnegative; P is symmetric by construction."""
+    """The update matches the numpy oracle bit for bit, the predict the exact
+    F P F' + Q to rounding, and both keep P's diagonal nonnegative; P is
+    symmetric by construction."""
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(A=_factors, x=_states, y=_floats(-10.0, 10.0), r=_floats(1e-12, 1e3))
@@ -298,12 +338,14 @@ class TestCovarianceInvariant:
         P += 1e-6 * (1.0 + np.abs(P).max()) * np.eye(3)
         cfg = make_cfg(Ts=Ts, q=q)
         out = ekf_predict(state(x, P), u, cfg, K2, G)
-        assert_matches_oracle(out, *np_predict(x, P, u, cfg, K2, G))
+        assert_predict_close(out, x, P, u, cfg)
         assert all(out.P[i] >= 0.0 for i in (0, 3, 5))
 
 
 class TestNumpyOracle:
-    """The float cycle against the numpy oracle, bit for bit."""
+    """The float cycle against its oracles: the update against numpy bit for
+    bit, the predict against exact rational arithmetic (and numpy, to
+    rounding).  Each oracle stage gets the state the filter stage received."""
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(A=_factors, x=_states, u=_floats(-30.0, 30.0), Ts=_floats(0.0, 0.1),
@@ -313,35 +355,40 @@ class TestNumpyOracle:
         cfg = make_cfg(Ts=Ts, q=q, r=r)
         P = A @ A.T
         pred = ekf_predict(state(x, P), u, cfg, K2, G)
-        x_ref, P_ref = np_predict(x, P, u, cfg, K2, G)
-        assert_matches_oracle(pred, x_ref, P_ref)
+        assert_predict_close(pred, x, P, u, cfg)
+        x_in, P_in = np.array(pred.x_hat), expand(pred.P)
         try:
             out, innov = ekf_update(pred, y, cfg)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                np_update(x_ref, P_ref, y, cfg)
+                np_update(x_in, P_in, y, cfg)
             return
-        x_ref, P_ref, innov_ref = np_update(x_ref, P_ref, y, cfg)
+        x_ref, P_ref, innov_ref = np_update(x_in, P_in, y, cfg)
         assert_matches_oracle(out, x_ref, P_ref)
         assert bits(innov) == bits(innov_ref)
 
     def test_edge_values(self):
-        # a variance past half the float range doubles to inf in 0.5*(a + a),
-        # and the floor makes -0.0 and negatives +0.0 but passes NaN
+        """A variance past half the float range survives the predict, which is
+        symmetric by construction and has no `0.5*(a + a)` step to double it
+        to inf.  A predict that does overflow leaves inf in P, which the
+        loop's `isfinite(trace P)` guard ends the run on.  The floor makes
+        -0.0 and negatives +0.0 but passes NaN."""
         x = np.zeros(3)
         cfg = make_cfg(Ts=0.0, q=(0.0, 0.0, 0.0), r=1.0)
         P = np.diag([1e308, 1.0, 1.0])
-        with np.errstate(over="ignore"):
-            ref = np_predict(x, P, 0.0, cfg, K2, G)
-        assert_matches_oracle(ekf_predict(state(x, P), 0.0, cfg, K2, G), *ref)
+        assert ekf_predict(state(x, P), 0.0, cfg, K2, G).P == (1e308, 0.0, 0.0, 1.0, 0.0, 1.0)
+        P = np.diag([1e308, 1e308, 1.0])
+        out = ekf_predict(state(x, P), 0.0, make_cfg(Ts=1.0), K2, G)
+        assert out.P[0] == math.inf
         for diag in ([1.0, -0.0, np.nan], [1.0, -1e-3, 0.0]):
             P = np.diag(diag)
             out, _ = ekf_update(state(x, P), 0.5, cfg)
             assert_matches_oracle(out, *np_update(x, P, 0.5, cfg)[:2])
 
     def test_s73_replay(self, monkeypatch):
-        """2,000 closed-loop cycles of s73: the oracle, fed the inputs the
-        filter received, reproduces every state the filter produced."""
+        """2,000 closed-loop cycles of s73: each oracle stage, fed the state
+        and input the filter stage received, reproduces the update's state
+        bit for bit and the predict's to rounding."""
         import presto.harness as harness
 
         sc = load_scenario("s73")
@@ -352,22 +399,24 @@ class TestNumpyOracle:
         def record(stage):
             def wrapped(*args):
                 out = stage(*args)
-                calls.append((stage, args[1], out))
+                calls.append((stage, args[0], args[1], out))
                 return out
             return wrapped
 
         monkeypatch.setattr(harness, "ekf_predict", record(ekf_predict))
         monkeypatch.setattr(harness, "ekf_update", record(ekf_update))
         run_scenario(sc)
-        assert sum(stage is ekf_update for stage, _, _ in calls) == cycles
+        assert sum(stage is ekf_update for stage, _, _, _ in calls) == cycles
 
         cfg, pp = sc.ekf, sc.plant
-        x_ref, P_ref = cfg.x0_hat, cfg.P0
-        for stage, arg, out in calls:
+        assert calls[0][1] == ekf_init(cfg)
+        assert (pp.K2, pp.g) == (K2, G)
+        for stage, st_in, arg, out in calls:
+            x_in, P_in = np.array(st_in.x_hat), expand(st_in.P)
             if stage is ekf_predict:
-                x_ref, P_ref = np_predict(x_ref, P_ref, arg, cfg, pp.K2, pp.g)
+                assert_predict_close(out, x_in, P_in, arg, cfg)
             else:
-                x_ref, P_ref, innov_ref = np_update(x_ref, P_ref, arg, cfg)
+                x_ref, P_ref, innov_ref = np_update(x_in, P_in, arg, cfg)
                 out, innov = out
                 assert bits(innov) == bits(innov_ref)
-            assert_matches_oracle(out, x_ref, P_ref)
+                assert_matches_oracle(out, x_ref, P_ref)

@@ -1,12 +1,12 @@
-"""Byte-identity of the bundled outputs that never touch BLAS.
+"""Byte-identity of every bundled output.
 
-`presto compare s71 s72 s74` and `presto tune tune_s71` run in process and
-the sha256 prefix of each output file is pinned, so a change that alters
-the arithmetic of the plant, observer, controllers, tuner or CSV writer
-fails here.  s73.csv and report.txt/report.csv are left out on purpose:
-the adaptive row goes through the EKF's F P F' product, whose bits depend
-on the OpenBLAS kernel the machine selects (FMA or not), so they are not
-portable across hosts.
+`presto compare s71 s72 s73 s74` and `presto tune tune_s71` run in process
+and the sha256 prefix of each output file is pinned, so a change that alters
+the arithmetic of the plant, observer, controllers, filter, tuner, norms or
+CSV writer fails here.  No output goes through BLAS: the EKF cycle is plain
+float operations and the report norms sum with numpy's fixed-order pairwise
+`add.reduce`, so the pinned bytes do not depend on the kernel OpenBLAS picks
+for the host.
 """
 
 import hashlib
@@ -18,7 +18,10 @@ from presto.cli import main as cli_main
 COMPARE = {
     "s71.csv": "d5ab7472332fa414",
     "s72.csv": "daa26948487eb10c",
+    "s73.csv": "ced03540f3e56483",
     "s74.csv": "e7e9e387a965d1ee",
+    "report.txt": "7c1ed323c7a8602c",
+    "report.csv": "6d6edd1e3f6687ea",
 }
 TUNE = {
     "tune_s71_best.csv": "f620849cb7dae69b",
@@ -32,7 +35,7 @@ def sha256_prefix(path) -> str:
 
 @pytest.mark.parametrize(
     "argv, pinned",
-    [(["compare", "s71", "s72", "s74"], COMPARE), (["tune", "tune_s71"], TUNE)],
+    [(["compare", "s71", "s72", "s73", "s74"], COMPARE), (["tune", "tune_s71"], TUNE)],
     ids=["compare", "tune"],
 )
 def test_outputs_are_byte_identical(tmp_path, capsys, argv, pinned):
