@@ -6,7 +6,7 @@ One flat INI-style file per job, one section per subsystem:
     [plant]       K1, K2, g          (direct coefficients; preferred)
     [beam]        alpha, beta, lambda, quadrature_points, mass_term
     [disturbance] terms = A kind rate; ...   and/or table_file = path.csv
-    [observer]    k, beta0, eps, p0, q0, z0_offset, smooth_sgn_width
+    [observer]    k, beta0, eps, p0, q0, z0_offset
     [controller]  alpha1, beta1, p1, q1, p2, q2, delta, mu, tau, u_min, u_max
     [smc]         Y, eta, Kg, K1_min, K1_max, K1_nominal
     [ekf]         Ts, q_diag, r, p0_diag, x0_hat
@@ -190,13 +190,6 @@ def _names(raw: str) -> list[str]:
     return [s.strip() for s in raw.split(",") if s.strip()]
 
 
-def _bool(raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if raw.lower() not in states:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return states[raw.lower()]
-
-
 def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
     terms = []
     for chunk in filter(None, (c.strip() for c in raw.split(";"))):
@@ -277,7 +270,6 @@ def _load_observer(cp) -> ObserverGains:
         beta0=_get(cp, o, "beta0"),
         eps=_get(cp, o, "eps"),
         e0=ExponentPair(_get(cp, o, "p0", int), _get(cp, o, "q0", int)),
-        **_given(cp, o, {"smooth_sgn_width": float}),
     )
 
 
@@ -316,7 +308,6 @@ _SCENARIO_KEYS = {
     "seed": int,
     "threshold_fraction": float,
     "hold_duration": float,
-    "perfect_observer": _bool,
     "label": str,
 }
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,14 @@ __all__ = [
 ]
 
 KINDS = ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated", "smc_baseline")
+# Scenario fields each kind's loop never reads; one set off its default is
+# rejected rather than silently ignored
+_UNUSED = {
+    "tsmc": ("smc", "smc_k1_nominal", "ekf"),
+    "tsmc_saturated": ("smc", "smc_k1_nominal", "ekf"),
+    "adaptive_tsmc_saturated": ("smc", "smc_k1_nominal"),
+    "smc_baseline": ("tsmc", "observer", "ekf", "z0_offset", "stop_when_settled"),
+}
 
 DIVERGENCE_LIMIT = 1e6
 # steps of the disturbance waveform evaluated at once
@@ -126,6 +134,10 @@ class Scenario:
     the logged sample that completes the first settling window.  `t_s` is
     unchanged, but the report norms then cover only the simulated prefix,
     and a divergence after that window goes unseen.
+
+    A field the kind's loop never reads, such as the observer gains on
+    `smc_baseline` or `ekf` outside `adaptive_tsmc_saturated`, must keep
+    its default.
     """
 
     kind: str
@@ -143,7 +155,6 @@ class Scenario:
     smc_k1_nominal: float | None = None
     threshold_fraction: float = 0.02
     hold_duration: float = 0.5
-    perfect_observer: bool = False
     z0_offset: float = 0.0
     stop_when_settled: bool = False
     label: str = "run"
@@ -174,7 +185,7 @@ class Scenario:
         else:
             if self.tsmc is None:
                 raise ValueError(f"kind {self.kind} needs sliding-mode gains")
-            if self.observer is None and not self.perfect_observer:
+            if self.observer is None:
                 raise ValueError(f"kind {self.kind} needs observer gains")
         if self.kind in ("tsmc_saturated", "adaptive_tsmc_saturated"):
             if self.tsmc.tau is None or self.tsmc.sat is None:
@@ -195,9 +206,10 @@ class Scenario:
                 raise ValueError(
                     f"ekf Ts={self.ekf.Ts} must be a whole multiple of dt={self.dt}"
                 )
-        if self.stop_when_settled and self.kind == "smc_baseline":
-            raise ValueError("stop_when_settled applies to the observer kinds only, "
-                             "not to smc_baseline")
+        unused = [f.name for f in fields(self)
+                  if f.name in _UNUSED[self.kind] and getattr(self, f.name) != f.default]
+        if unused:
+            raise ValueError(f"kind {self.kind} does not use {', '.join(unused)}")
 
 
 @dataclass
@@ -241,7 +253,7 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     report.t_s = settling_time(trace, sc.threshold_fraction, sc.hold_duration)
     # the plain observer estimates the raw external disturbance, so its
     # amplitude-bound assumption is checkable against the realized signal
-    if sc.kind == "tsmc" and not sc.perfect_observer and max_abs_d > sc.observer.beta0:
+    if sc.kind == "tsmc" and max_abs_d > sc.observer.beta0:
         report.diagnostics.append(
             f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
             f"bound beta0={sc.observer.beta0:.4g}"
@@ -354,6 +366,28 @@ def _smc_loop(sc: Scenario) -> Trace:
 def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     """Fused loop of the three observer kinds; returns the trace and max |d|.
 
+    Take the feedback state (x1, x2) to be the truth, or in the adaptive
+    kind the EKF estimate with its stiffness estimate in place of K1, and
+    let f = -K1*x1 - K2*x1**3, G = -g, and a**r the signed power
+    sign(a)*|a|**r.  Each step evaluates the observer and the law
+
+        prefix = -k*s - beta0*sgn(s) - eps*s**(p0/q0) - |f|*sgn(s)
+        d_hat  = prefix - f
+        s2     = x2 + alpha1*x1 + beta1*x1**(p1/q1) + s
+        v      = -f - alpha1*x2 - beta1*(p1/q1)*|x1|**(p1/q1 - 1)*x2
+                 - d_hat - delta*s2 - mu*s2**(p2/q2)
+
+    where the beta1 rate term is 0 below |x1| = SINGULARITY_FLOOR.  Kind
+    tsmc applies u = -v/g and drives the observer with forcing = G*u; the
+    saturated kinds apply u = min(max(u_c, u_min), u_max) with
+    u_c = G*v/(G**2 + tau), and drive it with forcing = v.  After the
+    plant's Euler step the observer advances and re-anchors:
+
+        z <- z + dt*(prefix + forcing),    s = z - x_n
+
+    with x_n the new truth x2, or the current estimate of x2 in the
+    adaptive kind; z starts at x2(0) + z0_offset of the feedback state.
+
     Composes `disturbance_value`, `ekf_predict`/`ekf_update`,
     `disturbance_estimate`, `sliding_stack_n2`, `tsmc_control` or
     `saturated_tsmc_control`, `plant_derivative` and `observer_advance`
@@ -367,7 +401,6 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     """
     adaptive = sc.kind == "adaptive_tsmc_saturated"
     saturated = sc.kind != "tsmc"
-    has_observer = not sc.perfect_observer
 
     pp, tg = sc.plant, sc.tsmc
     nK1, K2, g = -pp.K1, pp.K2, pp.g
@@ -382,11 +415,8 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     if saturated:
         gden = ng * ng + tg.tau
         u_min, u_max = tg.sat.u_min, tg.sat.u_max
-    if has_observer:
-        og = sc.observer
-        nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
-        width = og.smooth_sgn_width
-        smooth = width > 0.0
+    og = sc.observer
+    nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
     dt, dec = sc.dt, sc.decimation
     isfinite = math.isfinite
     lim, inf = DIVERGENCE_LIMIT, math.inf
@@ -401,7 +431,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         fb_stride = int(round(cfg.Ts / dt))
         u_acc = 0.0
 
-    z = s = s_obs = u_c = 0.0
+    u_c = 0.0
     d_series, max_abs_d = _disturbance_series(sc)
     if adaptive:
         # the measurement noise of every EKF cycle in one draw: the same
@@ -452,29 +482,21 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
             s2_fb = fb2 + a1 * fb1 + b1 * sp1
             law_fb = lin + cub - a1 * fb2 - b1 * ddt
-            if i == 0 and has_observer:
+            if i == 0:
                 z = fb2 + sc.z0_offset
                 s = sc.z0_offset
 
-        if has_observer:
-            # four-term prefix shared by the estimate and the z rate
-            if s > 0.0:
-                sw = 1.0
-                sp0 = s**r0
-            elif s < 0.0:
-                sw = -1.0
-                sp0 = -((-s) ** r0)
-            else:
-                sw = sp0 = 0.0
-            if smooth:
-                sw = s / width
-                sw = 1.0 if sw > 1.0 else (-1.0 if sw < -1.0 else sw)
-            prefix = nk * s - beta0 * sw - eps * sp0 - abs_fx * sw
-            d_hat = prefix - fx
-            s_obs = s
+        if s > 0.0:
+            sw = 1.0
+            sp0 = s**r0
+        elif s < 0.0:
+            sw = -1.0
+            sp0 = -((-s) ** r0)
         else:
-            d_hat = d
-        s2 = s2_fb + s_obs
+            sw = sp0 = 0.0
+        prefix = nk * s - beta0 * sw - eps * sp0 - abs_fx * sw
+        d_hat = prefix - fx
+        s2 = s2_fb + s
         sp2 = s2**r2 if s2 > 0.0 else (-((-s2) ** r2) if s2 < 0.0 else 0.0)
         v = law_fb - d_hat - delta * s2 - mu * sp2
         if saturated:
@@ -486,7 +508,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             forcing = ng * u
         if i == next_log:
             next_log += dec
-            pack(buf, offset, t, x1, x2, u, d, d_hat, s_obs, s2, v, u_c,
+            pack(buf, offset, t, x1, x2, u, d, d_hat, s, s2, v, u_c,
                  fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
             offset += row_bytes
             if stop:
@@ -500,9 +522,8 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
         x1 += dt * x2
         x2 += dt * dx2
-        if has_observer:
-            z += dt * (prefix + forcing)
-            s = z - (fb2 if adaptive else x2)
+        z += dt * (prefix + forcing)
+        s = z - (fb2 if adaptive else x2)
         if adaptive:
             u_acc += u
 

@@ -2,7 +2,7 @@
 
 Covers the scalar building blocks every other module leans on:
 
-* exact signum and its optional boundary-layer replacement,
+* the exact signum,
 * signed fractional powers ``sign(s) * |s|**(p/q)`` for odd integer pairs,
 * the finite-time convergence deadline implied by a Lyapunov decay of the
   form ``Vdot <= -theta*V - xi*V**gamma``,
@@ -26,7 +26,6 @@ __all__ = [
     "TimeBoundInputs",
     "Trace",
     "sgn",
-    "smooth_sgn",
     "signed_pow",
     "prescribed_time_bound",
     "check_exponent_pair",
@@ -92,22 +91,6 @@ def sgn(x: float) -> int:
     if x < 0.0:
         return -1
     return 0
-
-
-def smooth_sgn(x: float, width: float) -> float:
-    """Signum with a linear boundary layer: clamp(x/width, -1, 1).
-
-    width <= 0 falls back to the exact signum.  Used only for chattering
-    studies; the switching laws default to the exact function.
-    """
-    if width <= 0.0:
-        return float(sgn(x))
-    y = x / width
-    if y > 1.0:
-        return 1.0
-    if y < -1.0:
-        return -1.0
-    return y
 
 
 def _spow(s: float, ratio: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mathcore import ExponentPair, _spow, sgn, smooth_sgn
+from .mathcore import ExponentPair, _spow, sgn
 
 __all__ = [
     "ObserverGains",
@@ -43,15 +43,12 @@ class ObserverGains:
     beta0   : disturbance amplitude bound used by the switching term (> 0)
     eps     : fractional-power (finite-time) gain (> 0)
     e0      : odd exponent pair (p0, q0) of the fractional term
-    smooth_sgn_width : optional boundary-layer width replacing the exact
-        signum (0 keeps the exact switching law)
     """
 
     k: float
     beta0: float
     eps: float
     e0: ExponentPair
-    smooth_sgn_width: float = 0.0
 
     def __post_init__(self):
         if not (self.k > 0.0 and self.beta0 > 0.0 and self.eps > 0.0):
@@ -70,12 +67,6 @@ class ObserverState:
     s: float
 
 
-def _sw(s: float, gains: ObserverGains) -> float:
-    if gains.smooth_sgn_width > 0.0:
-        return smooth_sgn(s, gains.smooth_sgn_width)
-    return float(sgn(s))
-
-
 def observer_init(x_n: float, z_offset: float = 0.0) -> ObserverState:
     """Start the observer at z = x_n + z_offset (so s starts at z_offset).
 
@@ -90,7 +81,7 @@ def observer_init(x_n: float, z_offset: float = 0.0) -> ObserverState:
 def _prefix(s: float, fx: float, gains: ObserverGains) -> float:
     # -k*s - beta0*sgn(s) - eps*s**(p0/q0) - |fx|*sgn(s): the four terms the
     # z rate and the estimate share, evaluated once in one order for both
-    sw = _sw(s, gains)
+    sw = sgn(s)
     return (
         -gains.k * s
         - gains.beta0 * sw

@@ -1,8 +1,10 @@
 import time
+from dataclasses import replace
 
 import pytest
 
 from presto import load_scenario, run_scenario
+from reference import reference_run
 
 
 def edit_config(text: str, *edits: tuple[str, str]) -> str:
@@ -28,3 +30,13 @@ def bundled_runs():
         trace, report = run_scenario(sc)
         out[name] = (sc, trace, report, time.perf_counter() - t0)
     return out
+
+
+@pytest.fixture(scope="session")
+def ideal_s71():
+    """s71 over 3.0 s at decimation 1 with the true disturbance in place of
+    the observer's estimate, through `reference_run(..., perfect_observer=True)`;
+    shared as (scenario, trace)."""
+    sc = replace(load_scenario("s71"), horizon=3.0, decimation=1)
+    trace, _ = reference_run(sc, perfect_observer=True)
+    return sc, trace

@@ -362,7 +362,10 @@ MALFORMED = {
     "empty_table": TUNE_JOB + "\n[disturbance]\ntable_file = empty.csv\n",
     "non_numeric_value": TUNE_JOB.replace("K1 = 97.4", "K1 = abc"),
     "missing_required_key": TUNE_JOB.replace("k = 4.0\n", ""),
-    "bad_boolean": TUNE_JOB.replace("[scenario]\n", "[scenario]\nperfect_observer = maybe\n"),
+    "removed_perfect_observer": TUNE_JOB.replace("[scenario]\n",
+                                                 "[scenario]\nperfect_observer = true\n"),
+    "removed_smooth_sgn_width": TUNE_JOB.replace("[observer]\n",
+                                                 "[observer]\nsmooth_sgn_width = 1e-3\n"),
     "threshold_out_of_range": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nthreshold_fraction = 1.5"),
     "negative_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = -0.5"),
     "misspelled_key": TUNE_JOB.replace("horizon = 0.5", "horizn = 0.5"),
@@ -385,6 +388,8 @@ NAMED = {
     "misspelled_key": "[scenario] horizn: unknown key; did you mean horizon?",
     "removed_integrator": "[scenario] integrator: unknown key",
     "removed_process_noise": "[scenario] process_noise: unknown key",
+    "removed_perfect_observer": "[scenario] perfect_observer: unknown key",
+    "removed_smooth_sgn_width": "[observer] smooth_sgn_width: unknown key",
     "removed_pso_workers": "[pso] workers: unknown key",
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",

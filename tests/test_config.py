@@ -121,7 +121,6 @@ class TestScenarioParsing:
             if f.name not in ("kind", "plant", "disturbance", "tsmc", "observer", "label"):
                 assert getattr(sc, f.name) == f.default, f.name
         assert sc.x0 == (1.0, 5.0)
-        assert sc.observer.smooth_sgn_width == 0.0
 
     def test_percent_is_literal(self, tmp_path):
         text = MINIMAL_TSMC.replace("kind = tsmc", "kind = tsmc\nlabel = s71 at 50%")

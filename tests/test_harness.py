@@ -102,13 +102,6 @@ class TestRunScenario:
         tight_ts = tight_report.t_s if tight_report.t_s is not None else math.inf
         assert tight_ts >= base_ts
 
-    def test_smooth_switching_option_runs(self):
-        base = load_scenario("s71")
-        sc = replace(base, observer=replace(base.observer, smooth_sgn_width=1e-3),
-                     horizon=1.0)
-        _, report = run_scenario(sc)
-        assert report.ey_linf < 1.2
-
     def test_divergence_raises_with_partial_trace(self):
         # unstable spring under a clamp far too weak to hold it
         base = load_scenario("s72")
@@ -167,6 +160,29 @@ class TestScenarioValidation:
         base = load_scenario("s71")
         with pytest.raises(ValueError, match=f"tsmc.{next(iter(changes))}"):
             replace(base, tsmc=replace(base.tsmc, **changes))
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [
+            ("s74", "observer"),
+            ("s74", "tsmc"),
+            ("s74", "z0_offset"),
+            ("s74", "ekf"),
+            ("s71", "smc"),
+            ("s72", "smc_k1_nominal"),
+            ("s73", "smc"),
+            ("s71", "ekf"),
+            ("s72", "ekf"),
+        ],
+    )
+    def test_fields_the_kind_never_reads(self, name, field):
+        # the config loader cannot set these, but a library caller could,
+        # and the kind's loop would then ignore them without a word
+        values = {"z0_offset": 1.0, "smc_k1_nominal": 97.4, "smc": load_scenario("s74").smc}
+        s73 = load_scenario("s73")
+        value = values[field] if field in values else getattr(s73, field)
+        with pytest.raises(ValueError, match=f"does not use {field}"):
+            replace(load_scenario(name), **{field: value})
 
 
 class TestCompare:

@@ -1,8 +1,8 @@
 """The fused loops of `run_scenario` against the library stage functions.
 
-`reference_run` composes the documented stage functions step by step, the
-way the harness did before its loops were fused.  Every trace column and
-every report field of the fused loops must match it bit for bit.
+`reference.reference_run` composes the documented stage functions step by
+step.  Every trace column and every report field of the fused loops must
+match it bit for bit.
 """
 
 import math
@@ -15,111 +15,16 @@ import pytest
 from presto import load_scenario, run_scenario
 from presto.cli import main as cli_main
 from presto.config import load_pso_job, resolve_config_path
-from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
-from presto.estimator import ekf_init, ekf_predict, ekf_update
-from presto.harness import DivergenceError, RunReport, Scenario
-from presto.mathcore import Trace, l2_norm, linf_norm, settling_time
-from presto.observer import disturbance_estimate, observer_advance, observer_init
-from presto.plant import DisturbanceSpec, DisturbanceTerm, disturbance_value, plant_derivative
+from presto.harness import DivergenceError, Scenario
+from presto.plant import DisturbanceSpec, DisturbanceTerm
+from reference import reference_run
 
 STEPS = 3000
-
-
-def reference_run(sc: Scenario) -> tuple[Trace, RunReport]:
-    """One scenario through the stage functions, one call per stage per step."""
-    pp = sc.plant
-    adaptive = sc.kind == "adaptive_tsmc_saturated"
-    saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
-    smc_kind = sc.kind == "smc_baseline"
-    has_observer = not smc_kind and not sc.perfect_observer
-    dt = sc.dt
-    rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-    x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    obs = ekf_state = None
-    innov = u = u_acc = 0.0
-    n_acc = stride = 0
-    if adaptive:
-        cfg = sc.ekf
-        ekf_state = ekf_init(cfg)
-        stride = int(round(cfg.Ts / dt))
-    rows = []
-    for i in range(int(round(sc.horizon / dt))):
-        t = i * dt
-        d = disturbance_value(sc.disturbance, t)
-        if adaptive and i % stride == 0:
-            if i > 0:
-                ekf_state = ekf_predict(ekf_state, u_acc / n_acc, sc.ekf, pp.K2, pp.g)
-            u_acc, n_acc = 0.0, 0
-            y = x1 + math.sqrt(sc.ekf.R) * rng.standard_normal()
-            ekf_state, innov = ekf_update(ekf_state, y, sc.ekf)
-        if adaptive:
-            fb1, fb2, k1_fb = (float(v) for v in ekf_state.x_hat)
-        else:
-            fb1, fb2, k1_fb = x1, x2, pp.K1
-        if smc_kind:
-            out = smc_control((x1, x2), sc.smc, pp, sc.smc_k1_nominal)
-            u = out.u
-            row = (t, x1, x2, u, d, out.s, out.u_eq, out.u_c)
-        else:
-            fx = -k1_fb * fb1 - pp.K2 * fb1**3
-            if has_observer:
-                if obs is None:
-                    obs = observer_init(fb2, sc.z0_offset)
-                d_hat, s_obs = disturbance_estimate(obs, fx, sc.observer), obs.s
-            else:
-                d_hat, s_obs = d, 0.0
-            s2 = sliding_stack_n2((fb1, fb2), s_obs, sc.tsmc)
-            pp_fb = replace(pp, K1=k1_fb)
-            if saturated:
-                v_r, u_c, u = saturated_tsmc_control((fb1, fb2), d_hat, s2, pp_fb, sc.tsmc)
-                forcing = v_r
-            else:
-                u = tsmc_control((fb1, fb2), d_hat, s2, pp_fb, sc.tsmc)
-                forcing = -pp.g * u
-            row = (t, x1, x2, u, d, d_hat, s_obs, s2)
-            if saturated:
-                row += (v_r, u_c)
-            if adaptive:
-                p_diag = (ekf_state.P[i] for i in (0, 3, 5))  # P is its upper triangle
-                row += (fb1, fb2, k1_fb, x1 - fb1, innov, sum(p_diag))
-        if i % sc.decimation == 0:
-            rows.append(row)
-        dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
-        x1 += dt * dx1
-        x2 += dt * dx2
-        if has_observer:
-            obs = observer_advance(obs, fb2 if adaptive else x2, fx, forcing, sc.observer, dt)
-        u_acc += u
-        n_acc += 1
-        assert max(abs(x1), abs(x2)) <= 1e6
-
-    if smc_kind:
-        names = ["t", "x1", "x2", "u", "d", "s", "u_eq", "u_c"]
-    else:
-        names = ["t", "x1", "x2", "u", "d", "d_hat", "s", "s2"]
-        names += ["v_r", "u_c"] if saturated else []
-        names += ["x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace"] if adaptive else []
-    trace = Trace(dt=dt * sc.decimation,
-                  columns={n: np.asarray(col) for n, col in zip(names, zip(*rows))})
-    report = RunReport(label=sc.label, kind=sc.kind)
-    report.u_l2, report.u_linf = l2_norm(trace, "u"), linf_norm(trace, "u")
-    report.ey_l2, report.ey_linf = l2_norm(trace, "x1"), linf_norm(trace, "x1")
-    if saturated:
-        report.uc_l2, report.uc_linf = l2_norm(trace, "u_c"), linf_norm(trace, "u_c")
-    if adaptive:
-        report.ex_l2, report.ex_linf = l2_norm(trace, "e_x"), linf_norm(trace, "e_x")
-    report.t_s = settling_time(trace, sc.threshold_fraction, sc.hold_duration)
-    return trace, report
 
 
 def short(name: str, steps: int = STEPS, **changes) -> Scenario:
     sc = load_scenario(name)
     return replace(sc, horizon=steps * sc.dt, **changes)
-
-
-def with_observer(name: str, **changes) -> Scenario:
-    sc = short(name)
-    return replace(sc, observer=replace(sc.observer, **changes))
 
 
 TABLE = DisturbanceSpec(
@@ -135,9 +40,6 @@ CASES = {
     "s73-seed2": lambda: short("s73", seed=2),
     "s74": lambda: short("s74"),
     "tune_s71": lambda: load_pso_job("tune_s71")[1].scenario,
-    "perfect-observer-s72": lambda: short("s72", perfect_observer=True),
-    "perfect-observer-s73": lambda: short("s73", perfect_observer=True),
-    "smooth-sgn-s71": lambda: with_observer("s71", smooth_sgn_width=1e-3),
     "z0-offset-s72": lambda: short("s72", z0_offset=1.5),
     "z0-offset-s73": lambda: short("s73", z0_offset=-0.5),
     "table-s71": lambda: short("s71", disturbance=TABLE),

@@ -16,7 +16,6 @@ from presto.mathcore import (
     settling_time,
     sgn,
     signed_pow,
-    smooth_sgn,
 )
 
 # every odd pair p < q with q <= 101
@@ -34,12 +33,6 @@ class TestSgn:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 sgn(bad)
-
-    def test_smooth_variant(self):
-        assert smooth_sgn(0.05, 0.1) == pytest.approx(0.5)
-        assert smooth_sgn(5.0, 0.1) == 1.0
-        assert smooth_sgn(-5.0, 0.1) == -1.0
-        assert smooth_sgn(-2.0, 0.0) == -1.0  # zero width falls back to exact
 
 
 class TestExponentPair:

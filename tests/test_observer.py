@@ -97,12 +97,11 @@ class TestDisturbanceEstimate:
     @given(k=st.floats(1e-3, 1e3), beta0=st.floats(1e-3, 1e3), eps=st.floats(1e-3, 1e3),
            e0=st.integers(1, 50).flatmap(lambda j: st.integers(0, j - 1).map(
                lambda i: ExponentPair(2 * i + 1, 2 * j + 1))),
-           width=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
            s=st.floats(-1e3, 1e3), fx=st.floats(-1e6, 1e6), forcing=st.floats(-1e6, 1e6))
-    def test_identity_property(self, k, beta0, eps, e0, width, s, fx, forcing):
+    def test_identity_property(self, k, beta0, eps, e0, s, fx, forcing):
         # exact up to the rounding of the four operations, each within half
         # an ulp of its operands' scale
-        gains = ObserverGains(k=k, beta0=beta0, eps=eps, e0=e0, smooth_sgn_width=width)
+        gains = ObserverGains(k=k, beta0=beta0, eps=eps, e0=e0)
         state = ObserverState(z=0.0, s=s)
         dhat = disturbance_estimate(state, fx, gains)
         zdot = z_derivative(state, fx, forcing, gains)
