@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -62,7 +63,7 @@ def _cmd_simulate(args) -> int:
         trace, report = harness.run_scenario(sc)
     except harness.DivergenceError as err:
         partial = out / f"{sc.label}_partial.csv"
-        harness.export_trace(err.trace, partial, err.names)
+        harness.export_trace(err.trace, partial)
         print(f"error: {err} (partial trace: {partial})", file=sys.stderr)
         return EXIT_DIVERGED
     trace_path = out / f"{sc.label}.csv"
@@ -116,7 +117,7 @@ def _cmd_coeffs(args) -> int:
     print(f"alpha={bp.alpha:g} beta={bp.beta:g} lambda={bp.lam:g} "
           f"points={bp.quadrature_points}")
     for variant in MASS_TERMS:
-        pp = galerkin_coefficients(bp, variant)
+        pp = galerkin_coefficients(replace(bp, mass_term=variant))
         print(f"  mass_term={variant:<12} K1={pp.K1:.10g}  K2={pp.K2:.10g}  g={pp.g:.10g}")
     return EXIT_OK
 

@@ -14,17 +14,21 @@ One flat INI-style file per job, one section per subsystem:
                   tune = name lo hi; ...
     [compare]     scenarios = a.cfg, b.cfg, ...   labels = A, B, ...
 
-This module only reads keys and converts their values.  A key the file
-omits is not passed on, so it takes the default of the field it feeds
-(Scenario, BeamParams, ObserverGains, TsmcGains, PsoConfig), for instance
-x0 = 1.0, 5.0 or [pso] generations = 40.  The checks live on those types
-too.  Values are literal: a '%' needs no escaping.  Scenario kinds pull in
-their required sections and reject configs missing them.  A file may set
-only the keys its loaders ask for (case-folded): any other key, a section
-nothing reads, or [DEFAULT] is an error, and a scenario file with [pso]
-always loads as a tuning job.  The environment variable PRESTO_SEED, when
-set, overrides every scenario seed loaded through this module.  Config
-names that are not existing paths fall back to the bundled files under
+This module only reads keys and parses their text.  Each section feeds
+one library type whose fields hold the values the file gives, unconverted:
+[beam] BeamParams, [observer] ObserverGains, [controller] TsmcGains
+(u_min, u_max as its SatBounds), [smc] SmcGains, [ekf] EkfConfig and
+[pso] PsoConfig.  [scenario] and [observer] z0_offset feed the Scenario
+around them.  A key the file omits is not passed on, so it takes the
+default of the field it feeds, for instance x0 = 1.0, 5.0 or [pso]
+generations = 40.  The checks live on those types too.  Values are
+literal: a '%' needs no escaping.  Scenario kinds pull in their required
+sections and reject configs missing them.  A file may set only the keys
+its loaders ask for (case-folded): any other key, a section nothing
+reads, or [DEFAULT] is an error, and a scenario file with [pso] always
+loads as a tuning job.  The environment variable PRESTO_SEED, when set,
+overrides every scenario seed loaded through this module.  Config names
+that are not existing paths fall back to the bundled files under
 presto/configs.
 """
 
@@ -44,7 +48,7 @@ from .estimator import EkfConfig
 from .harness import KINDS, Scenario
 from .mathcore import ExponentPair
 from .observer import ObserverGains
-from .plant import MASS_TERMS, BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
+from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
 from .plant import galerkin_coefficients
 from .tuner import DEFAULT_TUNE_BOXES, PsoConfig, TuneTemplate
 
@@ -232,34 +236,29 @@ def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
     return entries
 
 
-def _mass_term(raw: str) -> str:
-    if raw not in MASS_TERMS:
-        raise ValueError(f"{raw!r} is not one of {', '.join(MASS_TERMS)}")
-    return raw
-
-
-def _beam(cp) -> tuple[BeamParams, dict]:
-    """The [beam] data, plus the mass_term choice when the file sets one."""
-    bp = BeamParams(
+def _beam(cp) -> BeamParams:
+    return BeamParams(
         alpha=_get(cp, "beam", "alpha"),
         beta=_get(cp, "beam", "beta"),
-        **_given(cp, "beam", {"lambda": ("lam", float), "quadrature_points": int}),
+        **_given(cp, "beam", {
+            "lambda": ("lam", float),
+            "quadrature_points": int,
+            "mass_term": str,
+        }),
     )
-    return bp, _given(cp, "beam", {"mass_term": _mass_term})
 
 
 def load_beam_params(name: str | Path) -> BeamParams:
-    """Beam data of a file holding only [beam]; its mass_term is checked too."""
+    """Beam data of a file holding only [beam]."""
     path = resolve_config_path(name)
-    return _in_file(path, lambda cp, _: _beam(cp)[0], _read(path))
+    return _in_file(path, lambda cp, _: _beam(cp), _read(path))
 
 
 def _load_plant(cp) -> PlantParams:
     if cp.has_section("plant"):
         return PlantParams(**{key: _get(cp, "plant", key) for key in ("K1", "K2", "g")})
     if cp.has_section("beam"):
-        bp, mass_term = _beam(cp)
-        return galerkin_coefficients(bp, **mass_term)
+        return galerkin_coefficients(_beam(cp))
     raise ConfigError("needs a [plant] or [beam] section")
 
 
@@ -293,10 +292,10 @@ def _load_ekf(cp) -> EkfConfig:
     e = "ekf"
     return EkfConfig(
         Ts=_get(cp, e, "Ts"),
-        Q=np.diag(_get(cp, e, "q_diag", _floats)),
+        q_diag=_get(cp, e, "q_diag", _floats),
         R=_get(cp, e, "r"),
-        P0=np.diag(_get(cp, e, "p0_diag", _floats)),
-        x0_hat=np.array(_get(cp, e, "x0_hat", _floats)),
+        p0_diag=_get(cp, e, "p0_diag", _floats),
+        x0_hat=_get(cp, e, "x0_hat", _floats),
     )
 
 
@@ -322,9 +321,8 @@ def _scenario(cp, path: Path) -> Scenario:
         except ValueError as err:
             raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
     if kind == "smc_baseline":
-        smc = {key: _get(cp, "smc", key) for key in ("Y", "eta", "Kg", "K1_min", "K1_max")}
-        fields["smc"] = SmcGains(**smc)
-        fields["smc_k1_nominal"] = _get(cp, "smc", "K1_nominal")
+        keys = ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal")
+        fields["smc"] = SmcGains(**{key: _get(cp, "smc", key) for key in keys})
     elif kind in KINDS:
         fields["tsmc"] = _load_tsmc(cp)
         fields["observer"] = _load_observer(cp)
@@ -394,10 +392,8 @@ def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
         "w": ("W", float),
         "c1": ("C1", float),
         "c2": ("C2", float),
+        "vmax_fraction": float,
     })
-    if cp.has_option("pso", "vmax_fraction"):
-        fraction = _get(cp, "pso", "vmax_fraction")
-        optional["v_max"] = tuple(fraction * (hi - lo) for lo, hi in bounds)
     return PsoConfig(bounds=bounds, **optional), template
 
 

@@ -28,6 +28,7 @@ loop for the reference plant, whose g is negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -107,15 +108,23 @@ class TsmcGains:
 
 @dataclass(frozen=True)
 class SmcGains:
-    """Baseline linear-surface SMC parameters with a K1 uncertainty interval."""
+    """Baseline linear-surface SMC parameters: the [smc] section.
+
+    The true K1 lies in [K1_min, K1_max]; K1_nominal is the value the
+    equivalent control assumes.
+    """
 
     Y: float
     eta: float
     Kg: float
     K1_min: float
     K1_max: float
+    K1_nominal: float
 
     def __post_init__(self):
+        for name in ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.Y > 0.0):
             raise ValueError(f"surface slope Y must be > 0, got {self.Y}")
         if not (self.eta > 0.0):
@@ -233,21 +242,20 @@ class SmcOutput(NamedTuple):
     s: float
 
 
-def smc_control(
-    x: tuple[float, float],
-    gains: SmcGains,
-    pp: PlantParams,
-    K1_nominal: float,
-) -> SmcOutput:
+def smc_control(x: tuple[float, float], gains: SmcGains, pp: PlantParams) -> SmcOutput:
     """Baseline SMC on the linear surface s = x2 + Y*x1.
 
     u_eq = (Y*x2 - K1_nom*x1 - K2*x1**3) / g  zeroes s' for the nominal
-    stiffness; the switching part
-    u_c = ((K1_nom - K1_min)*|x1| + Kg) / g * sgn(s) dominates the interval
-    uncertainty on K1 and enforces the reaching condition s*s' <= -eta*|s|.
+    stiffness; the switching part u_c = (dK*|x1| + Kg) / g * sgn(s) with
+    slope dK = max(K1_nom - K1_min, K1_max - K1_nom), the largest
+    |K1 - K1_nom| over the interval, dominates the uncertainty on either
+    side of the nominal and enforces the reaching condition
+    s*s' <= -eta*|s|.
     """
     x1, x2 = x
+    K1n = gains.K1_nominal
+    dK = max(K1n - gains.K1_min, gains.K1_max - K1n)
     s = x2 + gains.Y * x1
-    u_eq = (gains.Y * x2 - K1_nominal * x1 - pp.K2 * x1**3) / pp.g
-    u_c = ((K1_nominal - gains.K1_min) * abs(x1) + gains.Kg) / pp.g * sgn(s)
+    u_eq = (gains.Y * x2 - K1n * x1 - pp.K2 * x1**3) / pp.g
+    u_c = (dK * abs(x1) + gains.Kg) / pp.g * sgn(s)
     return SmcOutput(u=u_eq + u_c, u_eq=u_eq, u_c=u_c, s=s)

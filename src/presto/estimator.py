@@ -25,7 +25,8 @@ by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,67 +42,57 @@ __all__ = [
 ]
 
 
-def _check_psd(M: np.ndarray, name: str) -> None:
-    if M.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3, got {M.shape}")
-    # the filter keeps only the upper triangle, so any asymmetry would be dropped
-    if not np.array_equal(M, M.T):
-        raise ValueError(f"{name} must be exactly symmetric")
-    if np.min(np.linalg.eigvalsh(M)) < -1e-10:
-        raise ValueError(f"{name} must be positive semidefinite")
-
-
-def _upper(M: np.ndarray) -> tuple[float, float, float, float, float, float]:
-    (m11, m12, m13), (_, m22, m23), (_, _, m33) = M.tolist()
-    return m11, m12, m13, m22, m23, m33
+Triple = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class EkfConfig:
-    """Filter constants: sample time, noise covariances, initial condition.
+    """Filter constants, as the [ekf] section gives them.
 
-    Ts = 0 is tolerated so the exact Ts -> 0 algebra (F = I) can be
-    exercised directly; closed-loop scenarios require Ts > 0.  `q_upper`
-    is Q's upper triangle as floats, the form `ekf_predict` adds.
+    q_diag and p0_diag are the diagonals of the process noise Q and the
+    initial covariance P0; no input sets an off-diagonal entry.  Every entry
+    must be finite, the variances >= 0, and the first innovation covariance
+    p0_diag[0] + R > 0.  Ts = 0 is tolerated so the exact Ts -> 0 algebra
+    (F = I) can be exercised directly; closed-loop scenarios require Ts > 0.
     """
 
     Ts: float
-    Q: np.ndarray
+    q_diag: Triple
     R: float
-    P0: np.ndarray
-    x0_hat: np.ndarray
-    q_upper: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    p0_diag: Triple
+    x0_hat: Triple
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        object.__setattr__(self, "P0", np.asarray(self.P0, dtype=float))
-        object.__setattr__(self, "x0_hat", np.asarray(self.x0_hat, dtype=float))
-        if self.Ts < 0.0:
-            raise ValueError(f"Ts must be >= 0, got {self.Ts}")
-        if self.R < 0.0:
-            raise ValueError(f"R must be >= 0, got {self.R}")
-        _check_psd(self.Q, "Q")
-        _check_psd(self.P0, "P0")
-        if not (self.P0[0, 0] + self.R > 0.0):
-            raise ValueError("P0[0,0] + R, the first innovation covariance, must be > 0")
-        if self.x0_hat.shape != (3,):
-            raise ValueError(f"x0_hat must have 3 entries, got {self.x0_hat.shape}")
-        object.__setattr__(self, "q_upper", _upper(self.Q))
+        if not (0.0 <= self.Ts < math.inf):
+            raise ValueError(f"Ts must be finite and >= 0, got {self.Ts}")
+        if not (0.0 <= self.R < math.inf):
+            raise ValueError(f"R must be finite and >= 0, got {self.R}")
+        for name in ("q_diag", "p0_diag", "x0_hat"):
+            v = getattr(self, name)
+            if len(v) != 3:
+                raise ValueError(f"{name} must have 3 entries, got {len(v)}")
+            if not all(math.isfinite(e) for e in v):
+                raise ValueError(f"{name} entries must be finite, got {tuple(v)}")
+            if name != "x0_hat" and min(v) < 0.0:
+                raise ValueError(f"{name} entries must be >= 0, got {tuple(v)}")
+        if not (self.p0_diag[0] + self.R > 0.0):
+            raise ValueError("p0_diag[0] + R, the first innovation covariance, must be > 0")
 
 
 class EkfState(NamedTuple):
     """Estimate (x1, x2, K1) and covariance upper triangle (p11, p12, p13, p22, p23, p33)."""
 
-    x_hat: tuple[float, float, float]
+    x_hat: Triple
     P: tuple[float, float, float, float, float, float]
 
 
 def ekf_init(cfg: EkfConfig) -> EkfState:
-    """The filter's state before its first update: x0_hat and P0 as floats."""
-    return EkfState(tuple(cfg.x0_hat.tolist()), _upper(cfg.P0))
+    """The filter's state before its first update: x0_hat and diagonal P0."""
+    p11, p22, p33 = cfg.p0_diag
+    return EkfState(cfg.x0_hat, (p11, 0.0, 0.0, p22, 0.0, p33))
 
 
-def _transition(x_hat, u: float, Ts: float, K2: float, g: float) -> tuple[float, float, float]:
+def _transition(x_hat, u: float, Ts: float, K2: float, g: float) -> Triple:
     x1, x2, k1 = x_hat
     return x1 + Ts * x2, x2 + Ts * (-k1 * x1 - K2 * x1**3 - g * u), k1
 
@@ -145,7 +136,8 @@ def ekf_predict(st: EkfState, u: float, cfg: EkfConfig, K2: float, g: float) -> 
 
     F = [[1, Ts, 0], [a, 1, b], [0, 0, 1]] with a and b as in
     `transition_jacobian`; the rows of F P come first, then the upper
-    triangle of (F P) F' + Q, so the result is symmetric by construction.
+    triangle of (F P) F' + Q with Q diagonal, so the result is symmetric by
+    construction.
     """
     p11, p12, p13, p22, p23, p33 = st.P
     x1, x2, k1 = st.x_hat
@@ -154,15 +146,15 @@ def ekf_predict(st: EkfState, u: float, cfg: EkfConfig, K2: float, g: float) -> 
     b = Ts * (-x1)
     f11, f12, f13 = p11 + Ts * p12, p12 + Ts * p22, p13 + Ts * p23
     f21, f22, f23 = a * p11 + p12 + b * p13, a * p12 + p22 + b * p23, a * p13 + p23 + b * p33
-    q11, q12, q13, q22, q23, q33 = cfg.q_upper
+    q11, q22, q33 = cfg.q_diag
     return EkfState(
         _transition(st.x_hat, u, Ts, K2, g),
         (
             (f11 + Ts * f12) + q11,
-            (a * f11 + f12 + b * f13) + q12,
-            f13 + q13,
+            a * f11 + f12 + b * f13,
+            f13,
             (a * f21 + f22 + b * f23) + q22,
-            f23 + q23,
+            f23,
             p33 + q33,
         ),
     )

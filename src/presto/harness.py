@@ -98,9 +98,9 @@ KINDS = ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated", "smc_baseline")
 # Scenario fields each kind's loop never reads; one set off its default is
 # rejected rather than silently ignored
 _UNUSED = {
-    "tsmc": ("smc", "smc_k1_nominal", "ekf"),
-    "tsmc_saturated": ("smc", "smc_k1_nominal", "ekf"),
-    "adaptive_tsmc_saturated": ("smc", "smc_k1_nominal"),
+    "tsmc": ("smc", "ekf"),
+    "tsmc_saturated": ("smc", "ekf"),
+    "adaptive_tsmc_saturated": ("smc",),
     "smc_baseline": ("tsmc", "observer", "ekf", "z0_offset", "stop_when_settled"),
 }
 
@@ -112,16 +112,14 @@ _SERIES_BLOCK = 8192
 class DivergenceError(RuntimeError):
     """The truth state, observer or EKF blew past its divergence guard.
 
-    Carries the partial trace, the names of the columns the run logs (the
-    header of a partial trace that holds no sample), the step time and the
-    peak state magnitude (inf when a value went non-finite).
+    Carries the partial trace (every logged column, with zero rows when the
+    run diverged before its first sample), the step time and the peak state
+    magnitude (inf when a value went non-finite).
     """
 
-    def __init__(self, message: str, trace: Trace, t: float, peak: float,
-                 names: tuple[str, ...] = ()):
+    def __init__(self, message: str, trace: Trace, t: float, peak: float):
         super().__init__(message)
         self.trace = trace
-        self.names = names
         self.t = t
         self.peak = peak
 
@@ -129,6 +127,11 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class Scenario:
     """One closed-loop experiment definition.
+
+    Each gain field holds one config section as its type: `tsmc` is
+    [controller], `observer` is [observer], `ekf` is [ekf] and `smc` is
+    [smc], the nominal K1 included.  The [scenario] keys and [observer]
+    z0_offset are fields of the Scenario itself.
 
     `stop_when_settled` (library only, observer kinds only) ends the run at
     the logged sample that completes the first settling window.  `t_s` is
@@ -152,7 +155,6 @@ class Scenario:
     observer: ObserverGains | None = None
     ekf: EkfConfig | None = None
     smc: SmcGains | None = None
-    smc_k1_nominal: float | None = None
     threshold_fraction: float = 0.02
     hold_duration: float = 0.5
     z0_offset: float = 0.0
@@ -180,8 +182,6 @@ class Scenario:
         if self.kind == "smc_baseline":
             if self.smc is None:
                 raise ValueError("smc_baseline needs [smc] gains")
-            if self.smc_k1_nominal is None:
-                raise ValueError("smc_baseline needs a nominal K1 value")
         else:
             if self.tsmc is None:
                 raise ValueError(f"kind {self.kind} needs sliding-mode gains")
@@ -290,14 +290,11 @@ class _SampleLog:
     def trace(self, offset: int) -> Trace:
         """The rows written below byte offset, as one contiguous array per column."""
         data = self.buf[: offset // self.row_bytes]
-        if not len(data):
-            return Trace(dt=self.dt)
         return Trace(dt=self.dt, columns={n: data[:, j].copy() for j, n in enumerate(self.names)})
 
 
 def _diverged(what: str, detail: str, t: float, peak: float, log: _SampleLog, offset: int):
-    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak,
-                           log.names)
+    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak)
 
 
 def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int):
@@ -324,15 +321,16 @@ def _disturbance_series(sc: Scenario) -> tuple[memoryview, float]:
 
 
 def _smc_loop(sc: Scenario) -> Trace:
-    """Fused `smc_control` + truth loop; every operand is hoisted to a local.
+    """Fused `smc_control` + truth loop; every operand is hoisted to a local,
+    the switching slope included.
 
     Bit-identical to composing `disturbance_value`, `smc_control` and
     `plant_derivative` step by step (tests/test_kernels.py holds it to that).
     """
     pp, gains = sc.plant, sc.smc
     nK1, K2, g = -pp.K1, pp.K2, pp.g
-    Y, Kg, K1n = gains.Y, gains.Kg, sc.smc_k1_nominal
-    dK = K1n - gains.K1_min
+    Y, Kg, K1n = gains.Y, gains.Kg, gains.K1_nominal
+    dK = max(K1n - gains.K1_min, gains.K1_max - K1n)
     dt, dec = sc.dt, sc.decimation
     lim = DIVERGENCE_LIMIT
 
@@ -551,15 +549,14 @@ def compare_controllers(
     reports: list[RunReport] = []
     for label, sc in entries:
         sc = replace(sc, label=label)
-        names = ()
         try:
             trace, report = run_scenario(sc)
         except DivergenceError as err:
             report = RunReport(label=label, kind=sc.kind, failed=str(err))
-            trace, names = err.trace, err.names
+            trace = err.trace
         if out is not None:
             path = out / f"{label}.csv"
-            export_trace(trace, path, names)
+            export_trace(trace, path)
             report.trace_path = path.name
         reports.append(report)
     text = format_report_table(reports)
@@ -602,13 +599,11 @@ def format_report_table(reports: list[RunReport]) -> str:
 
 def report_csv_rows(reports: list[RunReport]) -> str:
     """Machine-readable twin of the comparison table, full precision."""
-    cols = ["label", "kind", "u_l2", "u_linf", "ey_l2", "ey_linf", "ex_l2", "ex_linf",
-            "uc_l2", "uc_linf", "t_s", "failed", "trace"]
-    lines = [",".join(cols)]
+    metrics = [attr for _, attr in _TABLE_COLUMNS]
+    lines = [",".join(["label", "kind", *metrics, "t_s", "failed", "trace"])]
     for r in reports:
         vals = [r.label, r.kind]
-        for attr in ("u_l2", "u_linf", "ey_l2", "ey_linf", "ex_l2", "ex_linf",
-                     "uc_l2", "uc_linf"):
+        for attr in metrics:
             v = getattr(r, attr)
             vals.append("" if v is None or r.failed is not None else f"{v:.12e}")
         vals.append("" if r.t_s is None or r.failed is not None else f"{r.t_s:.12e}")
@@ -740,25 +735,24 @@ def _format_block(block: np.ndarray) -> np.ndarray:
     return chars[chars != 0]
 
 
-def export_trace(tr: Trace, path: Path | str, names: tuple[str, ...] = ()) -> None:
+def export_trace(tr: Trace, path: Path | str) -> None:
     """Write the trace as CSV: time first, then the other columns, LF endings.
 
     Every value is written as the bytes of `'%.12e' % value` (13 significant
     digits).  `_format_block` builds them in numpy a block of rows at a time
     and formats a value it does not take with `%`, so the file is byte for
     byte what a row-by-row `%` writer gives, and no whole-file string is built.
-
-    `names` is the header written for a trace that holds no column, such as
-    the partial trace of a run that diverged before its first logged sample.
+    A trace with zero rows, such as the partial trace of a run that diverged
+    before its first logged sample, is its header line alone.
     """
     path = Path(path)
-    names = list(tr.columns or names)
+    names = list(tr.columns)
     if "t" in names:
         names.remove("t")
         names.insert(0, "t")
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        if not tr.columns:
+        if not names:
             return
         columns = [tr.columns[name] for name in names]
         rows = max(1, _BLOCK_VALUES // len(columns))

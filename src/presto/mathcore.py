@@ -154,8 +154,6 @@ class Trace:
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"trace columns differ in length: {lengths}")
-        if self.columns and lengths == {0}:
-            raise ValueError("trace columns must hold at least one sample")
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:

@@ -47,17 +47,19 @@ class SingularModelError(ValueError):
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Dimensionless beam inputs for the coefficient assembly.
+    """Dimensionless beam inputs for the coefficient assembly: the [beam] section.
 
-    alpha : nonlocal parameter (ea / L)
-    beta  : strain-gradient length-scale parameter (l_m / L)
-    lam   : force scaling 12 L^3 / (E A h^2 r)
+    alpha     : nonlocal parameter (ea / L)
+    beta      : strain-gradient length-scale parameter (l_m / L)
+    lam       : force scaling 12 L^3 / (E A h^2 r)
+    mass_term : modal-mass variant of `galerkin_coefficients`, one of MASS_TERMS
     """
 
     alpha: float
     beta: float
     lam: float = 1.0
     quadrature_points: int = 64
+    mass_term: str = MASS_TERMS[0]
 
     def __post_init__(self):
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -66,6 +68,9 @@ class BeamParams:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.quadrature_points < 8:
             raise ValueError("quadrature_points must be >= 8")
+        if self.mass_term not in MASS_TERMS:
+            raise ValueError(f"mass_term must be one of {', '.join(MASS_TERMS)}, "
+                             f"got {self.mass_term!r}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +216,11 @@ def mode_integrals(n_points: int = 64) -> ModeIntegrals:
     )
 
 
-def galerkin_coefficients(bp: BeamParams, mass_term: str = "as_printed") -> PlantParams:
+def galerkin_coefficients(bp: BeamParams) -> PlantParams:
     """Assemble K1, K2, g from the mode integrals.
 
     The shared denominator is ``alpha^2 * I_dd - M`` where M is the last
-    integral of the modal mass term.  mass_term selects it:
+    integral of the modal mass term.  bp.mass_term selects it:
 
     * 'as_printed'  : M = int (phi')^2   (matches the reduction as published;
       the default)
@@ -224,12 +229,10 @@ def galerkin_coefficients(bp: BeamParams, mass_term: str = "as_printed") -> Plan
     Neither variant is asserted as the physically correct one; the reference
     plant coefficients are configuration inputs, not outputs of this path.
     """
-    if mass_term not in MASS_TERMS:
-        raise ValueError(f"unknown mass_term {mass_term!r}")
     mi = mode_integrals(bp.quadrature_points)
     a2 = bp.alpha**2
     b2 = bp.beta**2
-    mass_last = mi.I_pp2 if mass_term == "as_printed" else mi.I_00
+    mass_last = mi.I_pp2 if bp.mass_term == "as_printed" else mi.I_00
     den = a2 * mi.I_dd - mass_last
     if abs(den) < 1e-12:
         raise SingularModelError(f"modal-mass denominator is singular: {den}")

@@ -62,11 +62,11 @@ _OBSERVER_GAINS = ("k", "beta0", "eps")
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm setup: box, size, coefficients, speed caps, seed.
+    """Swarm setup: box, size, coefficients, speed cap, seed.
 
-    v_max defaults to 0.2 * (hi - lo) per dimension.  W, C1, C2 default to
-    the usual constriction-flavored constants; they are artifact defaults,
-    not tuned values.
+    Each dimension's speed cap is vmax_fraction * (hi - lo).  W, C1, C2
+    default to the usual constriction-flavored constants; they are artifact
+    defaults, not tuned values.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -76,7 +76,7 @@ class PsoConfig:
     W: float = 0.72
     C1: float = 1.49
     C2: float = 1.49
-    v_max: tuple[float, ...] | None = None
+    vmax_fraction: float = 0.2
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -88,21 +88,16 @@ class PsoConfig:
         for lo, hi in self.bounds:
             if not (lo < hi):
                 raise ValueError(f"bad search box [{lo}, {hi}]")
-        if self.v_max is not None:
-            if len(self.v_max) != len(self.bounds):
-                raise ValueError("v_max must match the box dimension")
-            if any(v <= 0.0 for v in self.v_max):
-                raise ValueError("v_max entries must be > 0")
+        if not (0.0 < self.vmax_fraction < math.inf):
+            raise ValueError(f"vmax_fraction must be finite and > 0, got {self.vmax_fraction}")
 
     @property
     def n_dims(self) -> int:
         return len(self.bounds)
 
     def speed_caps(self) -> np.ndarray:
-        if self.v_max is not None:
-            return np.asarray(self.v_max, dtype=float)
         box = np.asarray(self.bounds, dtype=float)
-        return 0.2 * (box[:, 1] - box[:, 0])
+        return self.vmax_fraction * (box[:, 1] - box[:, 0])
 
 
 @dataclass
@@ -130,7 +125,7 @@ def velocity_update(
     """New velocity: inertia plus random pulls toward both bests, clamped.
 
     v' = W*v + r1*C1*(P_best - X) + r2*C2*(G - X), with r1, r2 uniform
-    per-dimension draws in [0, 1], then |v'_i| <= v_max_i.
+    per-dimension draws in [0, 1], then clamped to the speed caps.
     """
     r1 = rng.random(cfg.n_dims)
     r2 = rng.random(cfg.n_dims)

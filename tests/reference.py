@@ -57,7 +57,7 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
         else:
             fb1, fb2, k1_fb = x1, x2, pp.K1
         if smc_kind:
-            out = smc_control((x1, x2), sc.smc, pp, sc.smc_k1_nominal)
+            out = smc_control((x1, x2), sc.smc, pp)
             u = out.u
             row = (t, x1, x2, u, d, out.s, out.u_eq, out.u_c)
         else:

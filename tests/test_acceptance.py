@@ -207,10 +207,10 @@ class TestCriterion8EstimatorAlgebra:
 
         cfg = EkfConfig(
             Ts=1e-3,
-            Q=np.diag([1e-4, 1e-4, 1e-2]),
+            q_diag=(1e-4, 1e-4, 1e-2),
             R=0.01,
-            P0=np.eye(3),
-            x0_hat=np.zeros(3),
+            p0_diag=(1.0, 1.0, 1.0),
+            x0_hat=(0.0, 0.0, 0.0),
         )
         rng = np.random.default_rng(88)
         worst = 0.0
@@ -233,7 +233,7 @@ class TestCriterion8EstimatorAlgebra:
         jac_ok = worst < 1e-6
 
         cfg0 = EkfConfig(
-            Ts=0.0, Q=np.diag([1.0, 0.0, 0.0]), R=1.0, P0=np.eye(3), x0_hat=np.zeros(3)
+            Ts=0.0, q_diag=(1.0, 0.0, 0.0), R=1.0, p0_diag=(1.0, 1.0, 1.0), x0_hat=(0.0, 0.0, 0.0)
         )
         st = EkfState(x_hat=(0.0, 0.0, 0.0), P=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         st = ekf_predict(st, 0.0, cfg0, -19.97, -1.09)

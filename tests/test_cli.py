@@ -123,7 +123,7 @@ class TestCoeffs:
         cfg = tmp_path / "beam.cfg"
         cfg.write_text("[beam]\nalpha = 0.1\nbeta = 0.05\nmass_term = phi\n")
         assert main(["coeffs", str(cfg)]) == 1
-        assert "[beam] mass_term: 'phi' is not one of" in capsys.readouterr().err
+        assert "mass_term must be one of as_printed, phi_squared, got 'phi'" in capsys.readouterr().err
 
     def test_beam_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "badbeam.cfg"
@@ -381,6 +381,14 @@ MALFORMED = {
     # S = P0[0,0] + r is zero at the first update
     "singular_first_innovation": edit_config(ADAPTIVE_JOB, ("r = 0.01", "r = 0.0"),
                                              ("p0_diag = 0.01,", "p0_diag = 0.0,")),
+    "non_finite_x0_hat": edit_config(ADAPTIVE_JOB, ("x0_hat = 1.0,", "x0_hat = nan,")),
+    "infinite_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11,", "q_diag = inf,")),
+    "nan_p0_diag": edit_config(ADAPTIVE_JOB, ("p0_diag = 0.01, 0.01,", "p0_diag = 0.01, nan,")),
+    "two_entry_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11, 2.25e-6, 1e-2",
+                                                   "q_diag = 2.025e-11, 2.25e-6")),
+    "negative_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11, 2.25e-6,",
+                                                  "q_diag = 2.025e-11, -2.25e-6,")),
+    "zero_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0\n"),
 }
 
 # what the error must say, for the cases that name a key or a section
@@ -396,7 +404,13 @@ NAMED = {
     "beam_beside_plant": "[beam]: unused section",
     "misspelled_required_key": "missing required key [controller] u_max; "
                                "[controller] u_mx: unknown key; did you mean u_max?",
-    "singular_first_innovation": "P0[0,0] + R, the first innovation covariance, must be > 0",
+    "singular_first_innovation": "p0_diag[0] + R, the first innovation covariance, must be > 0",
+    "non_finite_x0_hat": "x0_hat entries must be finite, got (nan, 5.0, 20.0)",
+    "infinite_q_diag": "q_diag entries must be finite, got (inf, 2.25e-06, 0.01)",
+    "nan_p0_diag": "p0_diag entries must be finite, got (0.01, nan, 6000.0)",
+    "two_entry_q_diag": "q_diag must have 3 entries, got 2",
+    "negative_q_diag": "q_diag entries must be >= 0, got (2.025e-11, -2.25e-06, 0.01)",
+    "zero_vmax_fraction": "vmax_fraction must be finite and > 0, got 0.0",
 }
 
 

@@ -27,7 +27,7 @@ def np_predict(x_hat: np.ndarray, P: np.ndarray, u, cfg, K2, g):
     through BLAS, so it agrees with the float predict only to rounding."""
     F = transition_jacobian(x_hat, cfg, K2)
     x_new = augmented_transition(x_hat, u, cfg, K2, g)
-    P_new = F @ P @ F.T + cfg.Q
+    P_new = F @ P @ F.T + np.diag(cfg.q_diag)
     P_new = 0.5 * (P_new + P_new.T)
     return x_new, P_new
 
@@ -94,10 +94,10 @@ def assert_predict_close(out: EkfState, x: np.ndarray, P: np.ndarray, u, cfg) ->
     within the rounding bound of the exact F P F' + Q, with F taken from
     `transition_jacobian`, and close to the numpy oracle."""
     assert bits(out.x_hat) == bits(augmented_transition(x, u, cfg, K2, G))
-    F = transition_jacobian(x, cfg, K2)
-    Fx, Px, Qx = _exact(F), _exact(P), _exact(cfg.Q)
+    F, Q = transition_jacobian(x, cfg, K2), np.diag(cfg.q_diag)
+    Fx, Px, Qx = _exact(F), _exact(P), _exact(Q)
     FP = [[sum(Fx[i][k] * Px[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    S = np.abs(F) @ np.abs(P) @ np.abs(F).T + np.abs(cfg.Q)
+    S = np.abs(F) @ np.abs(P) @ np.abs(F).T + np.abs(Q)
     slack = 6 * max(1.0, float(np.abs(F).max())) * _ETA
     for v, (i, j) in zip(out.P, zip(*np.triu_indices(3))):
         exact = sum(FP[i][k] * Fx[j][k] for k in range(3)) + Qx[i][j]
@@ -107,10 +107,8 @@ def assert_predict_close(out: EkfState, x: np.ndarray, P: np.ndarray, u, cfg) ->
     assert np.allclose(expand(out.P), P_ref, rtol=0.0, atol=1e-13 * float(S.max()))
 
 
-def make_cfg(Ts=1e-3, q=(1e-4, 1e-4, 1e-2), r=0.01, p0=(1.0, 1.0, 500.0)):
-    return EkfConfig(
-        Ts=Ts, Q=np.diag(q), R=r, P0=np.diag(p0), x0_hat=np.array([1.0, 5.0, 20.0])
-    )
+def make_cfg(Ts=1e-3, q=(1e-4, 1e-4, 1e-2), r=0.01, p0=(1.0, 1.0, 500.0), x0=(1.0, 5.0, 20.0)):
+    return EkfConfig(Ts=Ts, q_diag=tuple(q), R=r, p0_diag=tuple(p0), x0_hat=tuple(x0))
 
 
 class TestConfigValidation:
@@ -121,27 +119,31 @@ class TestConfigValidation:
     def test_zero_sample_time_allowed(self):
         assert make_cfg(Ts=0.0).Ts == 0.0
 
+    @pytest.mark.parametrize("key", ["q", "p0", "x0"])
+    def test_three_entries(self, key):
+        with pytest.raises(ValueError, match="must have 3 entries, got 2"):
+            make_cfg(**{key: (1.0, 1.0)})
+
     def test_q_must_be_psd(self):
-        q = np.diag([1e-4, 1e-4, 1e-2])
-        q[0, 1] = q[1, 0] = 1.0  # breaks PSD
-        with pytest.raises(ValueError):
-            EkfConfig(Ts=1e-3, Q=q, R=0.01, P0=np.eye(3), x0_hat=np.zeros(3))
+        # a diagonal Q is positive semidefinite exactly when no entry is negative
+        with pytest.raises(ValueError, match="q_diag entries must be >= 0"):
+            make_cfg(q=(1e-4, -1e-12, 1e-2))
 
-    def test_asymmetric_rejected(self):
-        q = np.diag([1e-4, 1e-4, 1e-2])
-        q[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            EkfConfig(Ts=1e-3, Q=q, R=0.01, P0=np.eye(3), x0_hat=np.zeros(3))
+    def test_p0_must_be_psd(self):
+        with pytest.raises(ValueError, match="p0_diag entries must be >= 0"):
+            make_cfg(p0=(1.0, -1e-12, 500.0))
 
-    @pytest.mark.parametrize("which", ["Q", "P0"])
-    def test_tiny_asymmetry_rejected(self, which):
-        # the filter keeps only the upper triangle, which cannot hold it
-        M = np.eye(3)
-        M[1, 2] += 1e-12
-        kw = dict(Ts=1e-3, Q=np.eye(3), R=0.01, P0=np.eye(3), x0_hat=np.zeros(3))
-        kw[which] = M
-        with pytest.raises(ValueError, match=f"{which} must be exactly symmetric"):
-            EkfConfig(**kw)
+    @pytest.mark.parametrize("key", ["q", "p0", "x0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, key, value):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            make_cfg(**{key: (1.0, value, 1.0)})
+
+    @pytest.mark.parametrize("key", ["Ts", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scalar_rejected(self, key, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_cfg(**{key: value})
 
     def test_initial_state_is_floats(self):
         cfg = make_cfg()
@@ -151,7 +153,7 @@ class TestConfigValidation:
         assert all(type(v) is float for v in st.x_hat + st.P)
 
     def test_zero_r_needs_initial_position_variance(self):
-        with pytest.raises(ValueError, match="P0"):
+        with pytest.raises(ValueError, match="p0_diag"):
             make_cfg(r=0.0, p0=(0.0, 1.0, 500.0))
         assert make_cfg(r=0.0).R == 0.0
 

@@ -147,9 +147,10 @@ class TestScenarioValidation:
             replace(base, ekf=replace(base.ekf, Ts=2.5e-4))
 
     def test_smc_needs_nominal(self):
+        # the nominal K1 is a required field of SmcGains, and must be finite
         base = load_scenario("s74")
-        with pytest.raises(ValueError, match="nominal"):
-            replace(base, smc_k1_nominal=None)
+        with pytest.raises(ValueError, match="K1_nominal must be finite"):
+            replace(base, smc=replace(base.smc, K1_nominal=math.nan))
 
     @pytest.mark.parametrize(
         "changes", [dict(tau=3.7), dict(sat=SatBounds(-1.0, 1.0))], ids=["tau", "sat"]
@@ -169,7 +170,7 @@ class TestScenarioValidation:
             ("s74", "z0_offset"),
             ("s74", "ekf"),
             ("s71", "smc"),
-            ("s72", "smc_k1_nominal"),
+            ("s72", "smc"),
             ("s73", "smc"),
             ("s71", "ekf"),
             ("s72", "ekf"),
@@ -178,7 +179,7 @@ class TestScenarioValidation:
     def test_fields_the_kind_never_reads(self, name, field):
         # the config loader cannot set these, but a library caller could,
         # and the kind's loop would then ignore them without a word
-        values = {"z0_offset": 1.0, "smc_k1_nominal": 97.4, "smc": load_scenario("s74").smc}
+        values = {"z0_offset": 1.0, "smc": load_scenario("s74").smc}
         s73 = load_scenario("s73")
         value = values[field] if field in values else getattr(s73, field)
         with pytest.raises(ValueError, match=f"does not use {field}"):
@@ -236,9 +237,9 @@ class TestTraceFiles:
         assert load_csv(path).dt == pytest.approx(0.5)
 
 
-def oracle_export(tr: Trace, path, names: tuple[str, ...] = ()) -> None:
+def oracle_export(tr: Trace, path) -> None:
     """The row-by-row `%.12e` writer that `export_trace` must match byte for byte."""
-    names = list(tr.columns or names)
+    names = list(tr.columns)
     if "t" in names:
         names.remove("t")
         names.insert(0, "t")
@@ -250,9 +251,9 @@ def oracle_export(tr: Trace, path, names: tuple[str, ...] = ()) -> None:
         fh.writelines(fmt % row for row in zip(*(tr.columns[name] for name in names)))
 
 
-def assert_oracle_bytes(directory, tr: Trace, names: tuple[str, ...] = ()) -> None:
-    export_trace(tr, directory / "kernel.csv", names)
-    oracle_export(tr, directory / "oracle.csv", names)
+def assert_oracle_bytes(directory, tr: Trace) -> None:
+    export_trace(tr, directory / "kernel.csv")
+    oracle_export(tr, directory / "oracle.csv")
     assert (directory / "kernel.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
@@ -311,7 +312,7 @@ class TestTraceBytes:
             run_scenario(sc)
         trace = exc.value.trace
         assert np.all(np.abs(trace.column("v_r")) >= 1e99)
-        assert_oracle_bytes(tmp_path, trace, exc.value.names)
+        assert_oracle_bytes(tmp_path, trace)
 
 
 # scenarios that settle, each with the full run's t_s

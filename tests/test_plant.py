@@ -79,12 +79,12 @@ class TestGalerkinCoefficients:
         assert stiffer.K1 > with_beta.K1
 
     def test_conventional_mass_variant(self):
-        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0), "phi_squared")
+        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0, mass_term="phi_squared"))
         assert pp.K1 == pytest.approx(PI**4, rel=1e-10)
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0), "bogus")
+        with pytest.raises(ValueError, match="mass_term"):
+            BeamParams(alpha=0.0, beta=0.0, lam=1.0, mass_term="bogus")
 
 
 REF = PlantParams(K1=97.4, K2=-19.97, g=-1.09)

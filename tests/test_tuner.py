@@ -46,13 +46,13 @@ def sphere(x):
 class TestVelocityUpdate:
     def test_pure_inertia(self):
         cfg = PsoConfig(bounds=((-10.0, 10.0),), W=1.0, C1=1e-12, C2=1e-12,
-                        v_max=(100.0,))
+                        vmax_fraction=5.0)
         p = Particle(X=np.array([1.0]), V=np.array([2.5]), P_best=np.array([1.0]))
         v = velocity_update(p, np.array([1.0]), cfg, FixedRng(0.0, 0.0))
         assert v[0] == pytest.approx(2.5)
 
     def test_attraction_vanishes_at_both_bests(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.5, v_max=(100.0,))
+        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.5, vmax_fraction=5.0)
         x = np.array([3.0])
         p = Particle(X=x, V=np.array([1.0]), P_best=x.copy())
         v = velocity_update(p, x.copy(), cfg, FixedRng(0.7, 0.9))
@@ -60,13 +60,13 @@ class TestVelocityUpdate:
 
     def test_pinned_draw_arithmetic(self):
         # W*v + r1*C1*(P-X) + r2*C2*(G-X) = 0.7 + 1 + 1 = 2.7 before clamping
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.7, C1=2.0, C2=2.0, v_max=(100.0,))
+        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.7, C1=2.0, C2=2.0, vmax_fraction=5.0)
         p = Particle(X=np.array([0.0]), V=np.array([1.0]), P_best=np.array([1.0]))
         v = velocity_update(p, np.array([1.0]), cfg, FixedRng(0.5, 0.5))
         assert v[0] == pytest.approx(2.7)
 
     def test_speed_cap(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=1.0, C1=10.0, C2=10.0, v_max=(0.5,))
+        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=1.0, C1=10.0, C2=10.0, vmax_fraction=0.025)
         p = Particle(X=np.array([0.0]), V=np.array([5.0]), P_best=np.array([10.0]))
         v = velocity_update(p, np.array([10.0]), cfg, FixedRng(1.0, 1.0))
         assert abs(v[0]) <= 0.5
