@@ -94,7 +94,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_tune(args) -> int:
     pso_cfg, template = cfgmod.load_pso_job(args.config)
-    result = pso_run(lambda x: fitness_settling_time(x, template), pso_cfg)
+    # the bound rides in the template, so fitness_settling_time keeps the
+    # (x, template) call shape that wrappers of it, such as the
+    # benchmark's counting one, rely on
+    result = pso_run(lambda x, bound: fitness_settling_time(x, replace(template, cutoff=bound)),
+                     pso_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(str(args.config)).stem

@@ -77,6 +77,8 @@ class TsmcGains:
     delta, mu     : reaching gains
     tau           : regularization of the saturated input map (> 0 there)
     sat           : actuator clamp used by the saturated law's plant model
+
+    Every gain, tau included, is finite and > 0.
     """
 
     alpha1: float
@@ -89,17 +91,17 @@ class TsmcGains:
     sat: SatBounds | None = None
 
     def __post_init__(self):
-        if not (self.alpha1 > 0.0 and self.beta1 > 0.0):
-            raise ValueError("surface gains alpha1 and beta1 must be > 0")
-        if not (self.delta > 0.0 and self.mu > 0.0):
-            raise ValueError("reaching gains delta and mu must be > 0")
+        for name in ("alpha1", "beta1", "delta", "mu"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"gain {name} must be finite and > 0, got {value}")
         if not check_exponent_pair(self.e1):
             raise ValueError(
                 f"exponent pair ({self.e1.p}, {self.e1.q}) is inadmissible: requires "
                 "p1/q1 > 1/2 to keep the control law nonsingular at zero error"
             )
-        if self.tau is not None and not (self.tau > 0.0):
-            raise ValueError(f"tau must be > 0 when present, got {self.tau}")
+        if self.tau is not None and not (0.0 < self.tau < math.inf):
+            raise ValueError(f"tau must be finite and > 0 when present, got {self.tau}")
         if self.sat is not None and not (self.sat.u_min < 0.0 < self.sat.u_max):
             raise ValueError(
                 f"clamp must bracket zero, got [{self.sat.u_min}, {self.sat.u_max}]"

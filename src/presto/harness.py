@@ -5,8 +5,8 @@ gains, and the integration setup.  `run_scenario` advances everything on a
 single fixed step:
 
     1. read the disturbance sample (`disturbance_value` evaluates the
-       waveform at every step time before the loop starts, one fixed
-       block of steps at a time);
+       waveform one fixed block of step times at a time, when the loop
+       reaches the block);
     2. (adaptive kind) EKF predict with the input averaged over the elapsed
        measurement interval, then correct with the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
@@ -14,7 +14,8 @@ single fixed step:
     4. read the disturbance estimate and sliding surface, evaluate the
        control law for the kind (plus the actuator clamp where configured);
     5. log the decimated sample, and end the run there when the scenario
-       stops at its first settling window and this sample completes it;
+       has a `settle_by` bound and this sample either completes the first
+       settling window or leaves no window able to start before the bound;
     6. advance the truth plant by one explicit Euler step;
     7. advance the observer with the forcing the plant actually received
        (g(x)*u in the plain loop, v_r in the saturated loops), re-anchored
@@ -29,12 +30,17 @@ of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
 `ekf_update` on the filter's plain-float state, and the loop's divergence
 guard is its only run-time check.
 
-A scenario with `stop_when_settled` (observer kinds only) ends its loop at
-the logged sample that completes the first settling window: the band
-`threshold_fraction * max(|x1(0)|, |x2(0)|)` and the hold window of
-`settling_time` are known before the first step, so `t_s` is the full
-run's and every trace column is a prefix of the full run's.  The PSO
-fitness sets it; a run that never settles still covers the horizon.
+A scenario with a `settle_by` bound (observer kinds only) stops early on a
+logged sample.  The band `threshold_fraction * max(|x1(0)|, |x2(0)|)` and
+the hold window of `settling_time` are known before the first step, and so
+is the earliest time a window can still start: the first sample time of
+the current run of in-band samples, or the next sample time when no such
+run is going, both written as `i * dt` as in the t column.  The run ends at
+the sample that completes the first window, so `t_s` is the full run's, or
+at the first sample after which the earliest start is at or past
+`settle_by`, so the full run's `t_s` is None or >= `settle_by`.  Either
+way every trace column is a prefix of the full run's.  `math.inf` stops at
+the first window only; the PSO fitness passes its particle's personal best.
 
 A run ends in DivergenceError, carrying the partial trace, when the truth
 state leaves the divergence limit or turns non-finite, when the observer
@@ -53,10 +59,12 @@ settling time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -101,12 +109,13 @@ _UNUSED = {
     "tsmc": ("smc", "ekf"),
     "tsmc_saturated": ("smc", "ekf"),
     "adaptive_tsmc_saturated": ("smc",),
-    "smc_baseline": ("tsmc", "observer", "ekf", "z0_offset", "stop_when_settled"),
+    "smc_baseline": ("tsmc", "observer", "ekf", "z0_offset", "settle_by"),
 }
 
 DIVERGENCE_LIMIT = 1e6
-# steps of the disturbance waveform evaluated at once
-_SERIES_BLOCK = 8192
+# steps of the disturbance waveform evaluated at once: the first block, and
+# the size at which the doubling of later blocks stops
+_SERIES_FIRST, _SERIES_BLOCK = 1024, 8192
 
 
 class DivergenceError(RuntimeError):
@@ -133,10 +142,13 @@ class Scenario:
     [smc], the nominal K1 included.  The [scenario] keys and [observer]
     z0_offset are fields of the Scenario itself.
 
-    `stop_when_settled` (library only, observer kinds only) ends the run at
-    the logged sample that completes the first settling window.  `t_s` is
-    unchanged, but the report norms then cover only the simulated prefix,
-    and a divergence after that window goes unseen.
+    `settle_by` (library only, observer kinds only; None runs the whole
+    horizon) ends the run at the logged sample that completes the first
+    settling window, or at the first logged sample after which no window
+    can start before `settle_by`.  A run ended the first way reports the
+    full run's `t_s`; one ended the second way reports None, and the full
+    run's `t_s` is then None or >= `settle_by`.  The report norms cover only
+    the simulated prefix, and a divergence after the stop goes unseen.
 
     A field the kind's loop never reads, such as the observer gains on
     `smc_baseline` or `ekf` outside `adaptive_tsmc_saturated`, must keep
@@ -158,7 +170,7 @@ class Scenario:
     threshold_fraction: float = 0.02
     hold_duration: float = 0.5
     z0_offset: float = 0.0
-    stop_when_settled: bool = False
+    settle_by: float | None = None
     label: str = "run"
 
     def __post_init__(self):
@@ -168,8 +180,8 @@ class Scenario:
             raise ValueError(f"x0 needs two entries, got {len(self.x0)}")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not (self.horizon > self.dt):
-            raise ValueError("horizon must exceed dt")
+        if not (self.dt < self.horizon < math.inf):
+            raise ValueError(f"horizon must be finite and exceed dt, got {self.horizon}")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
         # checked here too, so a bad settling rule fails before the run, not after it
@@ -302,22 +314,36 @@ def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int
     return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
 
 
-def _disturbance_series(sc: Scenario) -> tuple[memoryview, float]:
-    """d at every step time i*dt, as a 1-D memoryview that yields floats, and max |d|.
+class _DisturbanceSeries:
+    """d at every step time i*dt, evaluated one block of steps when the loop reaches it.
 
-    The waveform is evaluated block by block into the preallocated series, so
-    the step times and the evaluation's scratch arrays stay block-sized.
+    Iterating yields floats.  Blocks double from 1024 steps up to 8192, so
+    a run that stops early evaluates little past its stop, and a long run
+    pays the per-block numpy overhead only a few more times than with 8192
+    throughout.  `peak` is max |d| over the blocks evaluated so far: the
+    whole horizon once a full run ends, and the simulated prefix, up to the
+    end of its block, of a run that stopped early.
     """
-    n = int(round(sc.horizon / sc.dt))
-    series = np.empty(n)
-    peak = 0.0
-    for start in range(0, n, _SERIES_BLOCK):
-        block = series[start:start + _SERIES_BLOCK]
-        t = np.arange(start, start + len(block), dtype=float)
-        t *= sc.dt
-        block[:] = disturbance_value(sc.disturbance, t)
-        peak = float(np.max(np.abs(block), initial=peak))  # NaN propagates as in one max
-    return memoryview(series), peak
+
+    def __init__(self, sc: Scenario):
+        self.n = int(round(sc.horizon / sc.dt))
+        self.dt = sc.dt
+        self.spec = sc.disturbance
+        self.peak = 0.0
+
+    def __iter__(self) -> Iterator[float]:
+        return itertools.chain.from_iterable(self._blocks())
+
+    def _blocks(self) -> Iterator[memoryview]:
+        start, size = 0, _SERIES_FIRST
+        while start < self.n:
+            stop = min(start + size, self.n)
+            t = np.arange(start, stop, dtype=float)
+            t *= self.dt
+            block = disturbance_value(self.spec, t)
+            self.peak = float(np.max(np.abs(block), initial=self.peak))  # NaN propagates as in one max
+            yield memoryview(block)
+            start, size = stop, min(2 * size, _SERIES_BLOCK)
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -335,7 +361,7 @@ def _smc_loop(sc: Scenario) -> Trace:
     lim = DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    d_series, _ = _disturbance_series(sc)
+    d_series = _DisturbanceSeries(sc)
     log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
@@ -357,12 +383,14 @@ def _smc_loop(sc: Scenario) -> Trace:
         x2 += dt * dx2
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
             raise _state_diverged(x1, x2, t, log, offset)
-    del d_series  # the series must not outlive the loop into the trace copy
     return log.trace(offset)
 
 
 def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     """Fused loop of the three observer kinds; returns the trace and max |d|.
+
+    max |d| covers the whole horizon, or the simulated prefix (to the end
+    of its disturbance block) of a run that `settle_by` stopped.
 
     Take the feedback state (x1, x2) to be the truth, or in the adaptive
     kind the EKF estimate with its stiffness estimate in place of K1, and
@@ -430,23 +458,27 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         u_acc = 0.0
 
     u_c = 0.0
-    d_series, max_abs_d = _disturbance_series(sc)
+    d_series = _DisturbanceSeries(sc)
     if adaptive:
         # the measurement noise of every EKF cycle in one draw: the same
         # stream as one scalar draw per cycle
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-        n_cycles = len(range(0, len(d_series), fb_stride))
+        n_cycles = len(range(0, d_series.n, fb_stride))
         noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
-    stop = sc.stop_when_settled
-    if stop:
-        # the band and hold window of `settling_time`, and the length of
-        # the current run of in-band samples
+    settle_by = sc.settle_by
+    if settle_by is not None:
+        # the band and hold window of `settling_time`, the length of the
+        # current run of in-band samples, and the earliest time a window
+        # can still start: the time of the sample after the last one out
+        # of band, which is the current run's first sample time while a
+        # run is going and the next sample time otherwise
         band = sc.threshold_fraction * max(abs(x1), abs(x2))
         window = int(round(sc.hold_duration / log.dt)) + 1
         in_band = 0
+        earliest = 0.0
     for i, d in enumerate(d_series):
         t = i * dt
         if i == next_fb:
@@ -509,13 +541,16 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             pack(buf, offset, t, x1, x2, u, d, d_hat, s, s2, v, u_c,
                  fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
             offset += row_bytes
-            if stop:
+            if settle_by is not None:
                 if abs(x1) <= band and abs(x2) <= band:
                     in_band += 1
                     if in_band >= window:
                         break
                 else:
                     in_band = 0
+                    earliest = next_log * dt
+                if earliest >= settle_by:
+                    break
 
         dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
         x1 += dt * x2
@@ -529,8 +564,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             if -inf < z < inf:
                 raise _state_diverged(x1, x2, t, log, offset)
             raise _diverged("observer", f"z reached {z}", t, inf, log, offset)
-    del d_series  # the series must not outlive the loop into the trace copy
-    return log.trace(offset), max_abs_d
+    return log.trace(offset), d_series.peak
 
 
 def compare_controllers(

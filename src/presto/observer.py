@@ -21,6 +21,7 @@ deadline via `mathcore.prescribed_time_bound`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .mathcore import ExponentPair, _spow, sgn
@@ -39,9 +40,9 @@ __all__ = [
 class ObserverGains:
     """Observer design parameters.
 
-    k       : proportional decay gain (> 0)
-    beta0   : disturbance amplitude bound used by the switching term (> 0)
-    eps     : fractional-power (finite-time) gain (> 0)
+    k       : proportional decay gain (finite, > 0)
+    beta0   : disturbance amplitude bound used by the switching term (finite, > 0)
+    eps     : fractional-power (finite-time) gain (finite, > 0)
     e0      : odd exponent pair (p0, q0) of the fractional term
     """
 
@@ -51,8 +52,10 @@ class ObserverGains:
     e0: ExponentPair
 
     def __post_init__(self):
-        if not (self.k > 0.0 and self.beta0 > 0.0 and self.eps > 0.0):
-            raise ValueError("observer gains k, beta0, eps must all be > 0")
+        for name in ("k", "beta0", "eps"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"observer gain {name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,21 @@ toward both.  Specifics that pin the behavior down:
   box with the offending velocity component zeroed (absorbing boundary);
 * each generation evaluates current positions first and moves afterwards,
   so a single-generation run reports the best of the initial placements;
-* non-finite fitness values count as +inf.
+* non-finite fitness values count as +inf;
+* each evaluation is passed a bound, the particle's personal-best cost
+  (+inf in generation 1).  Costs are only ever compared with a strict `<`,
+  and the global best never exceeds a personal best, so a cost at or above
+  the bound changes no best and no history entry.  A fitness may therefore
+  return any value >= bound once it knows its cost is not below it
+  (adaptive capping, as in ParamILS: Hutter et al., JAIR 36, 2009).
 
 The stock fitness for gain tuning runs one closed-loop scenario with the
 candidate gains patched in and scores it by settling time, with an
 unsettled or divergent run penalized by horizon plus peak state excursion
 so the ordering stays total.  A run that settles stops at its first
 settling window: the tail is not simulated, so a divergence after settling
-is not scored.
+is not scored.  A run whose settling time can no longer beat the bound
+stops too, and is scored as unsettled over the prefix it simulated.
 """
 
 from __future__ import annotations
@@ -157,12 +164,16 @@ def _sanitize_cost(c) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult:
+def pso_run(fitness: Callable[[np.ndarray, float], float], cfg: PsoConfig) -> PsoResult:
     """Run the swarm loop and return the global best with its cost history.
 
     Each generation: evaluate all positions in particle-index order,
-    refresh personal and global bests, record the global best cost, then move every particle.  The
-    recorded history is nonincreasing by construction.
+    refresh personal and global bests, record the global best cost, then
+    move every particle.  The recorded history is nonincreasing by
+    construction.  `fitness(x, bound)` gets the particle's personal-best
+    cost as `bound` (+inf in generation 1); it may return any value
+    >= bound in place of a cost it knows is not below it, and the result
+    is the same as with exact costs.
     """
     box = np.asarray(cfg.bounds, dtype=float)
     caps = cfg.speed_caps()
@@ -177,7 +188,7 @@ def pso_run(fitness: Callable[[np.ndarray], float], cfg: PsoConfig) -> PsoResult
     g_cost = math.inf
     history: list[float] = []
     for gen in range(1, cfg.max_generations + 1):
-        costs = [_sanitize_cost(fitness(p.X)) for p in particles]
+        costs = [_sanitize_cost(fitness(p.X, p.P_best_cost)) for p in particles]
         for p, c in zip(particles, costs):
             if c < p.P_best_cost:
                 p.P_best_cost = c
@@ -202,11 +213,14 @@ class TuneTemplate:
 
     At least one name, and every name must be a gain the scenario has: the
     observer gains need an observer, the others sliding-mode gains, and tau
-    a saturated kind.  So `smc_baseline` cannot be tuned.
+    a saturated kind.  So `smc_baseline` cannot be tuned.  `cutoff` is the
+    bound `fitness_settling_time` may stop a run at; `presto tune` sets it
+    to each evaluation's `pso_run` bound.
     """
 
     scenario: "Scenario"
     names: tuple[str, ...]
+    cutoff: float = math.inf
 
     def __post_init__(self):
         unknown = set(self.names) - set(DEFAULT_TUNE_BOXES)
@@ -228,13 +242,21 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     """Cost of one candidate gain vector: closed-loop settling time.
 
     Nonpositive entries fail the positivity gate and cost +inf without
-    simulating.  A settled run stops at its first settling window
-    (`Scenario.stop_when_settled`) and costs its settling time; the tail is
-    not simulated, so a divergence after settling is not scored.  An
-    unsettled or divergent run costs horizon plus the peak state magnitude
-    reached, so every candidate is comparable.  Exponent pairs are never
-    part of the vector; they are discrete, gate-constrained quantities and
-    stay fixed in the template.
+    simulating.  A settled run stops at its first settling window and costs
+    its settling time; the tail is not simulated, so a divergence after
+    settling is not scored.  An unsettled or divergent run costs horizon
+    plus the peak state magnitude reached, so every candidate is
+    comparable.  Exponent pairs are never part of the vector; they are
+    discrete, gate-constrained quantities and stay fixed in the template.
+
+    With `template.cutoff` below the horizon, the run also stops once no
+    settling window can start before the cutoff (`Scenario.settle_by`).
+    Such a capped run costs horizon plus the peak over the simulated
+    prefix: more than the cutoff, as its uncapped cost is too, though not
+    that cost.  Every cost below the cutoff is the uncapped cost exactly.  A
+    cutoff at or past the horizon caps nothing, since an unsettled run's
+    cost may still lie below it.  This is the `pso_run` bound contract;
+    the two-argument call shape stays, so the bound travels in the template.
     """
     from . import harness  # local import; harness depends on this module's siblings
 
@@ -244,7 +266,7 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     if any(v <= 0.0 for v in vec):
         return math.inf
     sc = _patch_scenario(template.scenario, dict(zip(template.names, vec)))
-    sc = replace(sc, stop_when_settled=True)
+    sc = replace(sc, settle_by=template.cutoff if template.cutoff < sc.horizon else math.inf)
     try:
         trace, report = harness.run_scenario(sc)
     except harness.DivergenceError as err:

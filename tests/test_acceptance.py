@@ -255,7 +255,7 @@ class TestCriterion9SwarmSanity:
     def test_sphere_benchmark_ten_seeds(self):
         center = np.array([0.5, -1.2, 2.3])
 
-        def sphere(x):
+        def sphere(x, bound):
             return float(np.sum((x - center) ** 2))
 
         worst_cost = 0.0

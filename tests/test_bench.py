@@ -5,14 +5,19 @@ list where the caller looks it up.  The list is read out of the script's
 source, without importing the script, so a refactor that moves or renames
 one of those functions fails here instead of in a traced benchmark run.
 The benchmark also counts work by replacing `harness.run_scenario` with a
-wrapper that takes exactly one positional scenario.
+wrapper that takes exactly one positional scenario, and
+`cli.fitness_settling_time` with one that takes exactly `(x, template)`.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import presto.cli as cli
 import presto.harness as harness
 from presto.config import load_pso_job
 from presto.harness import Scenario
@@ -54,4 +59,22 @@ def test_fitness_runs_one_scenario_through_a_one_argument_wrapper(monkeypatch):
     for calls, tpl in enumerate((template, unsettled, template), start=1):
         fitness_settling_time([4.0, 7.0, 10.0], tpl)
         assert len(seen) == calls
-        assert isinstance(seen[-1], Scenario) and seen[-1].stop_when_settled
+        assert isinstance(seen[-1], Scenario) and seen[-1].settle_by is not None
+
+
+def test_tune_calls_fitness_through_a_two_argument_wrapper(monkeypatch, tmp_path):
+    fitness = cli.fitness_settling_time
+    cutoffs = []
+
+    def counted_fitness(x, template, /):  # the signature of the benchmark's wrapper
+        cutoffs.append(template.cutoff)
+        return fitness(x, template)
+
+    monkeypatch.setattr(cli, "fitness_settling_time", counted_fitness)
+    cfg, _ = load_pso_job("tune_s71")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tune", "tune_s71", "--out", str(tmp_path)]) == 0
+    assert len(cutoffs) == cfg.swarm_size * cfg.max_generations
+    # the personal-best bound reaches the fitness from the second generation on
+    assert all(c == math.inf for c in cutoffs[: cfg.swarm_size])
+    assert any(math.isfinite(c) for c in cutoffs[cfg.swarm_size:])

@@ -389,6 +389,9 @@ MALFORMED = {
     "negative_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11, 2.25e-6,",
                                                   "q_diag = 2.025e-11, -2.25e-6,")),
     "zero_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0\n"),
+    "infinite_horizon": TUNE_JOB.replace("horizon = 0.5", "horizon = inf"),
+    "infinite_observer_gain": TUNE_JOB.replace("k = 4.0", "k = inf"),
+    "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
 }
 
 # what the error must say, for the cases that name a key or a section
@@ -411,6 +414,9 @@ NAMED = {
     "two_entry_q_diag": "q_diag must have 3 entries, got 2",
     "negative_q_diag": "q_diag entries must be >= 0, got (2.025e-11, -2.25e-06, 0.01)",
     "zero_vmax_fraction": "vmax_fraction must be finite and > 0, got 0.0",
+    "infinite_horizon": "horizon must be finite and exceed dt, got inf",
+    "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
+    "nan_controller_gain": "gain mu must be finite and > 0, got nan",
 }
 
 

@@ -67,6 +67,10 @@ class TestGainGates:
             TsmcGains(0.0, 9.0, ExponentPair(3, 5), ExponentPair(1, 3), 5.0, 1e-4)
         with pytest.raises(ValueError):
             TsmcGains(1.0, 9.0, ExponentPair(3, 5), ExponentPair(1, 3), 0.0, 1e-4)
+        for name in ("alpha1", "beta1", "delta", "mu", "tau"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    replace(G72, **{name: bad})
 
     def test_clamp_must_bracket_zero(self):
         with pytest.raises(ValueError):

@@ -331,12 +331,21 @@ def assert_prefix(short, full):
         assert np.array_equal(col, full.columns[name][: len(col)]), name
 
 
+@pytest.fixture(scope="module")
+def settling_runs():
+    """Each SETTLING scenario with its full run, as (scenario, trace, report)."""
+    out = {}
+    for name, make in SETTLING.items():
+        sc = make()
+        out[name] = (sc, *run_scenario(sc))
+    return out
+
+
 class TestStopWhenSettled:
     @pytest.mark.parametrize("name", sorted(SETTLING))
-    def test_stops_at_first_window_with_the_same_t_s(self, name):
-        sc = SETTLING[name]()
-        full, full_report = run_scenario(sc)
-        short, report = run_scenario(replace(sc, stop_when_settled=True))
+    def test_stops_at_first_window_with_the_same_t_s(self, settling_runs, name):
+        sc, full, full_report = settling_runs[name]
+        short, report = run_scenario(replace(sc, settle_by=math.inf))
         assert full_report.t_s is not None
         assert report.t_s == full_report.t_s
         assert_prefix(short, full)
@@ -348,11 +357,33 @@ class TestStopWhenSettled:
     def test_unsettled_run_covers_the_horizon(self, bundled_runs):
         sc, full, full_report, _ = bundled_runs["s73"]
         assert full_report.t_s is None
-        short, report = run_scenario(replace(sc, stop_when_settled=True))
+        short, report = run_scenario(replace(sc, settle_by=math.inf))
         assert report.t_s is None
         assert short.n_samples == full.n_samples
         assert_prefix(short, full)
 
     def test_rejected_on_smc_baseline(self):
-        with pytest.raises(ValueError, match="stop_when_settled"):
-            replace(load_scenario("s74"), stop_when_settled=True)
+        with pytest.raises(ValueError, match="settle_by"):
+            replace(load_scenario("s74"), settle_by=math.inf)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_bound_keeps_the_prefix_and_every_t_s_below_it(self, settling_runs, data):
+        name = data.draw(st.sampled_from(sorted(SETTLING)), label="scenario")
+        sc, full, full_report = settling_runs[name]
+        # the stop rule ties at sample times, and at the samples around t_s
+        # it decides between the full run's t_s and None
+        times = full.column("t").tolist()
+        k = times.index(full_report.t_s)
+        ties = [times[k - 1], times[k], math.nextafter(times[k], math.inf), times[k + 1]]
+        bound = data.draw(st.floats(-1.0, 2.0 * sc.horizon) | st.sampled_from(times)
+                          | st.sampled_from(ties), label="settle_by")
+        short, report = run_scenario(replace(sc, settle_by=bound))
+        assert_prefix(short, full)
+        if full_report.t_s < bound:
+            assert report.t_s == full_report.t_s
+        if report.t_s is None:
+            assert full_report.t_s >= bound
+        else:
+            assert report.t_s == full_report.t_s
+            assert short.n_samples < full.n_samples

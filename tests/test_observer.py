@@ -22,11 +22,13 @@ G71 = ObserverGains(k=4.0, beta0=7.0, eps=10.0, e0=ExponentPair(1, 7))
 
 
 class TestGainsValidation:
-    @pytest.mark.parametrize("kw", [dict(k=0.0), dict(beta0=-1.0), dict(eps=0.0)])
+    @pytest.mark.parametrize("kw", [dict(k=0.0), dict(beta0=-1.0), dict(eps=0.0),
+                                    dict(k=math.inf), dict(beta0=math.nan), dict(eps=math.inf),
+                                    dict(k=math.nan)])
     def test_positivity(self, kw):
         base = dict(k=4.0, beta0=7.0, eps=10.0, e0=ExponentPair(1, 7))
         base.update(kw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"observer gain {next(iter(kw))} must be"):
             ObserverGains(**base)
 
 

@@ -39,7 +39,7 @@ def sphere_cfg(seed=0, swarm=20, gens=100):
 CENTER = np.array([0.5, -1.2, 2.3])
 
 
-def sphere(x):
+def sphere(x, bound):
     return float(np.sum((x - CENTER) ** 2))
 
 
@@ -107,14 +107,14 @@ class TestPsoRun:
     def test_single_generation_reports_initial_best(self):
         calls = []
 
-        def probe(x):
+        def probe(x, bound):
             calls.append(x.copy())
-            return sphere(x)
+            return sphere(x, bound)
 
         cfg = PsoConfig(bounds=((-5.0, 5.0),) * 3, swarm_size=2, max_generations=1, seed=3)
         res = pso_run(probe, cfg)
         assert len(calls) == 2
-        assert res.best_cost == pytest.approx(min(sphere(c) for c in calls))
+        assert res.best_cost == pytest.approx(min(sphere(c, math.inf) for c in calls))
 
     def test_seeded_determinism(self):
         a = pso_run(sphere, sphere_cfg(seed=9, gens=30))
@@ -123,15 +123,15 @@ class TestPsoRun:
         assert np.array_equal(a.best_x, b.best_x)
 
     def test_nonfinite_fitness_becomes_infinite_cost(self):
-        def holed(x):
-            return math.nan if x[0] > 0 else sphere(x)
+        def holed(x, bound):
+            return math.nan if x[0] > 0 else sphere(x, bound)
 
         res = pso_run(holed, sphere_cfg(seed=6, gens=20))
         assert math.isfinite(res.best_cost)
         assert res.best_x[0] <= 0
 
     def test_numpy_scalar_fitness_is_accepted(self):
-        def np_sphere(x):
+        def np_sphere(x, bound):
             return np.sum((x - CENTER) ** 2)  # np.float64, not float
 
         res = pso_run(np_sphere, sphere_cfg(seed=2, gens=40))
@@ -142,7 +142,7 @@ class TestPsoRun:
                         max_generations=15, seed=8)
         seen = []
 
-        def watcher(x):
+        def watcher(x, bound):
             seen.append(x.copy())
             return float(np.sum(x**2))
 
@@ -200,7 +200,7 @@ def full_horizon_fitness(design_vector, template: TuneTemplate) -> float:
     controller = {k: v for k, v in gains.items() if k not in observer}
     sc = replace(sc, observer=replace(sc.observer, **observer),
                  tsmc=replace(sc.tsmc, **controller))
-    assert not sc.stop_when_settled
+    assert sc.settle_by is None
     try:
         trace, report = run_scenario(sc)
     except DivergenceError as err:
@@ -211,27 +211,38 @@ def full_horizon_fitness(design_vector, template: TuneTemplate) -> float:
     return report.t_s
 
 
+def assert_bound_contract(cost, exact, bound):
+    """A cost below its bound is the full-horizon cost; any other cost and
+    the full-horizon cost are both at or above the bound."""
+    if cost < bound:
+        assert cost == exact
+    else:
+        assert exact >= bound
+
+
 class TestEarlyStopEquivalence:
     def test_pso_answer_is_bit_identical(self, job):
         cfg, template = job
-        costs = {"early": [], "full": []}
+        evals = []  # (bound, cost, full-horizon cost) of each capped evaluation
 
-        def recorded(key, fitness):
-            def run(x):
-                costs[key].append(fitness(x, template))
-                return costs[key][-1]
-            return run
+        def capped(x, bound):
+            cost = fitness_settling_time(x, replace(template, cutoff=bound))
+            evals.append((bound, cost, full_horizon_fitness(x, template)))
+            return cost
 
-        early = pso_run(recorded("early", fitness_settling_time), cfg)
-        full = pso_run(recorded("full", full_horizon_fitness), cfg)
-        assert costs["early"] == costs["full"]
-        assert len(costs["early"]) == cfg.swarm_size * cfg.max_generations
+        early = pso_run(capped, cfg)
+        full = pso_run(lambda x, bound: full_horizon_fitness(x, template), cfg)
+        assert len(evals) == cfg.swarm_size * cfg.max_generations
+        for bound, cost, exact in evals:
+            assert_bound_contract(cost, exact, bound)
+        assert any(cost != exact for _, cost, exact in evals)  # some runs were capped
         assert np.array_equal(early.best_x, full.best_x)
         assert early.best_cost == full.best_cost
         assert early.history == full.history
 
     def test_random_six_gain_candidates(self, job):
-        # settled and unsettled candidates alike cost the same
+        # settled and unsettled candidates alike cost the same without a
+        # cutoff, and keep the bound contract under a random one
         _, base = job
         names = ("k", "beta0", "eps", "alpha1", "beta1", "delta")
         template = TuneTemplate(scenario=replace(base.scenario, horizon=2.0), names=names)
@@ -241,9 +252,12 @@ class TestEarlyStopEquivalence:
         settled = 0
         for _ in range(40):
             x = box[:, 0] + rng.random(len(names)) * (box[:, 1] - box[:, 0])
-            cost = fitness_settling_time(x, template)
-            assert cost == full_horizon_fitness(x, template), x
-            settled += cost < template.scenario.horizon
+            exact = full_horizon_fitness(x, template)
+            assert fitness_settling_time(x, template) == exact, x
+            bound = float(rng.uniform(0.0, 1.5 * template.scenario.horizon))
+            cost = fitness_settling_time(x, replace(template, cutoff=bound))
+            assert_bound_contract(cost, exact, bound)
+            settled += exact < template.scenario.horizon
         assert 0 < settled < 40
 
 
