@@ -32,7 +32,6 @@ from .plant import (
     PlantParams,
     disturbance_value,
     galerkin_coefficients,
-    mode_integrals,
     plant_derivative,
 )
 from .observer import ObserverGains, ObserverState, disturbance_estimate, observer_advance, observer_init

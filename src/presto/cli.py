@@ -118,8 +118,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     bp = cfgmod.load_beam_params(args.config)
-    print(f"alpha={bp.alpha:g} beta={bp.beta:g} lambda={bp.lam:g} "
-          f"points={bp.quadrature_points}")
+    print(f"alpha={bp.alpha:g} beta={bp.beta:g} lambda={bp.lam:g}")
     for variant in MASS_TERMS:
         pp = galerkin_coefficients(replace(bp, mass_term=variant))
         print(f"  mass_term={variant:<12} K1={pp.K1:.10g}  K2={pp.K2:.10g}  g={pp.g:.10g}")

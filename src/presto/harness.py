@@ -178,6 +178,10 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         if len(self.x0) != 2:
             raise ValueError(f"x0 needs two entries, got {len(self.x0)}")
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ValueError(f"x0 entries must be finite, got {self.x0}")
+        if not math.isfinite(self.z0_offset):
+            raise ValueError(f"z0_offset must be finite, got {self.z0_offset}")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (self.dt < self.horizon < math.inf):
@@ -189,8 +193,8 @@ class Scenario:
             raise ValueError(
                 f"threshold_fraction must lie in (0, 1), got {self.threshold_fraction}"
             )
-        if not (self.hold_duration >= 0.0):
-            raise ValueError(f"hold_duration must be >= 0, got {self.hold_duration}")
+        if not (0.0 <= self.hold_duration < math.inf):
+            raise ValueError(f"hold_duration must be finite and >= 0, got {self.hold_duration}")
         if self.kind == "smc_baseline":
             if self.smc is None:
                 raise ValueError("smc_baseline needs [smc] gains")

@@ -202,8 +202,8 @@ def settling_time(
     """
     if not (0.0 < threshold_fraction < 1.0):
         raise ValueError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
-    if hold_duration < 0.0:
-        raise ValueError(f"hold_duration must be >= 0, got {hold_duration}")
+    if not (0.0 <= hold_duration < math.inf):
+        raise ValueError(f"hold_duration must be finite and >= 0, got {hold_duration}")
     x1 = tr.column("x1")
     x2 = tr.column("x2")
     if len(x1) == 0:

@@ -9,11 +9,11 @@ modal ODE with linear stiffness K1, cubic stiffness K2 and input gain g:
     x2' = -K1*x1 - K2*x1**3 - g*u + d(t)
 
 The stiffness and input coefficients follow from ratios of mode-shape
-integrals; `mode_integrals` evaluates those by fixed-order composite
-Gauss-Legendre quadrature and `galerkin_coefficients` assembles them.  The
-reference plant used by the bundled scenarios (K1=97.4, K2=-19.97, g=-1.09)
-is supplied directly through configuration; the quadrature path is an
-independent utility for exploring other beam parameters.
+integrals over the unit span.  For the sine mode each integral has a
+closed form, held below as a module constant, and `galerkin_coefficients`
+assembles them.  The reference plant used by the bundled scenarios
+(K1=97.4, K2=-19.97, g=-1.09) is supplied directly through configuration;
+the assembly is a utility for exploring other beam parameters.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
     "PlantParams",
     "DisturbanceTerm",
     "DisturbanceSpec",
-    "ModeIntegrals",
-    "SingularModelError",
-    "mode_integrals",
     "galerkin_coefficients",
     "plant_derivative",
     "disturbance_value",
@@ -40,9 +37,14 @@ __all__ = [
 # the modal-mass variants of `galerkin_coefficients`, the default first
 MASS_TERMS = ("as_printed", "phi_squared")
 
-
-class SingularModelError(ValueError):
-    """Raised when the modal-mass denominator of the reduction vanishes."""
+# closed forms of the sine-mode integrals over [0, 1], phi(x) = sin(pi*x)
+I_PP2 = math.pi**2 / 2  # int (phi')^2
+I_DD = -(math.pi**2) / 2  # int phi'' phi
+I_4 = math.pi**4 / 2  # int phi'''' phi
+I_6 = -(math.pi**6) / 2  # int phi^(6) phi
+I_3P = -(math.pi**4) / 2  # int phi''' phi'
+I_PP2SQ = math.pi**4 / 2  # int (phi'')^2
+I_00 = 0.5  # int phi^2
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class BeamParams:
     alpha: float
     beta: float
     lam: float = 1.0
-    quadrature_points: int = 64
     mass_term: str = MASS_TERMS[0]
 
     def __post_init__(self):
@@ -66,8 +67,6 @@ class BeamParams:
             raise ValueError("alpha and beta must be nonnegative")
         if not (self.lam > 0.0):
             raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.quadrature_points < 8:
-            raise ValueError("quadrature_points must be >= 8")
         if self.mass_term not in MASS_TERMS:
             raise ValueError(f"mass_term must be one of {', '.join(MASS_TERMS)}, "
                              f"got {self.mass_term!r}")
@@ -104,6 +103,9 @@ class DisturbanceTerm:
     def __post_init__(self):
         if self.kind not in ("sin_linear", "sin_sqrt"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.rate)):
+            raise ValueError(f"disturbance amplitude and rate must be finite, "
+                             f"got {self.amplitude} and {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class DisturbanceSpec:
             times, values = self.table
             if len(times) != len(values) or len(times) < 2:
                 raise ValueError("tabulated disturbance needs >= 2 aligned samples")
+            if not all(math.isfinite(v) for v in (*times, *values)):
+                raise ValueError("tabulated times and values must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError("tabulated times must be strictly increasing")
 
@@ -160,85 +164,27 @@ def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | n
     return float(d) if d.ndim == 0 else d
 
 
-@dataclass(frozen=True)
-class ModeIntegrals:
-    """Integrals of the sine mode over the unit span.
-
-    I_pp2   = int (phi')^2        I_dd  = int phi'' phi
-    I_4     = int phi'''' phi     I_6   = int phi^(6) phi
-    I_3p    = int phi''' phi'     I_pp2sq = int (phi'')^2
-    I_00    = int phi^2
-    """
-
-    I_pp2: float
-    I_dd: float
-    I_4: float
-    I_6: float
-    I_3p: float
-    I_pp2sq: float
-    I_00: float
-
-
-def _composite_gauss(f, n_points: int) -> float:
-    # composite Gauss-Legendre on [0, 1]: order-8 panels, >= n_points nodes total
-    order = 8
-    panels = max(1, -(-n_points // order))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    h = 1.0 / panels
-    for k in range(panels):
-        mid = (k + 0.5) * h
-        x = mid + 0.5 * h * nodes
-        total += 0.5 * h * float(np.sum(weights * f(x)))
-    return total
-
-
-def mode_integrals(n_points: int = 64) -> ModeIntegrals:
-    """Quadrature evaluation of the seven mode-shape integrals.
-
-    The integrands are smooth trigonometric products, so the fixed-order
-    composite rule converges far below the 1e-10 absolute target at the
-    default node count.
-    """
-    if n_points < 8:
-        raise ValueError("n_points must be >= 8")
-    pi = math.pi
-    return ModeIntegrals(
-        I_pp2=_composite_gauss(lambda x: (pi * np.cos(pi * x)) ** 2, n_points),
-        I_dd=_composite_gauss(lambda x: (-pi**2 * np.sin(pi * x)) * np.sin(pi * x), n_points),
-        I_4=_composite_gauss(lambda x: (pi**4 * np.sin(pi * x)) * np.sin(pi * x), n_points),
-        I_6=_composite_gauss(lambda x: (-pi**6 * np.sin(pi * x)) * np.sin(pi * x), n_points),
-        I_3p=_composite_gauss(
-            lambda x: (-pi**3 * np.cos(pi * x)) * (pi * np.cos(pi * x)), n_points
-        ),
-        I_pp2sq=_composite_gauss(lambda x: (-pi**2 * np.sin(pi * x)) ** 2, n_points),
-        I_00=_composite_gauss(lambda x: np.sin(pi * x) ** 2, n_points),
-    )
-
-
 def galerkin_coefficients(bp: BeamParams) -> PlantParams:
     """Assemble K1, K2, g from the mode integrals.
 
-    The shared denominator is ``alpha^2 * I_dd - M`` where M is the last
+    The shared denominator is ``alpha^2 * I_DD - M`` where M is the last
     integral of the modal mass term.  bp.mass_term selects it:
 
-    * 'as_printed'  : M = int (phi')^2   (matches the reduction as published;
-      the default)
-    * 'phi_squared' : M = int phi^2      (the conventional mass integral)
+    * 'as_printed'  : M = I_PP2 = int (phi')^2   (matches the reduction as
+      published; the default)
+    * 'phi_squared' : M = I_00 = int phi^2      (the conventional mass integral)
 
     Neither variant is asserted as the physically correct one; the reference
     plant coefficients are configuration inputs, not outputs of this path.
     """
-    mi = mode_integrals(bp.quadrature_points)
     a2 = bp.alpha**2
     b2 = bp.beta**2
-    mass_last = mi.I_pp2 if bp.mass_term == "as_printed" else mi.I_00
-    den = a2 * mi.I_dd - mass_last
-    if abs(den) < 1e-12:
-        raise SingularModelError(f"modal-mass denominator is singular: {den}")
-    k1 = (b2 * mi.I_6 - mi.I_4) / den
-    num_a = 0.5 * mi.I_pp2 * mi.I_dd - b2 * (mi.I_3p * mi.I_dd + mi.I_pp2sq * mi.I_dd)
-    num_b = 0.5 * a2 * mi.I_pp2 * mi.I_4 - a2 * b2 * (mi.I_3p * mi.I_4 + mi.I_pp2sq * mi.I_4)
+    mass_last = I_PP2 if bp.mass_term == "as_printed" else I_00
+    # I_DD < 0 < I_00 <= I_PP2, so den <= -0.5 for every real alpha: never singular
+    den = a2 * I_DD - mass_last
+    k1 = (b2 * I_6 - I_4) / den
+    num_a = 0.5 * I_PP2 * I_DD - b2 * (I_3P * I_DD + I_PP2SQ * I_DD)
+    num_b = 0.5 * a2 * I_PP2 * I_4 - a2 * b2 * (I_3P * I_4 + I_PP2SQ * I_4)
     k2 = (num_a - num_b) / den
     g = bp.lam * (a2 * math.pi**2 + 1.0) / den
     return PlantParams(K1=k1, K2=k2, g=g)

@@ -115,9 +115,11 @@ class TestValidate:
 class TestCoeffs:
     def test_prints_both_variants(self, capsys):
         assert main(["coeffs", "beam"]) == 0
-        out = capsys.readouterr().out
-        assert "as_printed" in out and "phi_squared" in out
-        assert "K1=" in out
+        # the variant lines byte for byte, below the parameter header
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  mass_term=as_printed   K1=10.01299716  K2=2.684082998  g=-2.645255849",
+            "  mass_term=phi_squared  K1=90.84638519  K2=24.35227276  g=-24",
+        ]
 
     def test_mass_term_must_name_a_variant(self, tmp_path, capsys):
         cfg = tmp_path / "beam.cfg"
@@ -368,12 +370,22 @@ MALFORMED = {
                                                  "[observer]\nsmooth_sgn_width = 1e-3\n"),
     "threshold_out_of_range": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nthreshold_fraction = 1.5"),
     "negative_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = -0.5"),
+    "infinite_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = inf"),
+    "nan_x0": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nx0 = nan, 5.0"),
+    "infinite_z0_offset": TUNE_JOB.replace("q0 = 7", "q0 = 7\nz0_offset = inf"),
+    "infinite_amplitude": TUNE_JOB + "\n[disturbance]\nterms = inf sin_linear 0.1\n",
+    "nan_rate": TUNE_JOB + "\n[disturbance]\nterms = 2.0 sin_sqrt nan\n",
+    "nan_table_time": TUNE_JOB + "\n[disturbance]\ntable_file = nan_time.csv\n",
+    "nan_table_value": TUNE_JOB + "\n[disturbance]\ntable_file = nan_value.csv\n",
     "misspelled_key": TUNE_JOB.replace("horizon = 0.5", "horizn = 0.5"),
     "removed_integrator": TUNE_JOB.replace("[scenario]\n", "[scenario]\nintegrator = rk4\n"),
     # the adaptive kind, the one kind that used to take it
     "removed_process_noise": edit_config(ADAPTIVE_JOB,
                                          ("[scenario]\n", "[scenario]\nprocess_noise = true\n")),
     "removed_pso_workers": TUNE_JOB.replace("[pso]\n", "[pso]\nworkers = 2\n"),
+    "removed_quadrature_points": edit_config(
+        TUNE_JOB, ("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
+                   "[beam]\nalpha = 0.1\nbeta = 0.05\nquadrature_points = 64")),
     "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
     "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
     "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
@@ -402,6 +414,7 @@ NAMED = {
     "removed_perfect_observer": "[scenario] perfect_observer: unknown key",
     "removed_smooth_sgn_width": "[observer] smooth_sgn_width: unknown key",
     "removed_pso_workers": "[pso] workers: unknown key",
+    "removed_quadrature_points": "[beam] quadrature_points: unknown key",
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",
     "beam_beside_plant": "[beam]: unused section",
@@ -417,6 +430,13 @@ NAMED = {
     "infinite_horizon": "horizon must be finite and exceed dt, got inf",
     "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
     "nan_controller_gain": "gain mu must be finite and > 0, got nan",
+    "infinite_hold": "hold_duration must be finite and >= 0, got inf",
+    "nan_x0": "x0 entries must be finite, got (nan, 5.0)",
+    "infinite_z0_offset": "z0_offset must be finite, got inf",
+    "infinite_amplitude": "disturbance amplitude and rate must be finite, got inf and 0.1",
+    "nan_rate": "disturbance amplitude and rate must be finite, got 2.0 and nan",
+    "nan_table_time": "tabulated times and values must be finite",
+    "nan_table_value": "tabulated times and values must be finite",
 }
 
 
@@ -427,6 +447,8 @@ class TestMalformedConfig:
         # off the terminal: the console entry point only wraps its result
         (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
         (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "nan_time.csv").write_text("0.0,1.0\nnan,2.0\n1.0,0.0\n")
+        (tmp_path / "nan_value.csv").write_text("0.0,1.0\n0.5,nan\n1.0,0.0\n")
         cfg = tmp_path / "case.cfg"
         cfg.write_text(MALFORMED[case])
         for command in ("validate", "simulate", "compare", "tune"):

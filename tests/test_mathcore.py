@@ -209,3 +209,6 @@ class TestSettlingTime:
             settling_time(tr, 1.0, 0.5)
         with pytest.raises(ValueError):
             settling_time(tr, 0.5, -1.0)
+        for hold in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="hold_duration must be finite"):
+                settling_time(tr, 0.5, hold)

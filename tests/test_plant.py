@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from presto import plant
 from presto.plant import (
     BeamParams,
     DisturbanceSpec,
@@ -10,41 +11,42 @@ from presto.plant import (
     PlantParams,
     disturbance_value,
     galerkin_coefficients,
-    mode_integrals,
     plant_derivative,
 )
 
 PI = math.pi
 
-# closed forms of the sine-mode integrals over [0, 1], used as the
-# independent oracle for the quadrature path
-ANALYTIC = dict(
-    I_pp2=PI**2 / 2,
-    I_dd=-(PI**2) / 2,
-    I_4=PI**4 / 2,
-    I_6=-(PI**6) / 2,
-    I_3p=-(PI**4) / 2,
-    I_pp2sq=PI**4 / 2,
-    I_00=0.5,
+
+def composite_gauss(f) -> float:
+    """Composite Gauss-Legendre rule on [0, 1]: eight order-8 panels, 64 nodes."""
+    panels = 8
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    h = 1.0 / panels
+    for k in range(panels):
+        x = (k + 0.5) * h + 0.5 * h * nodes
+        total += 0.5 * h * float(np.sum(weights * f(x)))
+    return total
+
+
+# the integrand of each mode-integral constant in presto.plant, for the
+# sine mode phi(x) = sin(pi*x); quadrature over these is the independent
+# oracle for the library's closed forms
+MODE_INTEGRANDS = dict(
+    I_PP2=lambda x: (PI * np.cos(PI * x)) ** 2,
+    I_DD=lambda x: (-(PI**2) * np.sin(PI * x)) * np.sin(PI * x),
+    I_4=lambda x: (PI**4 * np.sin(PI * x)) * np.sin(PI * x),
+    I_6=lambda x: (-(PI**6) * np.sin(PI * x)) * np.sin(PI * x),
+    I_3P=lambda x: (-(PI**3) * np.cos(PI * x)) * (PI * np.cos(PI * x)),
+    I_PP2SQ=lambda x: (-(PI**2) * np.sin(PI * x)) ** 2,
+    I_00=lambda x: np.sin(PI * x) ** 2,
 )
 
 
 class TestModeIntegrals:
     def test_matches_closed_forms(self):
-        mi = mode_integrals(64)
-        for name, expected in ANALYTIC.items():
-            assert getattr(mi, name) == pytest.approx(expected, rel=1e-8), name
-
-    def test_doubling_nodes_is_converged(self):
-        a = mode_integrals(64)
-        b = mode_integrals(128)
-        for name in ANALYTIC:
-            va, vb = getattr(a, name), getattr(b, name)
-            assert abs(vb - va) <= 1e-9 * abs(vb)
-
-    def test_minimum_nodes(self):
-        with pytest.raises(ValueError):
-            mode_integrals(4)
+        for name, f in MODE_INTEGRANDS.items():
+            assert getattr(plant, name) == pytest.approx(composite_gauss(f), rel=1e-12), name
 
 
 def _analytic_coefficients(alpha, beta, lam):
@@ -174,6 +176,11 @@ class TestDisturbance:
         with pytest.raises(ValueError):
             DisturbanceTerm(1.0, "square", 0.1)
 
+    @pytest.mark.parametrize("amplitude,rate", [(math.inf, 0.1), (2.0, math.nan)])
+    def test_non_finite_term_rejected(self, amplitude, rate):
+        with pytest.raises(ValueError, match="must be finite"):
+            DisturbanceTerm(amplitude, "sin_linear", rate)
+
     def test_tabulated_interpolation(self):
         spec = DisturbanceSpec(table=((0.0, 1.0, 2.0), (0.0, 2.0, 0.0)))
         assert disturbance_value(spec, 0.5) == pytest.approx(1.0)
@@ -238,4 +245,8 @@ class TestDisturbance:
             DisturbanceSpec(table=((0.0, 0.0), (1.0, 2.0)))
         with pytest.raises(ValueError):
             DisturbanceSpec(table=((0.0,), (1.0,)))
+        # a NaN time would slip past the strictly-increasing check
+        for table in (((0.0, math.nan, 1.0), (1.0, 2.0, 0.0)), ((0.0, 1.0), (1.0, math.inf))):
+            with pytest.raises(ValueError, match="must be finite"):
+                DisturbanceSpec(table=table)
 
