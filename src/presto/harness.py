@@ -289,17 +289,18 @@ _OBSERVER_WIDTH = {"tsmc": 8, "tsmc_saturated": 10, "adaptive_tsmc_saturated": 1
 class _SampleLog:
     """Decimated samples, packed as float64 rows into one preallocated buffer.
 
-    The loops write a row in place with `pack(buf, offset, *values)`, so
-    logging keeps no Python object alive per sample.  Kinds that log fewer
-    columns than the row holds keep a prefix of it.
+    A row holds exactly the logged columns `names`, so each kind packs and
+    stores only its own.  The loops write a row in place with
+    `pack(buf, offset, *values)`, so logging keeps no Python object alive
+    per sample.
     """
 
-    def __init__(self, sc: Scenario, names: tuple[str, ...], width: int):
+    def __init__(self, sc: Scenario, names: tuple[str, ...]):
         n_samples = len(range(0, int(round(sc.horizon / sc.dt)), sc.decimation))
-        packer = struct.Struct(f"{width}d")
+        packer = struct.Struct(f"{len(names)}d")
         self.names = names
         self.dt = sc.dt * sc.decimation
-        self.buf = np.empty((n_samples, width))
+        self.buf = np.empty((n_samples, len(names)))
         self.pack = packer.pack_into
         self.row_bytes = packer.size
 
@@ -366,11 +367,10 @@ def _smc_loop(sc: Scenario) -> Trace:
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     d_series = _DisturbanceSeries(sc)
-    log = _SampleLog(sc, _SMC_COLUMNS, len(_SMC_COLUMNS))
+    log = _SampleLog(sc, _SMC_COLUMNS)
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
     for i, d in enumerate(d_series):
-        t = i * dt
         b = K2 * x1**3
         s = x2 + Y * x1
         u_eq = (Y * x2 - K1n * x1 - b) / g
@@ -379,14 +379,14 @@ def _smc_loop(sc: Scenario) -> Trace:
         u = u_eq + u_c
         if i == next_log:
             next_log += dec
-            pack(buf, offset, t, x1, x2, u, d, s, u_eq, u_c)
+            pack(buf, offset, i * dt, x1, x2, u, d, s, u_eq, u_c)
             offset += row_bytes
 
         dx2 = nK1 * x1 - b - g * u + d
         x1 += dt * x2
         x2 += dt * dx2
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
-            raise _state_diverged(x1, x2, t, log, offset)
+            raise _state_diverged(x1, x2, i * dt, log, offset)
     return log.trace(offset)
 
 
@@ -454,22 +454,18 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     k1_hat = pp.K1
     fb_stride = 1
-    innov = p_trace = 0.0
+    d_series = _DisturbanceSeries(sc)
     if adaptive:
         cfg = sc.ekf
         ekf_state = ekf_init(cfg)
         fb_stride = int(round(cfg.Ts / dt))
         u_acc = 0.0
-
-    u_c = 0.0
-    d_series = _DisturbanceSeries(sc)
-    if adaptive:
         # the measurement noise of every EKF cycle in one draw: the same
         # stream as one scalar draw per cycle
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
         n_cycles = len(range(0, d_series.n, fb_stride))
         noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
-    log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]], len(_OBSERVER_COLUMNS))
+    log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]])
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = next_fb = 0
     settle_by = sc.settle_by
@@ -480,11 +476,11 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         # of band, which is the current run's first sample time while a
         # run is going and the next sample time otherwise
         band = sc.threshold_fraction * max(abs(x1), abs(x2))
+        nband = -band
         window = int(round(sc.hold_duration / log.dt)) + 1
         in_band = 0
         earliest = 0.0
     for i, d in enumerate(d_series):
-        t = i * dt
         if i == next_fb:
             next_fb += fb_stride
             if adaptive:
@@ -494,7 +490,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 try:
                     ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
                 except ZeroDivisionError as err:
-                    raise _diverged("EKF", str(err), t, inf, log, offset) from None
+                    raise _diverged("EKF", str(err), i * dt, inf, log, offset) from None
                 (fb1, fb2, k1_hat), P = ekf_state
                 p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
                 # the limit on the state estimate also keeps fb1**3 finite
@@ -502,37 +498,49 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and isfinite(k1_hat)
                         and isfinite(p_trace)):
                     raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
-                                    f"trace P = {p_trace:.3g}", t, inf, log, offset)
+                                    f"trace P = {p_trace:.3g}", i * dt, inf, log, offset)
             else:
                 fb1, fb2 = x1, x2
             # terms of the drift, the surface and the law that only the
-            # feedback state moves
+            # feedback state moves.  The signed powers of fb1, s and s2 are
+            # folded into one branch per sign, exact in IEEE arithmetic:
+            # a - (-b) is a + b, and every gain is finite and > 0, so
+            # gain*0.0 is +0.0.  Subtracting +0.0 leaves any value as it
+            # is, -0.0 included; adding it does not, so s2_fb keeps its + 0.0
             lin = k1_hat * fb1
             cub = K2 * fb1**3
             fx = -lin - cub
             abs_fx = abs(fx)
-            ax = abs(fb1)
-            sp1 = ax**r1 if fb1 > 0.0 else (-(ax**r1) if fb1 < 0.0 else 0.0)
+            if fb1 > 0.0:
+                ax = fb1
+                s2_fb = fb2 + a1 * fb1 + b1 * fb1**r1
+            elif fb1 < 0.0:
+                ax = -fb1
+                s2_fb = fb2 + a1 * fb1 - b1 * ax**r1
+            else:
+                ax = 0.0
+                s2_fb = fb2 + a1 * fb1 + 0.0
             ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
-            s2_fb = fb2 + a1 * fb1 + b1 * sp1
             law_fb = lin + cub - a1 * fb2 - b1 * ddt
             if i == 0:
                 z = fb2 + sc.z0_offset
                 s = sc.z0_offset
 
+        # the observer's and the law's sign terms, folded as above
         if s > 0.0:
-            sw = 1.0
-            sp0 = s**r0
+            prefix = nk * s - beta0 - eps * s**r0 - abs_fx
         elif s < 0.0:
-            sw = -1.0
-            sp0 = -((-s) ** r0)
+            prefix = nk * s + beta0 + eps * (-s) ** r0 + abs_fx
         else:
-            sw = sp0 = 0.0
-        prefix = nk * s - beta0 * sw - eps * sp0 - abs_fx * sw
+            prefix = nk * s
         d_hat = prefix - fx
         s2 = s2_fb + s
-        sp2 = s2**r2 if s2 > 0.0 else (-((-s2) ** r2) if s2 < 0.0 else 0.0)
-        v = law_fb - d_hat - delta * s2 - mu * sp2
+        if s2 > 0.0:
+            v = law_fb - d_hat - delta * s2 - mu * s2**r2
+        elif s2 < 0.0:
+            v = law_fb - d_hat - delta * s2 + mu * (-s2) ** r2
+        else:
+            v = law_fb - d_hat - delta * s2
         if saturated:
             forcing = v
             u_c = ng * v / gden
@@ -542,11 +550,16 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
             forcing = ng * u
         if i == next_log:
             next_log += dec
-            pack(buf, offset, t, x1, x2, u, d, d_hat, s, s2, v, u_c,
-                 fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
+            if adaptive:
+                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2, v, u_c,
+                     fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
+            elif saturated:
+                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2, v, u_c)
+            else:
+                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2)
             offset += row_bytes
             if settle_by is not None:
-                if abs(x1) <= band and abs(x2) <= band:
+                if nband <= x1 <= band and nband <= x2 <= band:
                     in_band += 1
                     if in_band >= window:
                         break
@@ -566,8 +579,8 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
 
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
             if -inf < z < inf:
-                raise _state_diverged(x1, x2, t, log, offset)
-            raise _diverged("observer", f"z reached {z}", t, inf, log, offset)
+                raise _state_diverged(x1, x2, i * dt, log, offset)
+            raise _diverged("observer", f"z reached {z}", i * dt, inf, log, offset)
     return log.trace(offset), d_series.peak
 
 

@@ -214,10 +214,8 @@ def settling_time(
     window = int(round(hold_duration / tr.dt)) + 1  # samples covering [t*, t*+hold]
     if window > len(in_band):
         return None
-    t = tr.times()
-    run = 0
-    for i, ok in enumerate(in_band):
-        run = run + 1 if ok else 0
-        if run >= window:
-            return float(t[i - window + 1])
-    return None
+    # in_band[j:j + window] is all in band where the count of in-band
+    # samples rises by `window` over those samples
+    count = np.concatenate(([0], np.cumsum(in_band)))
+    starts = np.flatnonzero(count[window:] - count[:-window] == window)
+    return float(tr.times()[starts[0]]) if len(starts) else None

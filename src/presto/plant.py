@@ -63,10 +63,12 @@ class BeamParams:
     mass_term: str = MASS_TERMS[0]
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"lam (key lambda) must be finite and > 0, got {self.lam}")
         if self.mass_term not in MASS_TERMS:
             raise ValueError(f"mass_term must be one of {', '.join(MASS_TERMS)}, "
                              f"got {self.mass_term!r}")
@@ -176,6 +178,11 @@ def galerkin_coefficients(bp: BeamParams) -> PlantParams:
 
     Neither variant is asserted as the physically correct one; the reference
     plant coefficients are configuration inputs, not outputs of this path.
+
+    beta cancels from K2: its terms carry I_3P + I_PP2SQ, which is 0 for the
+    sine mode, so K2 = -(pi^4/8) * (1 + alpha^2*pi^2) / den.  Numerator and
+    den are both negative, so K2 > 0 under either variant, and neither
+    reaches the sign of the bundled K2 = -19.97.
     """
     a2 = bp.alpha**2
     b2 = bp.beta**2
@@ -183,9 +190,7 @@ def galerkin_coefficients(bp: BeamParams) -> PlantParams:
     # I_DD < 0 < I_00 <= I_PP2, so den <= -0.5 for every real alpha: never singular
     den = a2 * I_DD - mass_last
     k1 = (b2 * I_6 - I_4) / den
-    num_a = 0.5 * I_PP2 * I_DD - b2 * (I_3P * I_DD + I_PP2SQ * I_DD)
-    num_b = 0.5 * a2 * I_PP2 * I_4 - a2 * b2 * (I_3P * I_4 + I_PP2SQ * I_4)
-    k2 = (num_a - num_b) / den
+    k2 = (0.5 * I_PP2 * I_DD - 0.5 * a2 * I_PP2 * I_4) / den
     g = bp.lam * (a2 * math.pi**2 + 1.0) / den
     return PlantParams(K1=k1, K2=k2, g=g)
 

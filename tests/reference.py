@@ -5,6 +5,8 @@ cycle, `disturbance_estimate`, `sliding_stack_n2`, the control law,
 `plant_derivative` and `observer_advance`, one call per stage per step, the
 way the harness ran before its loops were fused.  tests/test_kernels.py
 holds the fused loops of `run_scenario` to it bit for bit.
+`reference_settling_time` is the sample-by-sample window scan that
+`mathcore.settling_time` replaced with a cumulative count.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
 from presto.estimator import ekf_init, ekf_predict, ekf_update
 from presto.harness import RunReport, Scenario
-from presto.mathcore import Trace, l2_norm, linf_norm, settling_time
+from presto.mathcore import Trace, l2_norm, linf_norm
 from presto.observer import disturbance_estimate, observer_advance, observer_init
 from presto.plant import disturbance_value, plant_derivative
 
@@ -108,5 +110,21 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
         report.uc_l2, report.uc_linf = l2_norm(trace, "u_c"), linf_norm(trace, "u_c")
     if adaptive:
         report.ex_l2, report.ex_linf = l2_norm(trace, "e_x"), linf_norm(trace, "e_x")
-    report.t_s = settling_time(trace, sc.threshold_fraction, sc.hold_duration)
+    report.t_s = reference_settling_time(trace, sc.threshold_fraction, sc.hold_duration)
     return trace, report
+
+
+def reference_settling_time(tr: Trace, threshold_fraction: float, hold_duration: float):
+    """`settling_time` as a scan: the start of the first run of `window` in-band samples."""
+    envelope = np.maximum(np.abs(tr.column("x1")), np.abs(tr.column("x2")))
+    in_band = envelope <= threshold_fraction * envelope[0]
+    window = int(round(hold_duration / tr.dt)) + 1  # samples covering [t*, t*+hold]
+    if window > len(in_band):
+        return None
+    t = tr.times()
+    run = 0
+    for i, ok in enumerate(in_band):
+        run = run + 1 if ok else 0
+        if run >= window:
+            return float(t[i - window + 1])
+    return None

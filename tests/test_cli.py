@@ -127,6 +127,15 @@ class TestCoeffs:
         assert main(["coeffs", str(cfg)]) == 1
         assert "mass_term must be one of as_printed, phi_squared, got 'phi'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("alpha", "nan"), ("beta", "inf"), ("lambda", "inf")])
+    def test_non_finite_beam_parameter_exits_one(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "beam.cfg"
+        params = {"alpha": "0.1", "beta": "0.05", "lambda": "12.0"} | {key: value}
+        cfg.write_text("[beam]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()))
+        assert main(["coeffs", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "must be finite" in err and f"got {value}" in err
+
     def test_beam_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "badbeam.cfg"
         cfg.write_text("[beam]\nalpha = abc\nbeta = 0.05\n")

@@ -46,6 +46,13 @@ CASES = {
     "table-s74": lambda: short("s74", disturbance=TABLE),
     "decimation1-s73": lambda: short("s73", decimation=1),
 }
+# at rest with no disturbance, from +0.0 and from -0.0: every step of the
+# tsmc kinds takes the exact-zero branches of s, s2 and fb1; the adaptive
+# kind's noisy measurement moves its estimate off zero at the first update
+for _name in ("s71", "s72", "s73", "s74"):
+    for _label, _zero in (("zero", 0.0), ("negzero", -0.0)):
+        CASES[f"rest-{_label}-{_name}"] = (
+            lambda n=_name, z=_zero: short(n, x0=(z, z), disturbance=DisturbanceSpec()))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -55,7 +62,7 @@ def test_fused_loop_matches_stage_functions(case):
     ref_trace, ref_report = reference_run(sc)
     assert list(trace.columns) == list(ref_trace.columns)
     for name, col in ref_trace.columns.items():
-        assert np.array_equal(trace.columns[name], col), name
+        assert trace.columns[name].tobytes() == col.tobytes(), name  # sign of zero included
     assert report == ref_report
 
 

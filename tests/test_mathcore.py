@@ -17,7 +17,10 @@ from presto.mathcore import (
     sgn,
     signed_pow,
 )
+from reference import reference_settling_time
 
+# sample values that fall inside and outside the settling bands of the tests
+BAND_VALUES = st.sampled_from([0.0, -0.0, 0.01, -0.04, 0.2, -0.45, 1.0, -3.0])
 # every odd pair p < q with q <= 101
 ODD_PAIRS = st.integers(1, 50).flatmap(
     lambda j: st.integers(0, j - 1).map(lambda i: ExponentPair(2 * i + 1, 2 * j + 1)))
@@ -200,6 +203,32 @@ class TestSettlingTime:
         x1 = np.array([1.0, 0.5, 0.05, 0.04])
         tr = Trace(dt=0.1, columns={"x1": x1, "x2": np.zeros_like(x1)})
         assert settling_time(tr, 0.1, 0.3) is None
+
+    # x1 samples and the window in samples; band = 0.5 * max(|x1(0)|, |x2(0)|)
+    EDGES = {
+        "window-1": ([1.0, 0.9, 0.1, 0.9], 1, 0.2),
+        "window-equals-length": ([0.0] * 5, 5, 0.0),
+        "window-exceeds-length": ([0.0] * 5, 6, None),
+        "all-in-band": ([0.0, -0.0, 0.0, -0.0, 0.0, -0.0], 3, 0.0),
+        "none-in-band": ([1.0, 2.0, -1.0, 0.9, -0.7], 2, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_window_edges_match_scan(self, case):
+        x1, window, expected = self.EDGES[case]
+        tr = Trace(dt=0.1, columns={"x1": x1, "x2": np.zeros(len(x1))})
+        hold = (window - 1) * 0.1
+        assert settling_time(tr, 0.5, hold) == expected
+        assert settling_time(tr, 0.5, hold) == reference_settling_time(tr, 0.5, hold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(BAND_VALUES, BAND_VALUES), min_size=1, max_size=40),
+           st.sampled_from([0.05, 0.25, 0.5, 0.9]), st.integers(1, 45))
+    def test_matches_scan_on_random_band_patterns(self, samples, fraction, window):
+        x1, x2 = (np.array(c) for c in zip(*samples))
+        tr = Trace(dt=0.01, columns={"x1": x1, "x2": x2})
+        hold = (window - 1) * 0.01
+        assert settling_time(tr, fraction, hold) == reference_settling_time(tr, fraction, hold)
 
     def test_parameter_validation(self):
         tr = Trace(dt=0.1, columns={"x1": [1.0, 0.0], "x2": [0.0, 0.0]})

@@ -81,8 +81,17 @@ class TestGalerkinCoefficients:
         assert stiffer.K1 > with_beta.K1
 
     def test_conventional_mass_variant(self):
-        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0, mass_term="phi_squared"))
-        assert pp.K1 == pytest.approx(PI**4, rel=1e-10)
+        # den = -I_00 = -0.5 at alpha = 0, so both divisions are exact
+        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=3.0, mass_term="phi_squared"))
+        assert pp.K1 == PI**4
+        assert pp.g == -2 * 3.0
+
+    @pytest.mark.parametrize("mass_term", ["as_printed", "phi_squared"])
+    def test_beta_cancels_from_k2(self, mass_term):
+        k2 = {beta: galerkin_coefficients(BeamParams(0.3, beta, 1.0, mass_term)).K2
+              for beta in (0.0, 0.05, 0.4, 7.0)}
+        assert len(set(k2.values())) == 1
+        assert k2[0.0] > 0.0  # never the sign of the bundled K2 = -19.97
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="mass_term"):
