@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness
-from .plant import MASS_TERMS, galerkin_coefficients
+from .plant import galerkin_coefficients
 from .tuner import fitness_settling_time, pso_run
 
 EXIT_OK = 0
@@ -118,10 +118,9 @@ def _cmd_tune(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     bp = cfgmod.load_beam_params(args.config)
+    pp = galerkin_coefficients(bp)
     print(f"alpha={bp.alpha:g} beta={bp.beta:g} lambda={bp.lam:g}")
-    for variant in MASS_TERMS:
-        pp = galerkin_coefficients(replace(bp, mass_term=variant))
-        print(f"  mass_term={variant:<12} K1={pp.K1:.10g}  K2={pp.K2:.10g}  g={pp.g:.10g}")
+    print(f"  K1={pp.K1:.10g}  K2={pp.K2:.10g}  g={pp.g:.10g}")
     return EXIT_OK
 
 

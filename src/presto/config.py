@@ -4,7 +4,7 @@ One flat INI-style file per job, one section per subsystem:
 
     [scenario]    kind, x0, dt, horizon, decimation, seed, metric rule...
     [plant]       K1, K2, g          (direct coefficients; preferred)
-    [beam]        alpha, beta, lambda, mass_term
+    [beam]        alpha, beta, lambda
     [disturbance] terms = A kind rate; ...   and/or table_file = path.csv
     [observer]    k, beta0, eps, p0, q0, z0_offset
     [controller]  alpha1, beta1, p1, q1, p2, q2, delta, mu, tau, u_min, u_max
@@ -240,10 +240,7 @@ def _beam(cp) -> BeamParams:
     return BeamParams(
         alpha=_get(cp, "beam", "alpha"),
         beta=_get(cp, "beam", "beta"),
-        **_given(cp, "beam", {
-            "lambda": ("lam", float),
-            "mass_term": str,
-        }),
+        **_given(cp, "beam", {"lambda": ("lam", float)}),
     )
 
 

@@ -250,10 +250,13 @@ class RunReport:
 
 def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     """Integrate one scenario; returns the decimated trace and its report."""
-    if sc.kind == "smc_baseline":
-        trace, max_abs_d = _smc_loop(sc), 0.0
-    else:
-        trace, max_abs_d = _observer_loop(sc)
+    try:
+        if sc.kind == "smc_baseline":
+            trace, max_abs_d = _smc_loop(sc), 0.0
+        else:
+            trace, max_abs_d = _observer_loop(sc)
+    except MemoryError as err:  # the loops allocate in proportion to horizon / dt
+        raise ValueError(f"horizon {sc.horizon:g} at dt {sc.dt:g}: {err}") from err
     saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
     report = RunReport(label=sc.label, kind=sc.kind)
     report.u_l2 = l2_norm(trace, "u")

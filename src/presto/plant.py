@@ -1,23 +1,24 @@
 """Controlled system: a single-mode reduction of a simply supported nanobeam.
 
 The distributed beam model (nonlocal elasticity plus a strain-gradient
-length scale, immovable ends, midspan point force) is projected onto the
-first sine mode ``phi(x) = sin(pi*x)`` over the unit span.  That leaves one
-modal ODE with linear stiffness K1, cubic stiffness K2 and input gain g:
+length scale, immovable ends, midspan point force) is Galerkin-projected
+onto the first sine mode ``phi(x) = sin(pi*x)`` over the unit span.  That
+leaves one modal ODE with linear stiffness K1, cubic stiffness K2 and
+input gain g:
 
     x1' = x2
     x2' = -K1*x1 - K2*x1**3 - g*u + d(t)
 
-The stiffness and input coefficients follow from ratios of mode-shape
-integrals over the unit span.  For the sine mode each integral has a
-closed form, held below as a module constant, and `galerkin_coefficients`
-assembles them.  The reference plant used by the bundled scenarios
-(K1=97.4, K2=-19.97, g=-1.09) is supplied directly through configuration;
-the assembly is a utility for exploring other beam parameters.
+`galerkin_coefficients` assembles them from closed-form mode integrals,
+with the modal mass int phi^2.  Its local limit alpha = beta = 0 gives the
+simply supported beam's K1 = pi^4, and K2 = pi^4/4 and g = -2*lambda hold
+for every alpha.  So lambda = 0.545 gives the bundled plant's K1 = 97.4 and
+g = -1.09, but no beam gives its K2 = -19.97, which [plant] supplies.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -31,11 +32,7 @@ __all__ = [
     "galerkin_coefficients",
     "plant_derivative",
     "disturbance_value",
-    "MASS_TERMS",
 ]
-
-# the modal-mass variants of `galerkin_coefficients`, the default first
-MASS_TERMS = ("as_printed", "phi_squared")
 
 # closed forms of the sine-mode integrals over [0, 1], phi(x) = sin(pi*x)
 I_PP2 = math.pi**2 / 2  # int (phi')^2
@@ -51,27 +48,25 @@ I_00 = 0.5  # int phi^2
 class BeamParams:
     """Dimensionless beam inputs for the coefficient assembly: the [beam] section.
 
-    alpha     : nonlocal parameter (ea / L)
-    beta      : strain-gradient length-scale parameter (l_m / L)
-    lam       : force scaling 12 L^3 / (E A h^2 r)
-    mass_term : modal-mass variant of `galerkin_coefficients`, one of MASS_TERMS
+    alpha : nonlocal parameter (ea / L)
+    beta  : strain-gradient length-scale parameter (l_m / L)
+    lam   : force scaling 12 L^3 / (E A h^2 r), the key lambda
+
+    Construction runs the assembly, so every BeamParams reduces to a plant.
     """
 
     alpha: float
     beta: float
     lam: float = 1.0
-    mass_term: str = MASS_TERMS[0]
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ValueError(f"[beam] {name}: must be finite and >= 0, got {value}")
         if not (0.0 < self.lam < math.inf):
-            raise ValueError(f"lam (key lambda) must be finite and > 0, got {self.lam}")
-        if self.mass_term not in MASS_TERMS:
-            raise ValueError(f"mass_term must be one of {', '.join(MASS_TERMS)}, "
-                             f"got {self.mass_term!r}")
+            raise ValueError(f"[beam] lambda: must be finite and > 0, got {self.lam}")
+        galerkin_coefficients(self)
 
 
 @dataclass(frozen=True)
@@ -167,31 +162,33 @@ def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | n
 
 
 def galerkin_coefficients(bp: BeamParams) -> PlantParams:
-    """Assemble K1, K2, g from the mode integrals.
+    """Assemble K1, K2, g from the mode integrals over the modal mass
+    den = alpha^2 * I_DD - I_00, which is <= -0.5 for every alpha.
 
-    The shared denominator is ``alpha^2 * I_DD - M`` where M is the last
-    integral of the modal mass term.  bp.mass_term selects it:
+    In closed form K1 = pi^4 (1 + pi^2 beta^2) / (1 + pi^2 alpha^2),
+    K2 = pi^4/4 and g = -2*lambda.  beta cancels from K2: its terms carry
+    I_3P + I_PP2SQ, which is 0 for the sine mode, so they are left out.
+    K2 > 0, never the sign of the bundled K2 = -19.97.
 
-    * 'as_printed'  : M = I_PP2 = int (phi')^2   (matches the reduction as
-      published; the default)
-    * 'phi_squared' : M = I_00 = int phi^2      (the conventional mass integral)
-
-    Neither variant is asserted as the physically correct one; the reference
-    plant coefficients are configuration inputs, not outputs of this path.
-
-    beta cancels from K2: its terms carry I_3P + I_PP2SQ, which is 0 for the
-    sine mode, so K2 = -(pi^4/8) * (1 + alpha^2*pi^2) / den.  Numerator and
-    den are both negative, so K2 > 0 under either variant, and neither
-    reaches the sign of the bundled K2 = -19.97.
+    A large enough parameter overflows the assembly.  K2 reads only alpha,
+    K1 adds beta and g adds lambda, so the first coefficient in that order
+    that is not finite names the key to blame.
     """
-    a2 = bp.alpha**2
-    b2 = bp.beta**2
-    mass_last = I_PP2 if bp.mass_term == "as_printed" else I_00
-    # I_DD < 0 < I_00 <= I_PP2, so den <= -0.5 for every real alpha: never singular
-    den = a2 * I_DD - mass_last
+    # inf where float ** overflows; an overflowing alpha also leaves b2
+    # unset, but K2's check, which reads no b2, names alpha first
+    a2 = b2 = math.inf
+    with contextlib.suppress(OverflowError):
+        a2 = bp.alpha**2
+        b2 = bp.beta**2
+    den = a2 * I_DD - I_00
     k1 = (b2 * I_6 - I_4) / den
     k2 = (0.5 * I_PP2 * I_DD - 0.5 * a2 * I_PP2 * I_4) / den
     g = bp.lam * (a2 * math.pi**2 + 1.0) / den
+    for name, value, key, given in (("K2", k2, "alpha", bp.alpha),
+                                    ("K1", k1, "beta", bp.beta),
+                                    ("g", g, "lambda", bp.lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"[beam] {key}: {given:g} overflows {name} in the assembly")
     return PlantParams(K1=k1, K2=k2, g=g)
 
 

@@ -113,19 +113,12 @@ class TestValidate:
 
 
 class TestCoeffs:
-    def test_prints_both_variants(self, capsys):
+    def test_prints_one_line(self, capsys):
         assert main(["coeffs", "beam"]) == 0
-        # the variant lines byte for byte, below the parameter header
+        # the coefficient line byte for byte, below the parameter header
         assert capsys.readouterr().out.splitlines()[1:] == [
-            "  mass_term=as_printed   K1=10.01299716  K2=2.684082998  g=-2.645255849",
-            "  mass_term=phi_squared  K1=90.84638519  K2=24.35227276  g=-24",
+            "  K1=90.84638519  K2=24.35227276  g=-24",
         ]
-
-    def test_mass_term_must_name_a_variant(self, tmp_path, capsys):
-        cfg = tmp_path / "beam.cfg"
-        cfg.write_text("[beam]\nalpha = 0.1\nbeta = 0.05\nmass_term = phi\n")
-        assert main(["coeffs", str(cfg)]) == 1
-        assert "mass_term must be one of as_printed, phi_squared, got 'phi'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("alpha", "nan"), ("beta", "inf"), ("lambda", "inf")])
     def test_non_finite_beam_parameter_exits_one(self, tmp_path, capsys, key, value):
@@ -135,6 +128,20 @@ class TestCoeffs:
         assert main(["coeffs", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert key in err and "must be finite" in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("key,value,coefficient",
+                             [("alpha", "1e160", "K2"), ("beta", "1e200", "K1"),
+                              ("lambda", "1e308", "g")])
+    def test_overflowing_beam_parameter_exits_one(self, tmp_path, capsys, key, value,
+                                                  coefficient):
+        # finite, so the range check passes, but the assembly overflows
+        cfg = tmp_path / "beam.cfg"
+        params = {"alpha": "0.1", "beta": "0.05", "lambda": "12.0"} | {key: value}
+        cfg.write_text("[beam]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()))
+        assert main(["coeffs", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {cfg}: [beam] {key}: {float(value):g} overflows {coefficient} in the assembly\n"
 
     def test_beam_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "badbeam.cfg"
@@ -257,6 +264,18 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
         assert "saturated kinds only, not to tsmc" in capsys.readouterr().err
         assert not (tmp_path / "clamped.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "tune"])
+    def test_unallocatable_horizon_exits_one(self, tmp_path, capsys, command):
+        # 1e16 steps at dt 1e-4: the sample log exceeds any address space,
+        # so its allocation fails at once
+        text = edit_config(resolve_config_path("s71").read_text(),
+                           ("horizon = 8.0", "horizon = 1e12"))
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(text + ("\n[pso]\ntune = k\n" if command == "tune" else ""))
+        assert main(["validate", str(cfg)]) == 0
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: horizon 1e+12 at dt 0.0001: " in capsys.readouterr().err
 
 
 class TestTune:
@@ -395,6 +414,12 @@ MALFORMED = {
     "removed_quadrature_points": edit_config(
         TUNE_JOB, ("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
                    "[beam]\nalpha = 0.1\nbeta = 0.05\nquadrature_points = 64")),
+    "removed_mass_term": edit_config(
+        TUNE_JOB, ("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
+                   "[beam]\nalpha = 0.1\nbeta = 0.05\nmass_term = as_printed")),
+    "beam_overflow": edit_config(
+        TUNE_JOB, ("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
+                   "[beam]\nalpha = 1e160\nbeta = 0.05")),
     "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
     "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
     "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
@@ -424,6 +449,8 @@ NAMED = {
     "removed_smooth_sgn_width": "[observer] smooth_sgn_width: unknown key",
     "removed_pso_workers": "[pso] workers: unknown key",
     "removed_quadrature_points": "[beam] quadrature_points: unknown key",
+    "removed_mass_term": "[beam] mass_term: unknown key",
+    "beam_overflow": "[beam] alpha: 1e+160 overflows K2 in the assembly",
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",
     "beam_beside_plant": "[beam]: unused section",

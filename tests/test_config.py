@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import textwrap
 
@@ -143,8 +144,22 @@ class TestScenarioParsing:
             "[beam]\nalpha = 0.0\nbeta = 0.0\nlambda = 1.0",
         )
         sc = load_scenario(write_cfg(tmp_path, text))
-        assert sc.plant.K1 == pytest.approx(9.8696, rel=1e-4)
+        assert sc.plant.K1 == math.pi**4
         assert sc.plant.g < 0
+
+    def test_beam_local_limit_is_the_reference_plant_but_k2(self, tmp_path):
+        # the bundled plant is K1 = 97.4, K2 = -19.97, g = -1.09; the local
+        # limit reaches K1 and g exactly, and K2 with the opposite sign
+        text = MINIMAL_TSMC.replace(
+            "[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
+            "[beam]\nalpha = 0.0\nbeta = 0.0\nlambda = 0.545",
+        )
+        plant = load_scenario(write_cfg(tmp_path, text)).plant
+        assert plant.K1 == math.pi**4
+        assert round(plant.K1, 1) == 97.4
+        assert plant.g == -1.09
+        assert plant.K2 == pytest.approx(math.pi**4 / 4, rel=1e-15)
+        assert round(plant.K2, 2) == 24.35
 
 
 class TestErrorMessages:

@@ -51,19 +51,21 @@ class TestModeIntegrals:
 
 def _analytic_coefficients(alpha, beta, lam):
     # hand-assembled closed forms for the sine mode (independent oracle):
-    # shared denominator -(pi^2/2) (1 + alpha^2)
-    k1 = PI**2 * (1 + beta**2 * PI**2) / (1 + alpha**2)
-    k2 = (PI**2 / 4) * (1 + alpha**2 * PI**2) / (1 + alpha**2)
-    g = -2 * lam * (1 + alpha**2 * PI**2) / (PI**2 * (1 + alpha**2))
+    # shared denominator -(1 + pi^2 alpha^2) / 2, which cancels from K2 and g
+    k1 = PI**4 * (1 + PI**2 * beta**2) / (1 + PI**2 * alpha**2)
+    k2 = PI**4 / 4
+    g = -2 * lam
     return k1, k2, g
 
 
 class TestGalerkinCoefficients:
     def test_local_classical_limit(self):
+        # den = -I_00 = -0.5 at alpha = 0, so both divisions are exact:
+        # the first-mode stiffness of a simply supported beam
         pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0))
-        assert pp.K1 == pytest.approx(PI**2, rel=1e-10)
-        assert pp.K2 == pytest.approx(PI**2 / 4, rel=1e-10)
-        assert pp.g == pytest.approx(-2 / PI**2, rel=1e-10)
+        assert pp.K1 == PI**4
+        assert pp.K2 == pytest.approx(PI**4 / 4, rel=1e-15)
+        assert pp.g == -2.0
 
     @pytest.mark.parametrize("alpha,beta,lam", [(0.1, 0.05, 12.0), (0.3, 0.2, 1.0), (0.0, 0.4, 5.0)])
     def test_matches_hand_assembly(self, alpha, beta, lam):
@@ -82,20 +84,15 @@ class TestGalerkinCoefficients:
 
     def test_conventional_mass_variant(self):
         # den = -I_00 = -0.5 at alpha = 0, so both divisions are exact
-        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=3.0, mass_term="phi_squared"))
+        pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=3.0))
         assert pp.K1 == PI**4
         assert pp.g == -2 * 3.0
 
-    @pytest.mark.parametrize("mass_term", ["as_printed", "phi_squared"])
-    def test_beta_cancels_from_k2(self, mass_term):
-        k2 = {beta: galerkin_coefficients(BeamParams(0.3, beta, 1.0, mass_term)).K2
+    def test_beta_cancels_from_k2(self):
+        k2 = {beta: galerkin_coefficients(BeamParams(0.3, beta, 1.0)).K2
               for beta in (0.0, 0.05, 0.4, 7.0)}
         assert len(set(k2.values())) == 1
         assert k2[0.0] > 0.0  # never the sign of the bundled K2 = -19.97
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="mass_term"):
-            BeamParams(alpha=0.0, beta=0.0, lam=1.0, mass_term="bogus")
 
 
 REF = PlantParams(K1=97.4, K2=-19.97, g=-1.09)
