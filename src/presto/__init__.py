@@ -3,7 +3,7 @@
 Subpackages by responsibility:
 
 * mathcore   - signed fractional powers, convergence deadlines, trace norms
-* plant      - reduced nanobeam dynamics, coefficient assembly, disturbances
+* plant      - reduced nanobeam dynamics, closed-form beam reduction, disturbances
 * observer   - prescribed-finite-time disturbance observer
 * controller - terminal SMC (plain and saturated) and the SMC baseline
 * estimator  - joint state/parameter extended Kalman filter

@@ -316,6 +316,8 @@ def _scenario(cp, path: Path) -> Scenario:
             fields["seed"] = int(env_seed)
         except ValueError as err:
             raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
+        if fields["seed"] < 0:
+            raise ConfigError(f"PRESTO_SEED={env_seed!r}: seed must be >= 0")
     if kind == "smc_baseline":
         keys = ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal")
         fields["smc"] = SmcGains(**{key: _get(cp, "smc", key) for key in keys})

@@ -188,6 +188,8 @@ class Scenario:
             raise ValueError(f"horizon must be finite and exceed dt, got {self.horizon}")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"[scenario] seed: must be >= 0, got {self.seed}")
         # checked here too, so a bad settling rule fails before the run, not after it
         if not (0.0 < self.threshold_fraction < 1.0):
             raise ValueError(
@@ -308,9 +310,9 @@ class _SampleLog:
         self.row_bytes = packer.size
 
     def trace(self, offset: int) -> Trace:
-        """The rows written below byte offset, as one contiguous array per column."""
+        """The rows written below byte offset, one column view of the buffer per name."""
         data = self.buf[: offset // self.row_bytes]
-        return Trace(dt=self.dt, columns={n: data[:, j].copy() for j, n in enumerate(self.names)})
+        return Trace(dt=self.dt, columns={n: data[:, j] for j, n in enumerate(self.names)})
 
 
 def _diverged(what: str, detail: str, t: float, peak: float, log: _SampleLog, offset: int):

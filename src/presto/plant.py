@@ -9,16 +9,15 @@ input gain g:
     x1' = x2
     x2' = -K1*x1 - K2*x1**3 - g*u + d(t)
 
-`galerkin_coefficients` assembles them from closed-form mode integrals,
-with the modal mass int phi^2.  Its local limit alpha = beta = 0 gives the
-simply supported beam's K1 = pi^4, and K2 = pi^4/4 and g = -2*lambda hold
-for every alpha.  So lambda = 0.545 gives the bundled plant's K1 = 97.4 and
+`galerkin_coefficients` computes the reduction in closed form, with the
+modal mass int phi^2.  Its local limit alpha = beta = 0 gives the simply
+supported beam's K1 = pi^4, and K2 = pi^4/4 and g = -2*lambda hold for
+every alpha.  So lambda = 0.545 gives the bundled plant's K1 = 97.4 and
 g = -1.09, but no beam gives its K2 = -19.97, which [plant] supplies.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,25 +33,16 @@ __all__ = [
     "disturbance_value",
 ]
 
-# closed forms of the sine-mode integrals over [0, 1], phi(x) = sin(pi*x)
-I_PP2 = math.pi**2 / 2  # int (phi')^2
-I_DD = -(math.pi**2) / 2  # int phi'' phi
-I_4 = math.pi**4 / 2  # int phi'''' phi
-I_6 = -(math.pi**6) / 2  # int phi^(6) phi
-I_3P = -(math.pi**4) / 2  # int phi''' phi'
-I_PP2SQ = math.pi**4 / 2  # int (phi'')^2
-I_00 = 0.5  # int phi^2
-
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Dimensionless beam inputs for the coefficient assembly: the [beam] section.
+    """Dimensionless beam inputs for the closed-form reduction: the [beam] section.
 
     alpha : nonlocal parameter (ea / L)
     beta  : strain-gradient length-scale parameter (l_m / L)
     lam   : force scaling 12 L^3 / (E A h^2 r), the key lambda
 
-    Construction runs the assembly, so every BeamParams reduces to a plant.
+    Construction runs the reduction, so every BeamParams reduces to a plant.
     """
 
     alpha: float
@@ -162,34 +152,23 @@ def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | n
 
 
 def galerkin_coefficients(bp: BeamParams) -> PlantParams:
-    """Assemble K1, K2, g from the mode integrals over the modal mass
-    den = alpha^2 * I_DD - I_00, which is <= -0.5 for every alpha.
+    """The Galerkin reduction onto the sine mode, in closed form:
+    K1 = pi^4 (1 + pi^2 beta^2) / (1 + pi^2 alpha^2), K2 = pi^4/4 and
+    g = -2*lambda.  The nonlocal factor cancels from K2 and g, and beta from
+    K2; K2 > 0, never the sign of the bundled K2 = -19.97.
 
-    In closed form K1 = pi^4 (1 + pi^2 beta^2) / (1 + pi^2 alpha^2),
-    K2 = pi^4/4 and g = -2*lambda.  beta cancels from K2: its terms carry
-    I_3P + I_PP2SQ, which is 0 for the sine mode, so they are left out.
-    K2 > 0, never the sign of the bundled K2 = -19.97.
-
-    A large enough parameter overflows the assembly.  K2 reads only alpha,
-    K1 adds beta and g adds lambda, so the first coefficient in that order
-    that is not finite names the key to blame.
+    Every finite alpha reduces (past about 1e154, K1 is 0); a beta or lambda
+    large enough to overflow K1 or g is an error that names the key.
     """
-    # inf where float ** overflows; an overflowing alpha also leaves b2
-    # unset, but K2's check, which reads no b2, names alpha first
-    a2 = b2 = math.inf
-    with contextlib.suppress(OverflowError):
-        a2 = bp.alpha**2
-        b2 = bp.beta**2
-    den = a2 * I_DD - I_00
-    k1 = (b2 * I_6 - I_4) / den
-    k2 = (0.5 * I_PP2 * I_DD - 0.5 * a2 * I_PP2 * I_4) / den
-    g = bp.lam * (a2 * math.pi**2 + 1.0) / den
-    for name, value, key, given in (("K2", k2, "alpha", bp.alpha),
-                                    ("K1", k1, "beta", bp.beta),
-                                    ("g", g, "lambda", bp.lam)):
+    # x * x, not x**2: it is correctly rounded, and past 1e154 it reads inf
+    # where float ** raises OverflowError
+    a2, b2 = bp.alpha * bp.alpha, bp.beta * bp.beta
+    k1 = (math.pi**4 + math.pi**6 * b2) / (1.0 + math.pi**2 * a2)
+    g = -2.0 * bp.lam
+    for name, value, key, given in (("K1", k1, "beta", bp.beta), ("g", g, "lambda", bp.lam)):
         if not math.isfinite(value):
             raise ValueError(f"[beam] {key}: {given:g} overflows {name} in the assembly")
-    return PlantParams(K1=k1, K2=k2, g=g)
+    return PlantParams(K1=k1, K2=math.pi**4 / 4, g=g)
 
 
 def plant_derivative(

@@ -90,6 +90,8 @@ class PsoConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"[pso] seed: must be >= 0, got {self.seed}")
         if not (self.C1 > 0.0 and self.C2 > 0.0):
             raise ValueError("learning coefficients C1, C2 must be > 0")
         for lo, hi in self.bounds:

@@ -115,10 +115,11 @@ class TestValidate:
 class TestCoeffs:
     def test_prints_one_line(self, capsys):
         assert main(["coeffs", "beam"]) == 0
-        # the coefficient line byte for byte, below the parameter header
-        assert capsys.readouterr().out.splitlines()[1:] == [
-            "  K1=90.84638519  K2=24.35227276  g=-24",
-        ]
+        # the parameter header and the coefficient line, byte for byte
+        assert capsys.readouterr().out == (
+            "alpha=0.1 beta=0.05 lambda=12\n"
+            "  K1=90.84638519  K2=24.35227276  g=-24\n"
+        )
 
     @pytest.mark.parametrize("key,value", [("alpha", "nan"), ("beta", "inf"), ("lambda", "inf")])
     def test_non_finite_beam_parameter_exits_one(self, tmp_path, capsys, key, value):
@@ -129,12 +130,24 @@ class TestCoeffs:
         err = capsys.readouterr().err
         assert key in err and "must be finite" in err and f"got {value}" in err
 
+    @pytest.mark.parametrize("params,line", [
+        ({"alpha": "1e160"}, "  K1=0  K2=24.35227276  g=-2"),
+        ({"alpha": "1e153", "lambda": "1e10"},
+         "  K1=1.011312713e-305  K2=24.35227276  g=-2e+10"),
+    ], ids=["alpha-1e160", "alpha-1e153-lambda-1e10"])
+    def test_every_finite_alpha_reduces(self, tmp_path, capsys, params, line):
+        # K2 = pi^4/4 and g = -2*lambda for every alpha; K1 only shrinks
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text("[beam]\n" + "".join(f"{k} = {v}\n" for k, v in
+                                            ({"beta": "0.05"} | params).items()))
+        assert main(["coeffs", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [line]
+
     @pytest.mark.parametrize("key,value,coefficient",
-                             [("alpha", "1e160", "K2"), ("beta", "1e200", "K1"),
-                              ("lambda", "1e308", "g")])
+                             [("beta", "1e200", "K1"), ("lambda", "1e308", "g")])
     def test_overflowing_beam_parameter_exits_one(self, tmp_path, capsys, key, value,
                                                   coefficient):
-        # finite, so the range check passes, but the assembly overflows
+        # finite, so the range check passes, but the coefficient overflows
         cfg = tmp_path / "beam.cfg"
         params = {"alpha": "0.1", "beta": "0.05", "lambda": "12.0"} | {key: value}
         cfg.write_text("[beam]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()))
@@ -338,6 +351,14 @@ class TestEnvSeed:
         monkeypatch.setenv("PRESTO_SEED", "31337")
         assert load_scenario("s73").seed == 31337
 
+    @pytest.mark.parametrize("command,name", [("validate", "s73"), ("simulate", "s73"),
+                                              ("compare", "s73"), ("tune", "tune_s71")])
+    def test_negative_seed_exits_one(self, monkeypatch, tmp_path, capsys, command, name):
+        monkeypatch.setenv("PRESTO_SEED", "-5")
+        argv = [command, name] + ([] if command == "validate" else ["--out", str(tmp_path)])
+        assert main(argv) == 1
+        assert "PRESTO_SEED='-5': seed must be >= 0" in capsys.readouterr().err
+
 
 TUNE_JOB = """
 [scenario]
@@ -419,7 +440,7 @@ MALFORMED = {
                    "[beam]\nalpha = 0.1\nbeta = 0.05\nmass_term = as_printed")),
     "beam_overflow": edit_config(
         TUNE_JOB, ("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09",
-                   "[beam]\nalpha = 1e160\nbeta = 0.05")),
+                   "[beam]\nalpha = 0.1\nbeta = 1e200")),
     "unread_section": TUNE_JOB + "\n[ekf]" + S73_TEXT.split("[ekf]")[1],
     "default_section": "[DEFAULT]\nhorizon = 0.5\n" + TUNE_JOB,
     "beam_beside_plant": TUNE_JOB + "\n[beam]\nalpha = 0.1\nbeta = 0.05\n",
@@ -438,6 +459,8 @@ MALFORMED = {
     "infinite_horizon": TUNE_JOB.replace("horizon = 0.5", "horizon = inf"),
     "infinite_observer_gain": TUNE_JOB.replace("k = 4.0", "k = inf"),
     "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
+    "negative_scenario_seed": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nseed = -1"),
+    "negative_pso_seed": TUNE_JOB.replace("[pso]\n", "[pso]\nseed = -3\n"),
 }
 
 # what the error must say, for the cases that name a key or a section
@@ -450,7 +473,9 @@ NAMED = {
     "removed_pso_workers": "[pso] workers: unknown key",
     "removed_quadrature_points": "[beam] quadrature_points: unknown key",
     "removed_mass_term": "[beam] mass_term: unknown key",
-    "beam_overflow": "[beam] alpha: 1e+160 overflows K2 in the assembly",
+    "beam_overflow": "[beam] beta: 1e+200 overflows K1 in the assembly",
+    "negative_scenario_seed": "[scenario] seed: must be >= 0, got -1",
+    "negative_pso_seed": "[pso] seed: must be >= 0, got -3",
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",
     "beam_beside_plant": "[beam]: unused section",

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from presto import plant
 from presto.plant import (
     BeamParams,
     DisturbanceSpec,
@@ -29,24 +31,67 @@ def composite_gauss(f) -> float:
     return total
 
 
-# the integrand of each mode-integral constant in presto.plant, for the
-# sine mode phi(x) = sin(pi*x); quadrature over these is the independent
-# oracle for the library's closed forms
+# the integrand of each mode integral over [0, 1] for the sine mode
+# phi(x) = sin(pi*x)
 MODE_INTEGRANDS = dict(
-    I_PP2=lambda x: (PI * np.cos(PI * x)) ** 2,
-    I_DD=lambda x: (-(PI**2) * np.sin(PI * x)) * np.sin(PI * x),
-    I_4=lambda x: (PI**4 * np.sin(PI * x)) * np.sin(PI * x),
-    I_6=lambda x: (-(PI**6) * np.sin(PI * x)) * np.sin(PI * x),
-    I_3P=lambda x: (-(PI**3) * np.cos(PI * x)) * (PI * np.cos(PI * x)),
-    I_PP2SQ=lambda x: (-(PI**2) * np.sin(PI * x)) ** 2,
-    I_00=lambda x: np.sin(PI * x) ** 2,
+    I_PP2=lambda x: (PI * np.cos(PI * x)) ** 2,  # int (phi')^2
+    I_DD=lambda x: (-(PI**2) * np.sin(PI * x)) * np.sin(PI * x),  # int phi'' phi
+    I_4=lambda x: (PI**4 * np.sin(PI * x)) * np.sin(PI * x),  # int phi'''' phi
+    I_6=lambda x: (-(PI**6) * np.sin(PI * x)) * np.sin(PI * x),  # int phi^(6) phi
+    I_3P=lambda x: (-(PI**3) * np.cos(PI * x)) * (PI * np.cos(PI * x)),  # int phi''' phi'
+    I_PP2SQ=lambda x: (-(PI**2) * np.sin(PI * x)) ** 2,  # int (phi'')^2
+    I_00=lambda x: np.sin(PI * x) ** 2,  # int phi^2
 )
+
+
+@functools.cache
+def quadrature_integrals() -> dict[str, float]:
+    return {name: composite_gauss(f) for name, f in MODE_INTEGRANDS.items()}
+
+
+def quadrature_coefficients(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
+    """K1, K2, g assembled term by term from the seven quadrature integrals.
+
+    The Galerkin assembly over the modal mass int phi^2, with K2's beta
+    terms kept (they carry I_3P + I_PP2SQ, which vanishes for the sine
+    mode): the independent oracle for the library's closed form.
+    """
+    mi = quadrature_integrals()
+    a2, b2 = alpha**2, beta**2
+    den = a2 * mi["I_DD"] - mi["I_00"]
+    k1 = (b2 * mi["I_6"] - mi["I_4"]) / den
+    num_a = (0.5 * mi["I_PP2"] * mi["I_DD"]
+             - b2 * (mi["I_3P"] * mi["I_DD"] + mi["I_PP2SQ"] * mi["I_DD"]))
+    num_b = (0.5 * a2 * mi["I_PP2"] * mi["I_4"]
+             - a2 * b2 * (mi["I_3P"] * mi["I_4"] + mi["I_PP2SQ"] * mi["I_4"]))
+    g = lam * (a2 * PI**2 + 1.0) / den
+    return k1, (num_a - num_b) / den, g
+
+
+def worst_quadrature_error(params) -> float:
+    """Largest relative error of K1, K2, g against the quadrature assembly."""
+    worst = 0.0
+    for alpha, beta, lam in params:
+        pp = galerkin_coefficients(BeamParams(alpha, beta, lam))
+        for got, want in zip((pp.K1, pp.K2, pp.g), quadrature_coefficients(alpha, beta, lam)):
+            worst = max(worst, abs(got - want) / abs(want))
+    return worst
+
+
+# the bundled beam, the local limit and a spread of nonlocal and gradient terms
+ORACLE_PARAMS = [(0.1, 0.05, 12.0), (0.0, 0.0, 1.0), (0.0, 0.4, 5.0), (0.3, 0.0, 0.545),
+                 (0.3, 0.2, 1.0), (1.0, 1.5, 1e-3), (2.0, 2.0, 100.0)]
 
 
 class TestModeIntegrals:
     def test_matches_closed_forms(self):
-        for name, f in MODE_INTEGRANDS.items():
-            assert getattr(plant, name) == pytest.approx(composite_gauss(f), rel=1e-12), name
+        # the library's closed-form K1, K2, g against the quadrature assembly
+        assert worst_quadrature_error(ORACLE_PARAMS) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(1e-3, 100.0))
+    def test_closed_form_matches_quadrature_assembly(self, alpha, beta, lam):
+        assert worst_quadrature_error([(alpha, beta, lam)]) < 1e-12
 
 
 def _analytic_coefficients(alpha, beta, lam):
@@ -60,8 +105,8 @@ def _analytic_coefficients(alpha, beta, lam):
 
 class TestGalerkinCoefficients:
     def test_local_classical_limit(self):
-        # den = -I_00 = -0.5 at alpha = 0, so both divisions are exact:
-        # the first-mode stiffness of a simply supported beam
+        # K1 = pi^4 * 1 / 1 and g = -2 * 1 exactly: the first-mode
+        # stiffness of a simply supported beam
         pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=1.0))
         assert pp.K1 == PI**4
         assert pp.K2 == pytest.approx(PI**4 / 4, rel=1e-15)
@@ -83,7 +128,7 @@ class TestGalerkinCoefficients:
         assert stiffer.K1 > with_beta.K1
 
     def test_conventional_mass_variant(self):
-        # den = -I_00 = -0.5 at alpha = 0, so both divisions are exact
+        # K1 = pi^4 * 1 / 1 and g = -2 * lambda exactly at alpha = beta = 0
         pp = galerkin_coefficients(BeamParams(alpha=0.0, beta=0.0, lam=3.0))
         assert pp.K1 == PI**4
         assert pp.g == -2 * 3.0
