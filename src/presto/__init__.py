@@ -11,50 +11,33 @@ Subpackages by responsibility:
 * harness    - scenario runs, comparison reports, CSV traces
 * config     - keyed text configuration files
 * cli        - the `presto` command
+
+The package exports the entry points, the types they take, return or
+raise, and one type per config section.  The stage functions the loops
+inline (`plant_derivative`, `observer_advance`, `tsmc_control`,
+`ekf_predict`, ...) are the tested reference and import from their modules.
 """
 
-from .mathcore import (
-    ExponentPair,
-    TimeBoundInputs,
-    Trace,
-    check_exponent_pair,
-    l2_norm,
-    linf_norm,
-    prescribed_time_bound,
-    settling_time,
-    sgn,
-    signed_pow,
-)
-from .plant import (
-    BeamParams,
-    DisturbanceSpec,
-    DisturbanceTerm,
-    PlantParams,
-    disturbance_value,
-    galerkin_coefficients,
-    plant_derivative,
-)
-from .observer import ObserverGains, ObserverState, disturbance_estimate, observer_advance, observer_init
-from .controller import (
-    SatBounds,
-    SmcGains,
-    TsmcGains,
-    saturate,
-    saturated_tsmc_control,
-    sliding_stack_n2,
-    smc_control,
-    tsmc_control,
-)
-from .estimator import EkfConfig, EkfState, ekf_init, ekf_predict, ekf_update
+from .mathcore import ExponentPair, Trace
+from .plant import (BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams,
+                    galerkin_coefficients)
+from .observer import ObserverGains
+from .controller import SatBounds, SmcGains, TsmcGains
+from .estimator import EkfConfig
 from .tuner import PsoConfig, PsoResult, pso_run
-from .harness import (
-    DivergenceError,
-    RunReport,
-    Scenario,
-    compare_controllers,
-    export_trace,
-    run_scenario,
-)
+from .harness import (DivergenceError, RunReport, Scenario, compare_controllers, export_trace,
+                      run_scenario)
 from .config import ConfigError, load_compare_entries, load_pso_job, load_scenario
+
+__all__ = [
+    # entry points
+    "load_scenario", "load_compare_entries", "load_pso_job", "run_scenario",
+    "compare_controllers", "export_trace", "pso_run", "galerkin_coefficients",
+    # what they take, return or raise
+    "ConfigError", "Scenario", "Trace", "RunReport", "DivergenceError", "PsoResult",
+    # one type per config section
+    "ExponentPair", "BeamParams", "PlantParams", "DisturbanceSpec", "DisturbanceTerm",
+    "ObserverGains", "TsmcGains", "SatBounds", "SmcGains", "EkfConfig", "PsoConfig",
+]
 
 __version__ = "0.1.0"

@@ -157,9 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except cfgmod.ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except harness.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED

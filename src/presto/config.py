@@ -38,6 +38,7 @@ import configparser
 import difflib
 import os
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -362,20 +363,28 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
 
     A config carrying a [compare] section expands to its listed scenario
     files (resolved relative to it); anything else loads as one scenario.
+    Each scenario carries its entry's label, and no two labels may match.
     """
-    entries: list[tuple[str, Scenario]] = []
+    scenarios: list[Scenario] = []
     for name in names:
         path = resolve_config_path(name)
         cp = _read(path)
         if not cp.has_section("compare"):
-            sc = _in_file(path, _scenario_file, cp)
-            entries.append((sc.label, sc))
+            scenarios.append(_in_file(path, _scenario_file, cp))
             continue
         for fname, label in _in_file(path, _compare_members, cp):
             sub = path.parent / fname
             sc = load_scenario(sub if sub.exists() else fname)
-            entries.append((label or sc.label, sc))
-    return entries
+            try:
+                scenarios.append(sc if label is None else replace(sc, label=label))
+            except ValueError as err:
+                raise ConfigError(f"{path}: [compare] labels: {err}") from err
+    labels = [sc.label for sc in scenarios]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"two scenarios share the label {label!r}, which names their "
+                              "trace file; set distinct [compare] labels")
+    return list(zip(labels, scenarios))
 
 
 def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:

@@ -176,6 +176,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
+        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\,"):
+            # the label names the run's trace and report files and its report rows
+            raise ValueError(f"label {self.label!r}: names output files, so it must not be "
+                             "empty, '.' or '..', nor hold '/', '\\' or ','")
         if len(self.x0) != 2:
             raise ValueError(f"x0 needs two entries, got {len(self.x0)}")
         if not all(math.isfinite(v) for v in self.x0):

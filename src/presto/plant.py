@@ -157,13 +157,20 @@ def galerkin_coefficients(bp: BeamParams) -> PlantParams:
     g = -2*lambda.  The nonlocal factor cancels from K2 and g, and beta from
     K2; K2 > 0, never the sign of the bundled K2 = -19.97.
 
-    Every finite alpha reduces (past about 1e154, K1 is 0); a beta or lambda
-    large enough to overflow K1 or g is an error that names the key.
+    Every finite alpha reduces (past about 1e154 with a small beta, K1 is 0);
+    when beta^2 overflows, K1 is recomputed scaled by 1/alpha^2, so only a
+    K1 or g that is itself past the float range is an error naming the key.
     """
     # x * x, not x**2: it is correctly rounded, and past 1e154 it reads inf
     # where float ** raises OverflowError
     a2, b2 = bp.alpha * bp.alpha, bp.beta * bp.beta
     k1 = (math.pi**4 + math.pi**6 * b2) / (1.0 + math.pi**2 * a2)
+    if not math.isfinite(k1) and bp.alpha > 0.0:
+        # beta^2 (or both squares) overflowed; the quotient scaled by
+        # 1/alpha^2 squares neither alpha nor beta; a finite first try keeps its bits
+        r = 1.0 / bp.alpha
+        ratio = bp.beta * r
+        k1 = math.pi**4 * (r * r + math.pi**2 * (ratio * ratio)) / (r * r + math.pi**2)
     g = -2.0 * bp.lam
     for name, value, key, given in (("K1", k1, "beta", bp.beta), ("g", g, "lambda", bp.lam)):
         if not math.isfinite(value):

@@ -134,9 +134,13 @@ class TestCoeffs:
         ({"alpha": "1e160"}, "  K1=0  K2=24.35227276  g=-2"),
         ({"alpha": "1e153", "lambda": "1e10"},
          "  K1=1.011312713e-305  K2=24.35227276  g=-2e+10"),
-    ], ids=["alpha-1e160", "alpha-1e153-lambda-1e10"])
+        # beta*beta is inf, but K1 ~ pi^4 (beta/alpha)^2 is not
+        ({"alpha": "1e200", "beta": "1e200"}, "  K1=97.40909103  K2=24.35227276  g=-2"),
+        ({"alpha": "1e150", "beta": "1e160"}, "  K1=9.740909103e+21  K2=24.35227276  g=-2"),
+    ], ids=["alpha-1e160", "alpha-1e153-lambda-1e10", "alpha-1e200-beta-1e200",
+            "alpha-1e150-beta-1e160"])
     def test_every_finite_alpha_reduces(self, tmp_path, capsys, params, line):
-        # K2 = pi^4/4 and g = -2*lambda for every alpha; K1 only shrinks
+        # K2 = pi^4/4 and g = -2*lambda for every alpha; K1 is finite
         cfg = tmp_path / "beam.cfg"
         cfg.write_text("[beam]\n" + "".join(f"{k} = {v}\n" for k, v in
                                             ({"beta": "0.05"} | params).items()))
@@ -155,6 +159,15 @@ class TestCoeffs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {cfg}: [beam] {key}: {float(value):g} overflows {coefficient} in the assembly\n"
+
+    @pytest.mark.parametrize("alpha", ["1e-3", "0"])
+    def test_overflowing_k1_exits_one_at_any_alpha(self, tmp_path, capsys, alpha):
+        # K1 ~ pi^6 beta^2 / (1 + pi^2 alpha^2) is past the float range here
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text(f"[beam]\nalpha = {alpha}\nbeta = 1e200\n")
+        assert main(["coeffs", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [beam] beta: 1e+200 overflows K1 in the assembly\n")
 
     def test_beam_error_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "badbeam.cfg"
@@ -461,6 +474,11 @@ MALFORMED = {
     "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
     "negative_scenario_seed": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nseed = -1"),
     "negative_pso_seed": TUNE_JOB.replace("[pso]\n", "[pso]\nseed = -3\n"),
+    "label_with_comma": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a,b"),
+    "label_with_slash": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = ../escaped"),
+    "label_with_backslash": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a\\b"),
+    "label_dot_dot": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = .."),
+    "label_empty": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel ="),
 }
 
 # what the error must say, for the cases that name a key or a section
@@ -498,6 +516,11 @@ NAMED = {
     "nan_rate": "disturbance amplitude and rate must be finite, got 2.0 and nan",
     "nan_table_time": "tabulated times and values must be finite",
     "nan_table_value": "tabulated times and values must be finite",
+    "label_with_comma": "label 'a,b': names output files",
+    "label_with_slash": "label '../escaped': names output files",
+    "label_with_backslash": "label 'a\\\\b': names output files",
+    "label_dot_dot": "label '..': names output files",
+    "label_empty": "label '': names output files",
 }
 
 
@@ -526,3 +549,62 @@ class TestMalformedConfig:
             assert NAMED.get(case, "") in err, command
             assert "Traceback" not in err, command
 
+
+
+class TestLabels:
+    """A label names its run's output files: it must be a safe file name, and
+    the entries of one comparison must not share one."""
+
+    S71 = resolve_config_path("s71").read_text()
+
+    @staticmethod
+    def run(tmp_path, command, *configs):
+        argv = [command, *map(str, configs)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        # a refused label writes nothing, inside --out or outside it
+        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.parent.glob("*.csv"))
+        return code
+
+    def test_same_scenario_twice(self, tmp_path, capsys):
+        assert self.run(tmp_path, "compare", "s71", "s71") == 1
+        assert capsys.readouterr().err == (
+            "error: two scenarios share the label 's71', which names their trace file; "
+            "set distinct [compare] labels\n")
+
+    def test_same_stem_in_two_directories(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "s71.cfg").write_text(self.S71)
+        assert self.run(tmp_path, "compare", tmp_path / "a/s71.cfg", tmp_path / "b/s71.cfg") == 1
+        assert "share the label 's71'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_compare_file_listing_one_scenario_twice(self, tmp_path, capsys, command):
+        (tmp_path / "s71.cfg").write_text(self.S71)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("[compare]\nscenarios = s71.cfg, s71.cfg\n")
+        assert self.run(tmp_path, command, cfg) == 1
+        err = capsys.readouterr().err
+        assert "share the label 's71'" in err and "[compare] labels" in err
+        cfg.write_text("[compare]\nscenarios = s71.cfg, s71.cfg\nlabels = first, second\n")
+        assert main(["validate", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    @pytest.mark.parametrize("label", ["../escaped", "..", "a\\b"])
+    def test_compare_label_must_be_a_file_name(self, tmp_path, capsys, command, label):
+        (tmp_path / "s71.cfg").write_text(self.S71)
+        cfg = tmp_path / "labeled.cfg"
+        cfg.write_text(f"[compare]\nscenarios = s71.cfg\nlabels = {label}\n")
+        assert self.run(tmp_path, command, cfg) == 1
+        assert f"error: {cfg}: [compare] labels: label {label!r}: names output files" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
+    def test_scenario_label_must_be_a_file_name(self, tmp_path, capsys, command):
+        cfg = tmp_path / "escape.cfg"
+        cfg.write_text(edit_config(self.S71, ("[scenario]\n", "[scenario]\nlabel = ../escaped\n")))
+        assert self.run(tmp_path, command, cfg) == 1
+        assert f"error: {cfg}: label '../escaped': names output files" in capsys.readouterr().err
