@@ -10,8 +10,7 @@ One flat INI-style file per job, one section per subsystem:
     [controller]  alpha1, beta1, p1, q1, p2, q2, delta, mu, tau, u_min, u_max
     [smc]         Y, eta, Kg, K1_min, K1_max, K1_nominal
     [ekf]         Ts, q_diag, r, p0_diag, x0_hat
-    [pso]         swarm_size, generations, seed, w, c1, c2, vmax_fraction,
-                  tune = name lo hi; ...
+    [pso]         swarm_size, generations, seed, tune = name lo hi; ...
     [compare]     scenarios = a.cfg, b.cfg, ...   labels = A, B, ...
 
 This module only reads keys and parses their text.  Each section feeds
@@ -26,17 +25,14 @@ literal: a '%' needs no escaping.  Scenario kinds pull in their required
 sections and reject configs missing them.  A file may set only the keys
 its loaders ask for (case-folded): any other key, a section nothing
 reads, or [DEFAULT] is an error, and a scenario file with [pso] always
-loads as a tuning job.  The environment variable PRESTO_SEED, when set,
-overrides every scenario seed loaded through this module.  Config names
-that are not existing paths fall back to the bundled files under
-presto/configs.
+loads as a tuning job.  Config names that are not existing paths fall
+back to the bundled files under presto/configs.
 """
 
 from __future__ import annotations
 
 import configparser
 import difflib
-import os
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -303,7 +299,6 @@ _SCENARIO_KEYS = {
     "decimation": int,
     "seed": int,
     "threshold_fraction": float,
-    "hold_duration": float,
     "label": str,
 }
 
@@ -311,14 +306,6 @@ _SCENARIO_KEYS = {
 def _scenario(cp, path: Path) -> Scenario:
     kind = _get(cp, "scenario", "kind", str)
     fields = {"label": path.stem, **_given(cp, "scenario", _SCENARIO_KEYS)}
-    env_seed = os.environ.get("PRESTO_SEED")
-    if env_seed is not None:
-        try:
-            fields["seed"] = int(env_seed)
-        except ValueError as err:
-            raise ConfigError(f"PRESTO_SEED={env_seed!r} is not an integer") from err
-        if fields["seed"] < 0:
-            raise ConfigError(f"PRESTO_SEED={env_seed!r}: seed must be >= 0")
     if kind == "smc_baseline":
         keys = ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal")
         fields["smc"] = SmcGains(**{key: _get(cp, "smc", key) for key in keys})
@@ -343,7 +330,7 @@ def _scenario_file(cp, path: Path) -> Scenario:
 
 
 def load_scenario(name: str | Path) -> Scenario:
-    """Load and validate one scenario config; PRESTO_SEED overrides the seed."""
+    """Load and validate one scenario config."""
     path = resolve_config_path(name)
     return _in_file(path, _scenario_file, _read(path))
 
@@ -363,7 +350,8 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
 
     A config carrying a [compare] section expands to its listed scenario
     files (resolved relative to it); anything else loads as one scenario.
-    Each scenario carries its entry's label, and no two labels may match.
+    Each scenario carries its entry's label; no two labels may match, and
+    none may be 'report', the stem of the comparison table's files.
     """
     scenarios: list[Scenario] = []
     for name in names:
@@ -384,6 +372,9 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
         if labels.count(label) > 1:
             raise ConfigError(f"two scenarios share the label {label!r}, which names their "
                               "trace file; set distinct [compare] labels")
+    if "report" in labels:
+        raise ConfigError("label 'report': its trace would overwrite report.csv, the "
+                          "comparison table; set another [compare] labels entry")
     return list(zip(labels, scenarios))
 
 
@@ -396,10 +387,6 @@ def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
         "swarm_size": int,
         "generations": ("max_generations", int),
         "seed": int,
-        "w": ("W", float),
-        "c1": ("C1", float),
-        "c2": ("C2", float),
-        "vmax_fraction": float,
     })
     return PsoConfig(bounds=bounds, **optional), template
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator
@@ -81,7 +82,7 @@ from .controller import (  # noqa: F401
     tsmc_control,
 )
 from .estimator import EkfConfig, ekf_init, ekf_predict, ekf_update
-from .mathcore import Trace, l2_norm, linf_norm, settling_time
+from .mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm, settling_time
 from .observer import (  # noqa: F401
     ObserverGains,
     disturbance_estimate,
@@ -168,7 +169,6 @@ class Scenario:
     ekf: EkfConfig | None = None
     smc: SmcGains | None = None
     threshold_fraction: float = 0.02
-    hold_duration: float = 0.5
     z0_offset: float = 0.0
     settle_by: float | None = None
     label: str = "run"
@@ -186,10 +186,13 @@ class Scenario:
             raise ValueError(f"x0 entries must be finite, got {self.x0}")
         if not math.isfinite(self.z0_offset):
             raise ValueError(f"z0_offset must be finite, got {self.z0_offset}")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt >= sys.float_info.min):  # SETTLING_HOLD / a subnormal dt overflows
+            raise ValueError(f"dt must be a normal float > 0, got {self.dt}")
         if not (self.dt < self.horizon < math.inf):
             raise ValueError(f"horizon must be finite and exceed dt, got {self.horizon}")
+        if not (self.horizon / self.dt < sys.maxsize):
+            raise ValueError(f"horizon / dt: {self.horizon:g} / {self.dt:g} must be a finite "
+                             f"step count below {sys.maxsize}")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
         if self.seed < 0:
@@ -199,8 +202,6 @@ class Scenario:
             raise ValueError(
                 f"threshold_fraction must lie in (0, 1), got {self.threshold_fraction}"
             )
-        if not (0.0 <= self.hold_duration < math.inf):
-            raise ValueError(f"hold_duration must be finite and >= 0, got {self.hold_duration}")
         if self.kind == "smc_baseline":
             if self.smc is None:
                 raise ValueError("smc_baseline needs [smc] gains")
@@ -224,7 +225,8 @@ class Scenario:
             if not (self.ekf.Ts > 0.0):
                 raise ValueError("adaptive kind needs ekf Ts > 0")
             stride = self.ekf.Ts / self.dt
-            if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+            if (not math.isfinite(stride) or abs(stride - round(stride)) > 1e-9
+                    or round(stride) < 1):
                 raise ValueError(
                     f"ekf Ts={self.ekf.Ts} must be a whole multiple of dt={self.dt}"
                 )
@@ -232,6 +234,11 @@ class Scenario:
                   if f.name in _UNUSED[self.kind] and getattr(self, f.name) != f.default]
         if unused:
             raise ValueError(f"kind {self.kind} does not use {', '.join(unused)}")
+
+    @property
+    def n_steps(self) -> int:
+        """Fixed steps in the horizon."""
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass
@@ -275,7 +282,7 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     if sc.kind == "adaptive_tsmc_saturated":
         report.ex_l2 = l2_norm(trace, "e_x")
         report.ex_linf = linf_norm(trace, "e_x")
-    report.t_s = settling_time(trace, sc.threshold_fraction, sc.hold_duration)
+    report.t_s = settling_time(trace, sc.threshold_fraction, SETTLING_HOLD)
     # the plain observer estimates the raw external disturbance, so its
     # amplitude-bound assumption is checkable against the realized signal
     if sc.kind == "tsmc" and max_abs_d > sc.observer.beta0:
@@ -305,7 +312,7 @@ class _SampleLog:
     """
 
     def __init__(self, sc: Scenario, names: tuple[str, ...]):
-        n_samples = len(range(0, int(round(sc.horizon / sc.dt)), sc.decimation))
+        n_samples = len(range(0, sc.n_steps, sc.decimation))
         packer = struct.Struct(f"{len(names)}d")
         self.names = names
         self.dt = sc.dt * sc.decimation
@@ -340,7 +347,7 @@ class _DisturbanceSeries:
     """
 
     def __init__(self, sc: Scenario):
-        self.n = int(round(sc.horizon / sc.dt))
+        self.n = sc.n_steps
         self.dt = sc.dt
         self.spec = sc.disturbance
         self.peak = 0.0
@@ -486,7 +493,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         # run is going and the next sample time otherwise
         band = sc.threshold_fraction * max(abs(x1), abs(x2))
         nband = -band
-        window = int(round(sc.hold_duration / log.dt)) + 1
+        window = int(round(SETTLING_HOLD / log.dt)) + 1
         in_band = 0
         earliest = 0.0
     for i, d in enumerate(d_series):

@@ -31,6 +31,7 @@ __all__ = [
     "check_exponent_pair",
     "l2_norm",
     "linf_norm",
+    "SETTLING_HOLD",
     "settling_time",
 ]
 
@@ -187,11 +188,11 @@ def linf_norm(tr: Trace, column: str) -> float:
     return float(np.max(np.abs(x))) if len(x) else 0.0
 
 
-def settling_time(
-    tr: Trace,
-    threshold_fraction: float = 0.02,
-    hold_duration: float = 0.5,
-) -> float | None:
+# seconds a run must stay in the settling band; every scenario holds for this long
+SETTLING_HOLD = 0.5
+
+
+def settling_time(tr: Trace, threshold_fraction: float, hold_duration: float) -> float | None:
     """First time the state pair enters and holds a band around the origin.
 
     Returns the earliest sample time t* such that

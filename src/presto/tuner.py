@@ -45,6 +45,10 @@ __all__ = [
     "PsoResult",
     "TuneTemplate",
     "DEFAULT_TUNE_BOXES",
+    "W",
+    "C1",
+    "C2",
+    "VMAX_FRACTION",
     "velocity_update",
     "position_update",
     "pso_run",
@@ -65,25 +69,23 @@ DEFAULT_TUNE_BOXES: dict[str, tuple[float, float]] = {
 }
 # tunable gains of ObserverGains; the rest belong to TsmcGains
 _OBSERVER_GAINS = ("k", "beta0", "eps")
+# inertia, the pulls toward the personal and global bests, and each gain's speed
+# cap as a fraction of its box width: the usual constriction-flavored constants
+W, C1, C2, VMAX_FRACTION = 0.72, 1.49, 1.49, 0.2
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm setup: box, size, coefficients, speed cap, seed.
+    """Swarm setup: one finite search box per tuned gain, size, budget, seed.
 
-    Each dimension's speed cap is vmax_fraction * (hi - lo).  W, C1, C2
-    default to the usual constriction-flavored constants; they are artifact
-    defaults, not tuned values.
+    The swarm's own coefficients are the module constants W, C1, C2 and
+    VMAX_FRACTION.
     """
 
     bounds: tuple[tuple[float, float], ...]
     swarm_size: int = 20
     max_generations: int = 40
     seed: int = 0
-    W: float = 0.72
-    C1: float = 1.49
-    C2: float = 1.49
-    vmax_fraction: float = 0.2
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -92,13 +94,10 @@ class PsoConfig:
             raise ValueError("max_generations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"[pso] seed: must be >= 0, got {self.seed}")
-        if not (self.C1 > 0.0 and self.C2 > 0.0):
-            raise ValueError("learning coefficients C1, C2 must be > 0")
         for lo, hi in self.bounds:
-            if not (lo < hi):
-                raise ValueError(f"bad search box [{lo}, {hi}]")
-        if not (0.0 < self.vmax_fraction < math.inf):
-            raise ValueError(f"vmax_fraction must be finite and > 0, got {self.vmax_fraction}")
+            if not (0.0 < hi - lo < math.inf):  # finite edges, lo < hi, a finite width
+                raise ValueError(f"[pso] tune: search box [{lo}, {hi}] must be finite "
+                                 "with lo < hi")
 
     @property
     def n_dims(self) -> int:
@@ -106,7 +105,7 @@ class PsoConfig:
 
     def speed_caps(self) -> np.ndarray:
         box = np.asarray(self.bounds, dtype=float)
-        return self.vmax_fraction * (box[:, 1] - box[:, 0])
+        return VMAX_FRACTION * (box[:, 1] - box[:, 0])
 
 
 @dataclass
@@ -138,7 +137,7 @@ def velocity_update(
     """
     r1 = rng.random(cfg.n_dims)
     r2 = rng.random(cfg.n_dims)
-    v = cfg.W * p.V + r1 * cfg.C1 * (p.P_best - p.X) + r2 * cfg.C2 * (G - p.X)
+    v = W * p.V + r1 * C1 * (p.P_best - p.X) + r2 * C2 * (G - p.X)
     caps = cfg.speed_caps()
     return np.clip(v, -caps, caps)
 

@@ -17,7 +17,7 @@ import numpy as np
 from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
 from presto.estimator import ekf_init, ekf_predict, ekf_update
 from presto.harness import RunReport, Scenario
-from presto.mathcore import Trace, l2_norm, linf_norm
+from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import disturbance_estimate, observer_advance, observer_init
 from presto.plant import disturbance_value, plant_derivative
 
@@ -110,7 +110,7 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
         report.uc_l2, report.uc_linf = l2_norm(trace, "u_c"), linf_norm(trace, "u_c")
     if adaptive:
         report.ex_l2, report.ex_linf = l2_norm(trace, "e_x"), linf_norm(trace, "e_x")
-    report.t_s = reference_settling_time(trace, sc.threshold_fraction, sc.hold_duration)
+    report.t_s = reference_settling_time(trace, sc.threshold_fraction, SETTLING_HOLD)
     return trace, report
 
 

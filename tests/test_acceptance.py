@@ -290,7 +290,7 @@ class TestCriterion10Determinism:
 
 
 REFERENCE_TABLE = {
-    # published comparison rows: u_l2, u_linf, ey_l2, ey_linf, t_s
+    # published comparison rows: u_l2, u_linf, ey_l2, ey_linf
     "s71": (1316.9, 999.3451, 6.6577, 1.0117),
     "s72": (399.9741, None, 17.0777, 1.1759),  # u_linf checked by containment only
     "s74": (894.6961, 73.1680, 25.8225, 2.4259),

@@ -317,7 +317,6 @@ class TestTune:
                 horizon = 1.0
                 decimation = 1
                 threshold_fraction = 0.05
-                hold_duration = 0.2
 
                 [plant]
                 K1 = 97.4
@@ -355,22 +354,6 @@ class TestTune:
         assert best[1].startswith("k,")
         hist = (tmp_path / "tiny_history.csv").read_text().splitlines()
         assert len(hist) == 4  # header + 3 generations
-
-
-class TestEnvSeed:
-    def test_presto_seed_overrides(self, monkeypatch):
-        from presto import load_scenario
-
-        monkeypatch.setenv("PRESTO_SEED", "31337")
-        assert load_scenario("s73").seed == 31337
-
-    @pytest.mark.parametrize("command,name", [("validate", "s73"), ("simulate", "s73"),
-                                              ("compare", "s73"), ("tune", "tune_s71")])
-    def test_negative_seed_exits_one(self, monkeypatch, tmp_path, capsys, command, name):
-        monkeypatch.setenv("PRESTO_SEED", "-5")
-        argv = [command, name] + ([] if command == "validate" else ["--out", str(tmp_path)])
-        assert main(argv) == 1
-        assert "PRESTO_SEED='-5': seed must be >= 0" in capsys.readouterr().err
 
 
 TUNE_JOB = """
@@ -431,8 +414,22 @@ MALFORMED = {
     "removed_smooth_sgn_width": TUNE_JOB.replace("[observer]\n",
                                                  "[observer]\nsmooth_sgn_width = 1e-3\n"),
     "threshold_out_of_range": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nthreshold_fraction = 1.5"),
+    # the settling hold and the swarm coefficients are constants, so their
+    # old keys are refused at any value, even the one every bundled file gave
+    "removed_hold_duration": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = 0.5"),
     "negative_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = -0.5"),
-    "infinite_hold": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nhold_duration = inf"),
+    "removed_pso_w": TUNE_JOB.replace("[pso]\n", "[pso]\nw = 0.72\n"),
+    "removed_pso_c1": TUNE_JOB.replace("[pso]\n", "[pso]\nc1 = 1.49\n"),
+    "removed_pso_c2": TUNE_JOB.replace("[pso]\n", "[pso]\nc2 = 1.49\n"),
+    "removed_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0.2\n"),
+    "infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k 0.5 inf"),
+    "minus_infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k -inf 20"),
+    "infinite_box_width": TUNE_JOB.replace("tune = k", "tune = k -1e308 1e308"),
+    "step_count_overflow": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e308"),
+    "subnormal_dt": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-320"),
+    "subnormal_dt_and_horizon": edit_config(TUNE_JOB, ("dt = 1e-3", "dt = 5e-324"),
+                                            ("horizon = 0.5", "horizon = 1e-320")),
+    "step_count_past_maxsize": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e20"),
     "nan_x0": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nx0 = nan, 5.0"),
     "infinite_z0_offset": TUNE_JOB.replace("q0 = 7", "q0 = 7\nz0_offset = inf"),
     "infinite_amplitude": TUNE_JOB + "\n[disturbance]\nterms = inf sin_linear 0.1\n",
@@ -468,7 +465,7 @@ MALFORMED = {
                                                    "q_diag = 2.025e-11, 2.25e-6")),
     "negative_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11, 2.25e-6,",
                                                   "q_diag = 2.025e-11, -2.25e-6,")),
-    "zero_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0\n"),
+    "infinite_ekf_stride": edit_config(ADAPTIVE_JOB, ("Ts = 6e-3", "Ts = 1e308")),
     "infinite_horizon": TUNE_JOB.replace("horizon = 0.5", "horizon = inf"),
     "infinite_observer_gain": TUNE_JOB.replace("k = 4.0", "k = inf"),
     "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
@@ -505,11 +502,23 @@ NAMED = {
     "nan_p0_diag": "p0_diag entries must be finite, got (0.01, nan, 6000.0)",
     "two_entry_q_diag": "q_diag must have 3 entries, got 2",
     "negative_q_diag": "q_diag entries must be >= 0, got (2.025e-11, -2.25e-06, 0.01)",
-    "zero_vmax_fraction": "vmax_fraction must be finite and > 0, got 0.0",
+    "removed_hold_duration": "[scenario] hold_duration: unknown key",
+    "negative_hold": "[scenario] hold_duration: unknown key",
+    "removed_pso_w": "[pso] w: unknown key",
+    "removed_pso_c1": "[pso] c1: unknown key",
+    "removed_pso_c2": "[pso] c2: unknown key",
+    "removed_vmax_fraction": "[pso] vmax_fraction: unknown key",
+    "infinite_box_edge": "[pso] tune: search box [0.5, inf] must be finite",
+    "minus_infinite_box_edge": "[pso] tune: search box [-inf, 20.0] must be finite",
+    "infinite_box_width": "[pso] tune: search box [-1e+308, 1e+308] must be finite",
+    "step_count_overflow": "horizon / dt: 1e+308 / 0.001 must be a finite step count",
+    "subnormal_dt": "dt must be a normal float > 0, got 1e-320",
+    "subnormal_dt_and_horizon": "dt must be a normal float > 0, got 5e-324",
+    "step_count_past_maxsize": "horizon / dt: 1e+20 / 0.001 must be a finite step count",
+    "infinite_ekf_stride": "ekf Ts=1e+308 must be a whole multiple of dt=0.0001",
     "infinite_horizon": "horizon must be finite and exceed dt, got inf",
     "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
     "nan_controller_gain": "gain mu must be finite and > 0, got nan",
-    "infinite_hold": "hold_duration must be finite and >= 0, got inf",
     "nan_x0": "x0 entries must be finite, got (nan, 5.0)",
     "infinite_z0_offset": "z0_offset must be finite, got inf",
     "infinite_amplitude": "disturbance amplitude and rate must be finite, got inf and 0.1",
@@ -608,3 +617,17 @@ class TestLabels:
         cfg.write_text(edit_config(self.S71, ("[scenario]\n", "[scenario]\nlabel = ../escaped\n")))
         assert self.run(tmp_path, command, cfg) == 1
         assert f"error: {cfg}: label '../escaped': names output files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    @pytest.mark.parametrize("where", ["compare_labels", "scenario_label"])
+    def test_report_is_a_reserved_label(self, tmp_path, capsys, command, where):
+        # a trace named report.csv would be overwritten by the comparison table
+        cfg = tmp_path / "labeled.cfg"
+        if where == "compare_labels":
+            (tmp_path / "s71.cfg").write_text(self.S71)
+            cfg.write_text("[compare]\nscenarios = s71.cfg\nlabels = report\n")
+        else:
+            cfg.write_text(edit_config(self.S71, ("[scenario]\n", "[scenario]\nlabel = report\n")))
+        assert self.run(tmp_path, command, cfg) == 1
+        assert ("error: label 'report': its trace would overwrite report.csv, the comparison "
+                "table; set another [compare] labels entry\n") == capsys.readouterr().err

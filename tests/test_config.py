@@ -80,15 +80,6 @@ class TestScenarioParsing:
         assert sc.disturbance.terms == ()
         assert sc.threshold_fraction == 0.02  # code default applies
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        p = write_cfg(tmp_path, MINIMAL_TSMC)
-        assert load_scenario(p).seed == 0
-        monkeypatch.setenv("PRESTO_SEED", "424242")
-        assert load_scenario(p).seed == 424242
-        monkeypatch.setenv("PRESTO_SEED", "oops")
-        with pytest.raises(ConfigError):
-            load_scenario(p)
-
     def test_missing_observer_section(self, tmp_path):
         text = MINIMAL_TSMC.replace("[observer]", "[observer_typo]")
         with pytest.raises(ConfigError, match=r"\[observer\]"):

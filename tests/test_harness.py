@@ -16,7 +16,7 @@ from presto.harness import (
     compare_controllers,
     export_trace,
 )
-from presto.mathcore import Trace, l2_norm, linf_norm
+from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import ObserverState, z_derivative
 from presto.plant import DisturbanceSpec, PlantParams
 
@@ -351,7 +351,7 @@ class TestStopWhenSettled:
         assert_prefix(short, full)
         # the last simulated sample completes the first hold window
         first = int(np.flatnonzero(full.column("t") == full_report.t_s)[0])
-        window = int(round(sc.hold_duration / full.dt)) + 1
+        window = int(round(SETTLING_HOLD / full.dt)) + 1
         assert short.n_samples == first + window < full.n_samples
 
     def test_unsettled_run_covers_the_horizon(self, bundled_runs):

@@ -7,6 +7,10 @@ import pytest
 from presto.config import load_pso_job, load_scenario
 from presto.harness import DivergenceError, run_scenario
 from presto.tuner import (
+    C1,
+    C2,
+    VMAX_FRACTION,
+    W,
     Particle,
     PsoConfig,
     TuneTemplate,
@@ -44,32 +48,36 @@ def sphere(x, bound):
 
 
 class TestVelocityUpdate:
+    # a box of width 20 caps the speed at VMAX_FRACTION * 20 = 4
+    BOX = PsoConfig(bounds=((-10.0, 10.0),))
+
     def test_pure_inertia(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=1.0, C1=1e-12, C2=1e-12,
-                        vmax_fraction=5.0)
-        p = Particle(X=np.array([1.0]), V=np.array([2.5]), P_best=np.array([1.0]))
-        v = velocity_update(p, np.array([1.0]), cfg, FixedRng(0.0, 0.0))
-        assert v[0] == pytest.approx(2.5)
+        # zero draws leave only the inertia term
+        p = Particle(X=np.array([1.0]), V=np.array([2.5]), P_best=np.array([3.0]))
+        v = velocity_update(p, np.array([-4.0]), self.BOX, FixedRng(0.0, 0.0))
+        assert v[0] == W * 2.5
 
     def test_attraction_vanishes_at_both_bests(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.5, vmax_fraction=5.0)
         x = np.array([3.0])
         p = Particle(X=x, V=np.array([1.0]), P_best=x.copy())
-        v = velocity_update(p, x.copy(), cfg, FixedRng(0.7, 0.9))
-        assert v[0] == pytest.approx(0.5)
+        v = velocity_update(p, x.copy(), self.BOX, FixedRng(0.7, 0.9))
+        assert v[0] == W
 
     def test_pinned_draw_arithmetic(self):
-        # W*v + r1*C1*(P-X) + r2*C2*(G-X) = 0.7 + 1 + 1 = 2.7 before clamping
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=0.7, C1=2.0, C2=2.0, vmax_fraction=5.0)
+        # W*v + r1*C1*(P-X) + r2*C2*(G-X) = 0.72 + 0.745 + 0.745 = 2.21, inside the cap
         p = Particle(X=np.array([0.0]), V=np.array([1.0]), P_best=np.array([1.0]))
-        v = velocity_update(p, np.array([1.0]), cfg, FixedRng(0.5, 0.5))
-        assert v[0] == pytest.approx(2.7)
+        v = velocity_update(p, np.array([1.0]), self.BOX, FixedRng(0.5, 0.5))
+        assert v[0] == pytest.approx(W + 0.5 * C1 + 0.5 * C2)
+        assert v[0] == pytest.approx(2.21)
 
     def test_speed_cap(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0),), W=1.0, C1=10.0, C2=10.0, vmax_fraction=0.025)
+        # 0.72*5 + 1.49*10 + 1.49*10 = 33.4 before clamping
         p = Particle(X=np.array([0.0]), V=np.array([5.0]), P_best=np.array([10.0]))
-        v = velocity_update(p, np.array([10.0]), cfg, FixedRng(1.0, 1.0))
-        assert abs(v[0]) <= 0.5
+        v = velocity_update(p, np.array([10.0]), self.BOX, FixedRng(1.0, 1.0))
+        assert v[0] == VMAX_FRACTION * 20.0 == 4.0
+        p = Particle(X=np.array([0.0]), V=np.array([-5.0]), P_best=np.array([-10.0]))
+        v = velocity_update(p, np.array([-10.0]), self.BOX, FixedRng(1.0, 1.0))
+        assert v[0] == -4.0
 
 
 class TestPositionUpdate:
@@ -178,7 +186,7 @@ class TestSettlingFitness:
 
     def test_unsettled_run_pays_horizon_plus_overshoot(self, job):
         _, template = job
-        short = replace(template.scenario, horizon=0.05, hold_duration=0.5)
+        short = replace(template.scenario, horizon=0.05)
         tpl = replace(template, scenario=short)
         cost = fitness_settling_time([4.0, 7.0, 10.0], tpl)
         assert cost > short.horizon
