@@ -2,24 +2,25 @@
 
 One flat INI-style file per job, one section per subsystem:
 
-    [scenario]    kind, x0, dt, horizon, decimation, seed, metric rule...
+    [scenario]    kind, x0, dt, horizon, decimation, seed,
+                  threshold_fraction, label
     [plant]       K1, K2, g          (direct coefficients; preferred)
     [beam]        alpha, beta, lambda
-    [disturbance] terms = A kind rate; ...   and/or table_file = path.csv
-    [observer]    k, beta0, eps, p0, q0, z0_offset
+    [disturbance] terms = A kind rate; ...
+    [observer]    k, beta0, eps, p0, q0
     [controller]  alpha1, beta1, p1, q1, p2, q2, delta, mu, tau, u_min, u_max
-    [smc]         Y, eta, Kg, K1_min, K1_max, K1_nominal
+    [smc]         Y, Kg, K1_min, K1_max, K1_nominal
     [ekf]         Ts, q_diag, r, p0_diag, x0_hat
     [pso]         swarm_size, generations, seed, tune = name lo hi; ...
-    [compare]     scenarios = a.cfg, b.cfg, ...   labels = A, B, ...
+    [compare]     scenarios = a.cfg, b.cfg, ...   labels = ...
 
 This module only reads keys and parses their text.  Each section feeds
 one library type whose fields hold the values the file gives, unconverted:
 [beam] BeamParams, [observer] ObserverGains, [controller] TsmcGains
-(u_min, u_max as its SatBounds), [smc] SmcGains, [ekf] EkfConfig and
-[pso] PsoConfig.  [scenario] and [observer] z0_offset feed the Scenario
-around them.  A key the file omits is not passed on, so it takes the
-default of the field it feeds, for instance x0 = 1.0, 5.0 or [pso]
+(u_min, u_max as its SatBounds), [disturbance] DisturbanceSpec, [smc]
+SmcGains, [ekf] EkfConfig and [pso] PsoConfig.  [scenario] feeds the
+Scenario around them.  A key the file omits is not passed on, so it takes
+the default of the field it feeds, for instance x0 = 1.0, 5.0 or [pso]
 generations = 40.  The checks live on those types too.  Values are
 literal: a '%' needs no escaping.  Scenario kinds pull in their required
 sections and reject configs missing them.  A file may set only the keys
@@ -33,12 +34,9 @@ from __future__ import annotations
 
 import configparser
 import difflib
-import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .controller import SatBounds, SmcGains, TsmcGains
 from .estimator import EkfConfig
@@ -164,7 +162,7 @@ def _get(cp, section: str, key: str, conv=float):
         raise ConfigError(f"missing required key [{section}] {key}")
     try:
         return conv(cp.get(section, key))
-    except (ValueError, OSError) as err:
+    except ValueError as err:
         raise ConfigError(f"[{section}] {key}: {err}") from err
 
 
@@ -202,19 +200,6 @@ def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
         except ValueError as err:
             raise ValueError(f"disturbance term {chunk!r}: {err}") from err
     return tuple(terms)
-
-
-def _table(base: Path, name: str):
-    """(times, values) from a two-column CSV file, relative to the config."""
-    if not name:
-        return None
-    with warnings.catch_warnings():
-        # an empty file is reported below as a missing column, not as numpy's warning
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(base / name, delimiter=",", ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{name} needs two columns (time, value)")
-    return (tuple(data[:, 0]), tuple(data[:, 1]))
 
 
 def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
@@ -307,18 +292,14 @@ def _scenario(cp, path: Path) -> Scenario:
     kind = _get(cp, "scenario", "kind", str)
     fields = {"label": path.stem, **_given(cp, "scenario", _SCENARIO_KEYS)}
     if kind == "smc_baseline":
-        keys = ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal")
+        keys = ("Y", "Kg", "K1_min", "K1_max", "K1_nominal")
         fields["smc"] = SmcGains(**{key: _get(cp, "smc", key) for key in keys})
     elif kind in KINDS:
         fields["tsmc"] = _load_tsmc(cp)
         fields["observer"] = _load_observer(cp)
-        fields.update(_given(cp, "observer", {"z0_offset": float}))
         if kind == "adaptive_tsmc_saturated":
             fields["ekf"] = _load_ekf(cp)
-    disturbance = DisturbanceSpec(**_given(cp, "disturbance", {
-        "terms": _terms,
-        "table_file": ("table", lambda name: _table(path.parent, name)),
-    }))
+    disturbance = DisturbanceSpec(**_given(cp, "disturbance", {"terms": _terms}))
     return Scenario(kind=kind, plant=_load_plant(cp), disturbance=disturbance, **fields)
 
 

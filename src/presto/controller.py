@@ -117,22 +117,19 @@ class SmcGains:
     """
 
     Y: float
-    eta: float
     Kg: float
     K1_min: float
     K1_max: float
     K1_nominal: float
 
     def __post_init__(self):
-        for name in ("Y", "eta", "Kg", "K1_min", "K1_max", "K1_nominal"):
+        for name in ("Y", "Kg", "K1_min", "K1_max", "K1_nominal"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not (self.Y > 0.0):
             raise ValueError(f"surface slope Y must be > 0, got {self.Y}")
-        if not (self.eta > 0.0):
-            raise ValueError(f"reaching gain eta must be > 0, got {self.eta}")
-        if self.Kg < self.eta:
-            raise ValueError(f"switching gain Kg={self.Kg} must be >= eta={self.eta}")
+        if not (self.Kg > 0.0):
+            raise ValueError(f"switching gain Kg must be > 0, got {self.Kg}")
         if not (self.K1_min < self.K1_max):
             raise ValueError("need K1_min < K1_max")
 
@@ -251,8 +248,8 @@ def smc_control(x: tuple[float, float], gains: SmcGains, pp: PlantParams) -> Smc
     stiffness; the switching part u_c = (dK*|x1| + Kg) / g * sgn(s) with
     slope dK = max(K1_nom - K1_min, K1_max - K1_nom), the largest
     |K1 - K1_nom| over the interval, dominates the uncertainty on either
-    side of the nominal and enforces the reaching condition
-    s*s' <= -eta*|s|.
+    side of the nominal.  Without a disturbance the law gives
+    s*s' <= -Kg*|s|: Kg is the reaching rate.
     """
     x1, x2 = x
     K1n = gains.K1_nominal

@@ -5,8 +5,8 @@ gains, and the integration setup.  `run_scenario` advances everything on a
 single fixed step:
 
     1. read the disturbance sample (`disturbance_value` evaluates the
-       waveform one fixed block of step times at a time, when the loop
-       reaches the block);
+       waveform one block of step times at a time, when the loop reaches
+       the block; blocks double from 1024 steps up to 8192);
     2. (adaptive kind) EKF predict with the input averaged over the elapsed
        measurement interval, then correct with the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
@@ -140,8 +140,11 @@ class Scenario:
 
     Each gain field holds one config section as its type: `tsmc` is
     [controller], `observer` is [observer], `ekf` is [ekf] and `smc` is
-    [smc], the nominal K1 included.  The [scenario] keys and [observer]
-    z0_offset are fields of the Scenario itself.
+    [smc], the nominal K1 included.  The [scenario] keys are fields of the
+    Scenario itself.
+
+    `z0_offset` (library only, observer kinds only) starts the observer
+    integrator z0_offset above the feedback x2(0), so s(0) = z0_offset.
 
     `settle_by` (library only, observer kinds only; None runs the whole
     horizon) ends the run at the logged sample that completes the first
@@ -646,7 +649,11 @@ _TABLE_COLUMNS = (
 
 
 def format_report_table(reports: list[RunReport]) -> str:
-    """Aligned plain-text comparison table, one row per run."""
+    """Aligned plain-text comparison table, one row per run.
+
+    A norm whose `.4f` form would fill its 12-character column, leaving no
+    blank before it, is written `.4e`, so rows keep the header's columns.
+    """
     header = f"{'scenario':<26}" + "".join(f"{name:>12}" for name, _ in _TABLE_COLUMNS)
     header += f"{'t_s':>14}  trace"
     lines = [header]
@@ -657,7 +664,10 @@ def format_report_table(reports: list[RunReport]) -> str:
         row = f"{r.label:<26}"
         for _, attr in _TABLE_COLUMNS:
             v = getattr(r, attr)
-            row += f"{'-':>12}" if v is None else f"{v:>12.4f}"
+            text = "-" if v is None else f"{v:.4f}"
+            if len(text) >= 12:
+                text = f"{v:.4e}"
+            row += f"{text:>12}"
         ts = "not settled" if r.t_s is None else f"{r.t_s:.4f}"
         row += f"{ts:>14}  {r.trace_path or '-'}"
         lines.append(row)

@@ -177,9 +177,17 @@ def l2_norm(tr: Trace, column: str) -> float:
 
     The sum is numpy's pairwise `add.reduce`, whose order is fixed, not a
     BLAS dot product, whose order and fused multiply-adds depend on the host.
+    When that sum overflows for finite samples, the norm is recomputed as
+    max|x| * sqrt(sum((x / max|x|)**2)); every finite sum keeps its bits.
     """
     x = tr.column(column)
-    return math.sqrt(float(np.add.reduce(x * x)))
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(x * x))
+    if total == math.inf and np.isfinite(x).all():
+        peak = float(np.max(np.abs(x)))
+        y = x / peak
+        return peak * math.sqrt(float(np.add.reduce(y * y)))
+    return math.sqrt(total)
 
 
 def linf_norm(tr: Trace, column: str) -> float:

@@ -97,40 +97,22 @@ class DisturbanceTerm:
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Sum of waveform terms, optionally plus a tabulated signal.
-
-    The tabulated part (times, values) is linearly interpolated and held at
-    its end values outside the tabulated range.
-    """
+    """Sum of waveform terms, in file order: the [disturbance] section."""
 
     terms: tuple[DisturbanceTerm, ...] = ()
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-    def __post_init__(self):
-        if self.table is not None:
-            times, values = self.table
-            if len(times) != len(values) or len(times) < 2:
-                raise ValueError("tabulated disturbance needs >= 2 aligned samples")
-            if not all(math.isfinite(v) for v in (*times, *values)):
-                raise ValueError("tabulated times and values must be finite")
-            if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-                raise ValueError("tabulated times must be strictly increasing")
 
     @property
     def bound(self) -> float:
-        """Reported amplitude bound: sum of |amplitudes| plus the table peak."""
-        b = sum(abs(t.amplitude) for t in self.terms)
-        if self.table is not None:
-            b += max(abs(v) for v in self.table[1])
-        return b
+        """Reported amplitude bound: the sum of |amplitudes|."""
+        return sum(abs(t.amplitude) for t in self.terms)
 
 
 def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the disturbance waveform at time t >= 0, or at each time of an array.
 
-    Terms are summed from 0.0 in file order and the table added last, so
-    each element of an array result is bitwise the float call's value, sign
-    of zero included.  The times are only read; one scratch buffer holds a term.
+    Terms are summed from 0.0 in file order, so each element of an array
+    result is bitwise the float call's value, sign of zero included.  The
+    times are only read; one scratch buffer holds a term.
     """
     t = np.asarray(t, dtype=float)
     d = np.zeros(t.shape)
@@ -145,9 +127,6 @@ def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | n
         np.sin(term_value, out=term_value)
         term_value *= term.amplitude
         d += term_value
-    if spec.table is not None:
-        times, values = spec.table
-        d += np.interp(t, times, values)
     return float(d) if d.ndim == 0 else d
 
 

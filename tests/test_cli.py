@@ -391,6 +391,7 @@ tune = k
 """
 
 S73_TEXT = resolve_config_path("s73").read_text()
+S74_TEXT = resolve_config_path("s74").read_text()
 ADAPTIVE_JOB = edit_config(S73_TEXT, ("horizon = 8.0", "horizon = 0.1")) + """
 [pso]
 swarm_size = 2
@@ -405,8 +406,6 @@ MALFORMED = {
     "duplicate_option": TUNE_JOB.replace("K1 = 97.4", "K1 = 97.4\nK1 = 97.4"),
     "compare_without_scenarios": "[compare]\nlabels = a\n",
     "compare_empty_list": "[compare]\nscenarios = ,\n",
-    "one_column_table": TUNE_JOB + "\n[disturbance]\ntable_file = one.csv\n",
-    "empty_table": TUNE_JOB + "\n[disturbance]\ntable_file = empty.csv\n",
     "non_numeric_value": TUNE_JOB.replace("K1 = 97.4", "K1 = abc"),
     "missing_required_key": TUNE_JOB.replace("k = 4.0\n", ""),
     "removed_perfect_observer": TUNE_JOB.replace("[scenario]\n",
@@ -431,11 +430,13 @@ MALFORMED = {
                                             ("horizon = 0.5", "horizon = 1e-320")),
     "step_count_past_maxsize": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e20"),
     "nan_x0": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nx0 = nan, 5.0"),
-    "infinite_z0_offset": TUNE_JOB.replace("q0 = 7", "q0 = 7\nz0_offset = inf"),
+    # inputs no bundled scenario set: z0_offset stays a library-only
+    # Scenario field, and the baseline's reaching rate is its Kg
+    "removed_table_file": TUNE_JOB + "\n[disturbance]\ntable_file = samples.csv\n",
+    "removed_z0_offset": TUNE_JOB.replace("q0 = 7", "q0 = 7\nz0_offset = 0.0"),
+    "removed_eta": edit_config(S74_TEXT, ("Y = 1.4\n", "Y = 1.4\neta = 1.0\n")),
     "infinite_amplitude": TUNE_JOB + "\n[disturbance]\nterms = inf sin_linear 0.1\n",
     "nan_rate": TUNE_JOB + "\n[disturbance]\nterms = 2.0 sin_sqrt nan\n",
-    "nan_table_time": TUNE_JOB + "\n[disturbance]\ntable_file = nan_time.csv\n",
-    "nan_table_value": TUNE_JOB + "\n[disturbance]\ntable_file = nan_value.csv\n",
     "misspelled_key": TUNE_JOB.replace("horizon = 0.5", "horizn = 0.5"),
     "removed_integrator": TUNE_JOB.replace("[scenario]\n", "[scenario]\nintegrator = rk4\n"),
     # the adaptive kind, the one kind that used to take it
@@ -478,7 +479,8 @@ MALFORMED = {
     "label_empty": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel ="),
 }
 
-# what the error must say, for the cases that name a key or a section
+# what the error must say, for the cases that name a key or a section; a
+# (case, command) entry holds what one command says instead
 NAMED = {
     "misspelled_key": "[scenario] horizn: unknown key; did you mean horizon?",
     "removed_integrator": "[scenario] integrator: unknown key",
@@ -520,11 +522,13 @@ NAMED = {
     "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
     "nan_controller_gain": "gain mu must be finite and > 0, got nan",
     "nan_x0": "x0 entries must be finite, got (nan, 5.0)",
-    "infinite_z0_offset": "z0_offset must be finite, got inf",
+    "removed_table_file": "[disturbance] table_file: unknown key",
+    "removed_z0_offset": "[observer] z0_offset: unknown key",
+    "removed_eta": "[smc] eta: unknown key",
+    # no baseline file is a tuning job: its template has no gain to tune
+    ("removed_eta", "tune"): "missing required section [pso]",
     "infinite_amplitude": "disturbance amplitude and rate must be finite, got inf and 0.1",
     "nan_rate": "disturbance amplitude and rate must be finite, got 2.0 and nan",
-    "nan_table_time": "tabulated times and values must be finite",
-    "nan_table_value": "tabulated times and values must be finite",
     "label_with_comma": "label 'a,b': names output files",
     "label_with_slash": "label '../escaped': names output files",
     "label_with_backslash": "label 'a\\\\b': names output files",
@@ -538,10 +542,6 @@ class TestMalformedConfig:
     def test_every_command_exits_one(self, tmp_path, capsys, case):
         # main returning 1, rather than raising, is what keeps a traceback
         # off the terminal: the console entry point only wraps its result
-        (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
-        (tmp_path / "empty.csv").write_text("")
-        (tmp_path / "nan_time.csv").write_text("0.0,1.0\nnan,2.0\n1.0,0.0\n")
-        (tmp_path / "nan_value.csv").write_text("0.0,1.0\n0.5,nan\n1.0,0.0\n")
         cfg = tmp_path / "case.cfg"
         cfg.write_text(MALFORMED[case])
         for command in ("validate", "simulate", "compare", "tune"):
@@ -555,7 +555,7 @@ class TestMalformedConfig:
             assert not caught, (command, [str(w.message) for w in caught])
             err = capsys.readouterr().err
             assert "error:" in err, command
-            assert NAMED.get(case, "") in err, command
+            assert NAMED.get((case, command), NAMED.get(case, "")) in err, command
             assert "Traceback" not in err, command
 
 

@@ -2,12 +2,14 @@ import dataclasses
 import math
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import presto.config
 from presto.config import (
     ConfigError,
+    load_beam_params,
     load_compare_entries,
     load_pso_job,
     load_scenario,
@@ -121,12 +123,6 @@ class TestScenarioParsing:
     def test_x0_needs_two_entries(self, tmp_path):
         text = MINIMAL_TSMC.replace("x0 = 1.0, 5.0", "x0 = 1.0, 5.0, 2.0")
         with pytest.raises(ConfigError, match="x0 needs two entries"):
-            load_scenario(write_cfg(tmp_path, text))
-
-    def test_one_column_table(self, tmp_path):
-        (tmp_path / "one.csv").write_text("0.0\n1.0\n2.0\n")
-        text = MINIMAL_TSMC + "\n[disturbance]\ntable_file = one.csv\n"
-        with pytest.raises(ConfigError, match=r"\[disturbance\] table_file: .* needs two columns"):
             load_scenario(write_cfg(tmp_path, text))
 
     def test_beam_section_builds_plant(self, tmp_path):
@@ -260,15 +256,19 @@ class TestUnreadKeys:
     """The keys a file may set are the keys its loaders ask for."""
 
     def test_observer_section_on_the_baseline_is_unused(self, tmp_path):
-        # z0_offset feeds the observer kinds only
-        text = resolve_config_path("s74").read_text() + "\n[observer]\nz0_offset = 1.0\n"
+        # the baseline has no observer to read its gains
+        text = resolve_config_path("s74").read_text() + "\n[observer]\nk = 4.0\n"
         with pytest.raises(ConfigError, match=r"\[observer\]: unused section"):
             load_scenario(write_cfg(tmp_path, text))
 
     def test_optional_keys_are_suggested(self, tmp_path):
-        text = resolve_config_path("s71").read_text().replace("q0 = 7", "q0 = 7\nz0_ofset = 1")
-        with pytest.raises(ConfigError, match=r"\[observer\] z0_ofset: unknown key; did you mean "
-                                              r"z0_offset\?"):
+        # decimation is optional, so the file loads without it and only the
+        # unread misspelling is left to name
+        text = resolve_config_path("s71").read_text()
+        assert "decimation = 10\n" in text
+        text = text.replace("decimation = 10\n", "decimaton = 10\n")
+        with pytest.raises(ConfigError, match=r"\[scenario\] decimaton: unknown key; did you "
+                                              r"mean decimation\?"):
             load_scenario(write_cfg(tmp_path, text))
 
     def test_compare_file_keys(self, tmp_path):
@@ -308,3 +308,71 @@ class TestUnreadKeys:
         for load in (load_scenario, load_pso_job):
             with pytest.raises(ConfigError, match=r"\[pso\] swarm: unknown key"):
                 load(p)
+
+
+# each bundled file and the loader the CLI gives it
+BUNDLED_LOADERS = {
+    "s71": load_scenario,
+    "s72": load_scenario,
+    "s73": load_scenario,
+    "s74": load_scenario,
+    "compare": lambda name: load_compare_entries([name]),
+    "tune_s71": load_pso_job,
+    "beam": load_beam_params,
+}
+
+
+def documented_keys(block: str) -> dict[str, set[str]]:
+    """Section -> keys of a configuration block.
+
+    A line opening with [section] starts an entry and indented lines
+    continue it after a wide gap; a trailing note in parentheses is not
+    part of it.  A key is
+    a name that opens the entry or follows ', ' or a wide gap, and ends at
+    ',', '=' or the end of the entry, so example values are not keys.
+    """
+    entries: dict[str, str] = {}
+    section = None
+    for line in textwrap.dedent(block).splitlines():
+        line = re.sub(r"\s{2,}\(.*\)$", "", line)
+        if header := re.match(r"\[(\w+)\]\s*(.*)", line):
+            section = header[1]
+            entries[section] = header[2]
+        elif line.strip():
+            entries[section] += "  " + line.strip()
+    key = re.compile(r"(?:^|,\s*|\s{2,})([A-Za-z_]\w*)(?=\s*(?:,|=|$))")
+    return {name: set(key.findall(text)) for name, text in entries.items()}
+
+
+class TestDocumentedKeys:
+    """The documented sections list exactly the keys the loaders ask for."""
+
+    @pytest.fixture(scope="class")
+    def asked(self):
+        bundled = resolve_config_path("s71").parent
+        assert sorted(BUNDLED_LOADERS) == sorted(p.stem for p in bundled.glob("*.cfg"))
+        parsers = []
+        read = presto.config._read
+
+        def recording_read(path):
+            parsers.append(read(path))
+            return parsers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(presto.config, "_read", recording_read)
+            for name, load in BUNDLED_LOADERS.items():
+                load(name)
+        keys: dict[str, set[str]] = {}
+        for cp in parsers:
+            for section, spelled in cp.asked.items():
+                keys.setdefault(section, set()).update(spelled.values())
+        return keys
+
+    def test_readme_configuration_block(self, asked):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Configuration format\n.*?```ini\n(.*?)```", readme, re.S)[1]
+        assert documented_keys(block) == asked
+
+    def test_config_module_docstring(self, asked):
+        block = re.search(r"subsystem:\n\n(.*?)\n\n", presto.config.__doc__, re.S)[1]
+        assert documented_keys(block) == asked

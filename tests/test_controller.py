@@ -86,10 +86,11 @@ class TestGainGates:
             )
 
     def test_smc_gains(self):
+        for Kg in (0.0, -1.0):
+            with pytest.raises(ValueError, match="switching gain Kg must be > 0"):
+                SmcGains(Y=1.0, Kg=Kg, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
         with pytest.raises(ValueError):
-            SmcGains(Y=1.0, eta=2.0, Kg=1.0, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
-        with pytest.raises(ValueError):
-            SmcGains(Y=-1.0, eta=1.0, Kg=2.0, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
+            SmcGains(Y=-1.0, Kg=2.0, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
 
 
 class TestSlidingStack:
@@ -269,14 +270,14 @@ class TestSaturatedTsmc:
 
 
 class TestSmcBaseline:
-    GAINS = SmcGains(Y=1.4, eta=1.0, Kg=2.5, K1_min=94.8, K1_max=100.0, K1_nominal=97.4)
+    GAINS = SmcGains(Y=1.4, Kg=2.5, K1_min=94.8, K1_max=100.0, K1_nominal=97.4)
 
     def test_origin(self):
         out = smc_control((0.0, 0.0), self.GAINS, REF)
         assert out == (0.0, 0.0, 0.0, 0.0)
 
     def test_hand_assembled_components(self):
-        gains = SmcGains(Y=1.0, eta=1.0, Kg=2.0, K1_min=94.8, K1_max=100.0, K1_nominal=97.4)
+        gains = SmcGains(Y=1.0, Kg=2.0, K1_min=94.8, K1_max=100.0, K1_nominal=97.4)
         out = smc_control((1.0, 0.0), gains, REF)
         assert out.s == pytest.approx(1.0)
         assert out.u_eq == pytest.approx((0.0 - 97.4 + 19.97) / -1.09, rel=1e-12)
@@ -286,19 +287,19 @@ class TestSmcBaseline:
     @pytest.mark.parametrize("nominal", [92.0, 97.0, 85.0, 103.0])
     def test_off_centre_nominal_covers_the_interval(self, nominal):
         # without a disturbance s' = (K1_nom - K1)*x1 - (dK*|x1| + Kg)*sgn(s),
-        # so s*s' <= -eta*|s| holds for every K1 in [K1_min, K1_max] only when
+        # so s*s' <= -Kg*|s| holds for every K1 in [K1_min, K1_max] only when
         # the slope dK reaches the end of the interval farther from the nominal
-        gains = SmcGains(Y=1.0, eta=1.0, Kg=2.0, K1_min=90.0, K1_max=100.0, K1_nominal=nominal)
+        gains = SmcGains(Y=1.0, Kg=2.0, K1_min=90.0, K1_max=100.0, K1_nominal=nominal)
         slope = max(nominal - 90.0, 100.0 - nominal)
         for x1, x2 in ((1.0, -5.0), (-1.0, 5.0), (1.0, 2.0), (-2.0, 1.0)):
             out = smc_control((x1, x2), gains, REF)
             assert out.u_c == (slope * abs(x1) + 2.0) / REF.g * math.copysign(1.0, out.s)
             for K1 in (90.0, 100.0):
                 s_dot = -K1 * x1 - REF.K2 * x1**3 - REF.g * out.u + gains.Y * x2
-                assert out.s * s_dot <= -gains.eta * abs(out.s) + 1e-9, (K1, x1, x2)
+                assert out.s * s_dot <= -gains.Kg * abs(out.s) + 1e-9, (K1, x1, x2)
 
     def test_reaching_condition_along_trajectory(self):
-        # s*s' <= -eta*|s| outside the switching band when the disturbance
+        # s*s' <= -Kg*|s| outside the switching band when the disturbance
         # is absent and the nominal stiffness is exact
         sc = load_scenario("s74")
         sc = replace(sc, horizon=2.0, decimation=1)
@@ -310,6 +311,6 @@ class TestSmcBaseline:
             if abs(s[i]) <= 0.02:
                 continue
             fd = (s[i + 1] - s[i]) / dt
-            assert s[i] * fd <= -self.GAINS.eta * abs(s[i]) + 60 * dt * (1 + abs(s[i]))
+            assert s[i] * fd <= -self.GAINS.Kg * abs(s[i]) + 60 * dt * (1 + abs(s[i]))
             checked += 1
         assert checked > 1000

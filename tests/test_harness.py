@@ -12,9 +12,11 @@ from presto.config import load_pso_job
 from presto.controller import SatBounds
 from presto.harness import (
     DivergenceError,
+    RunReport,
     Scenario,
     compare_controllers,
     export_trace,
+    format_report_table,
 )
 from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import ObserverState, z_derivative
@@ -204,6 +206,25 @@ class TestCompare:
         assert "FAILED" in text
         assert (tmp_path / "good.csv").exists()
         assert (tmp_path / "bad.csv").exists()  # partial trace still exported
+
+
+class TestReportTable:
+    def test_a_norm_too_wide_for_its_column_is_written_in_e_form(self):
+        # s72 with beta0 = 1e308 reaches ||u_c||inf = 2.2e307, whose .4f
+        # form runs to 313 characters
+        wide = RunReport(label="wide", kind="tsmc_saturated", u_l2=954.2323, uc_l2=math.inf,
+                         uc_linf=2.2299e307, ex_l2=12345678.0, ex_linf=1234567.0)
+        header, row = format_report_table([wide]).splitlines()
+        assert row.split() == ["wide", "954.2323", "0.0000", "0.0000", "0.0000",
+                               "1.2346e+07", "1.2346e+06", "inf", "2.2299e+307",
+                               "not", "settled", "-"]
+        # every value ends where its header name ends
+        for name in ("||u||2", "||e_x||2", "||e_x||inf", "||u_c||inf", "t_s"):
+            end = header.index(name) + len(name)
+            assert row[end - 1] != " " and row[end:end + 1] in (" ", ""), name
+        # the widest value that fits keeps its fixed-point form
+        narrow = replace(wide, ex_l2=123456.0, ex_linf=None, uc_l2=None, uc_linf=None)
+        assert "123456.0000" in format_report_table([narrow])
 
 
 class TestTraceFiles:

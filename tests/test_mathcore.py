@@ -180,6 +180,17 @@ class TestNorms:
             assert l2_norm(t2, "u") == pytest.approx(abs(c) * l2_norm(t1, "u"), rel=1e-12)
             assert linf_norm(t2, "u") == pytest.approx(abs(c) * linf_norm(t1, "u"), rel=1e-12)
 
+    @pytest.mark.parametrize("x,norm", [
+        ([1e200, 1.0], 1e200),
+        ([-1e308, 1e308], 1e308 * math.sqrt(2)),
+        ([2e307] * 9, 2e307 * 3),
+        ([1e308] * 4, math.inf),  # the norm itself is past the float range
+        ([1.0, math.inf], math.inf),
+    ], ids=["one_huge_sample", "two_extremes", "nine_equal", "past_the_range", "inf_sample"])
+    def test_norm_of_an_overflowing_sum(self, x, norm):
+        # each sum of squares overflows, but only a norm past the range reads
+        # inf, and without a RuntimeWarning
+        assert l2_norm(Trace(dt=1.0, columns={"u": x}), "u") == norm
 
 class TestSettlingTime:
     def test_identically_zero_settles_at_origin(self):

@@ -232,30 +232,21 @@ class TestDisturbance:
         with pytest.raises(ValueError, match="must be finite"):
             DisturbanceTerm(amplitude, "sin_linear", rate)
 
-    def test_tabulated_interpolation(self):
-        spec = DisturbanceSpec(table=((0.0, 1.0, 2.0), (0.0, 2.0, 0.0)))
-        assert disturbance_value(spec, 0.5) == pytest.approx(1.0)
-        assert disturbance_value(spec, 1.5) == pytest.approx(1.0)
-        assert disturbance_value(spec, 5.0) == pytest.approx(0.0)  # held at the end
-        assert spec.bound == pytest.approx(2.0)
-
     @pytest.mark.parametrize(
         "spec",
         [
             DisturbanceSpec(terms=(DisturbanceTerm(2.0, "sin_linear", 0.1),)),
             DisturbanceSpec(terms=(DisturbanceTerm(3.0, "sin_sqrt", 0.2),)),
             S71_SPEC,
-            DisturbanceSpec(
-                terms=(DisturbanceTerm(-1.5, "sin_sqrt", 0.3),),
-                table=((0.0, 0.05, 0.1, 0.2), (0.0, 3.0, -2.0, 1.0)),
-            ),
+            DisturbanceSpec(terms=(DisturbanceTerm(-1.5, "sin_sqrt", 0.3),)),
             DisturbanceSpec(),
             DisturbanceSpec(terms=(DisturbanceTerm(-2.0, "sin_linear", 0.4),)),
         ],
-        ids=["sin_linear", "sin_sqrt", "s71", "table", "empty", "negative_amplitude"],
+        ids=["sin_linear", "sin_sqrt", "s71", "negative_sin_sqrt", "empty",
+             "negative_amplitude"],
     )
     def test_array_matches_float_calls_bitwise(self, spec):
-        # step times of a run, the table knots and times past its end
+        # step times of a run and a few times past them
         times = np.concatenate([np.arange(5000) * 1e-4, [0.05, 0.1, 0.2, 0.7, 41.3]])
         series = disturbance_value(spec, times)
         assert series.shape == times.shape
@@ -267,12 +258,9 @@ class TestDisturbance:
 
     def test_matches_the_scalar_libm_formula(self):
         # the documented formula in scalar libm arithmetic, term by term in
-        # file order from 0.0 and the table last; the bundled outputs were
-        # first produced this way, so numpy's sin must agree with libm's
-        spec = DisturbanceSpec(
-            terms=S71_SPEC.terms + (DisturbanceTerm(-1.5, "sin_sqrt", 0.3),),
-            table=((0.0, 0.05, 0.1, 0.2), (0.0, 3.0, -2.0, 1.0)),
-        )
+        # file order from 0.0; the bundled outputs were first produced this
+        # way, so numpy's sin must agree with libm's
+        spec = DisturbanceSpec(terms=S71_SPEC.terms + (DisturbanceTerm(-1.5, "sin_sqrt", 0.3),))
         times = np.arange(80000) * 1e-4
         series = disturbance_value(spec, times)
         for t, d in zip(times.tolist(), series.tolist()):
@@ -282,7 +270,6 @@ class TestDisturbance:
                     expected += term.amplitude * math.sin(term.rate * math.pi * t)
                 else:
                     expected += term.amplitude * math.sin(term.rate * math.sqrt(t + 1.0))
-            expected += float(np.interp(t, *spec.table))
             assert d == expected, t
 
     def test_negative_amplitude_at_origin_is_positive_zero(self):
@@ -290,14 +277,3 @@ class TestDisturbance:
         spec = DisturbanceSpec(terms=(DisturbanceTerm(-2.0, "sin_linear", 0.4),))
         assert math.copysign(1.0, disturbance_value(spec, 0.0)) == 1.0
         assert math.copysign(1.0, disturbance_value(spec, np.zeros(3))[0]) == 1.0
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            DisturbanceSpec(table=((0.0, 0.0), (1.0, 2.0)))
-        with pytest.raises(ValueError):
-            DisturbanceSpec(table=((0.0,), (1.0,)))
-        # a NaN time would slip past the strictly-increasing check
-        for table in (((0.0, math.nan, 1.0), (1.0, 2.0, 0.0)), ((0.0, 1.0), (1.0, math.inf))):
-            with pytest.raises(ValueError, match="must be finite"):
-                DisturbanceSpec(table=table)
-
