@@ -369,7 +369,12 @@ def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
         "generations": ("max_generations", int),
         "seed": int,
     })
-    return PsoConfig(bounds=bounds, **optional), template
+    cfg = PsoConfig(bounds=bounds, **optional)
+    for name, (lo, hi) in zip(template.names, bounds):
+        if not hi > 0.0:
+            raise ConfigError(f"[pso] tune: {name} box [{lo}, {hi}] holds no gain > 0; "
+                              "every tuned gain must be > 0")
+    return cfg, template
 
 
 def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:

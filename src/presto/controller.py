@@ -158,6 +158,22 @@ def sliding_stack_n2(x: tuple[float, float], s_obs: float, gains: TsmcGains) -> 
     return x2 + gains.alpha1 * x1 + gains.beta1 * _spow(x1, gains.e1.ratio) + s_obs
 
 
+def _virtual_input(
+    x: tuple[float, float], d_hat: float, s2: float, pp: PlantParams, gains: TsmcGains
+) -> float:
+    """(K1*x1 + K2*x1**3) - alpha1*x2 - beta1 * d/dt x1**(p1/q1) - d_hat
+    - delta*s2 - mu*s2**(p2/q2), the input both terminal laws design for."""
+    x1, x2 = x
+    return (
+        (pp.K1 * x1 + pp.K2 * x1**3)
+        - gains.alpha1 * x2
+        - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
+        - d_hat
+        - gains.delta * s2
+        - gains.mu * _spow(s2, gains.e2.ratio)
+    )
+
+
 def tsmc_control(
     x: tuple[float, float],
     d_hat: float,
@@ -176,16 +192,7 @@ def tsmc_control(
     reaching-deadline bound is computed from.  The K1 in here is whatever
     estimate pp carries, so parameter-adaptive loops pass their own pp.
     """
-    x1, x2 = x
-    fx_hat = pp.K1 * x1 + pp.K2 * x1**3
-    return -(1.0 / pp.g) * (
-        fx_hat
-        - gains.alpha1 * x2
-        - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
-        - d_hat
-        - gains.delta * s2
-        - gains.mu * _spow(s2, gains.e2.ratio)
-    )
+    return -(1.0 / pp.g) * _virtual_input(x, d_hat, s2, pp, gains)
 
 
 def saturate(u_c: float, sat: SatBounds) -> float:
@@ -220,15 +227,7 @@ def saturated_tsmc_control(
     """
     if gains.tau is None or gains.sat is None:
         raise ValueError("saturated law needs both tau and sat bounds configured")
-    x1, x2 = x
-    v_r = (
-        (pp.K1 * x1 + pp.K2 * x1**3)
-        - gains.alpha1 * x2
-        - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
-        - D_hat
-        - gains.delta * s2
-        - gains.mu * _spow(s2, gains.e2.ratio)
-    )
+    v_r = _virtual_input(x, D_hat, s2, pp, gains)
     G = -pp.g
     u_c = G * v_r / (G * G + gains.tau)
     return v_r, u_c, saturate(u_c, gains.sat)

@@ -2,7 +2,10 @@
 
 Plain global-best PSO: each particle keeps its best visited position, the
 swarm shares one global best, and velocities blend inertia with draws
-toward both.  Specifics that pin the behavior down:
+toward both.  The swarm is held in arrays with one row per particle and one
+column per gain: positions X, velocities V and personal bests P.  The
+velocity and position laws act on the whole swarm at once.  Specifics that
+pin the behavior down:
 
 * draws for generation g, particle i come from an independent stream seeded
   by (seed, g, i), so results are bit-reproducible no matter how fitness
@@ -41,7 +44,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PsoConfig",
-    "Particle",
     "PsoResult",
     "TuneTemplate",
     "DEFAULT_TUNE_BOXES",
@@ -88,6 +90,8 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.bounds:
+            raise ValueError("[pso] tune: must give at least one search box")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.max_generations < 1:
@@ -103,18 +107,6 @@ class PsoConfig:
     def n_dims(self) -> int:
         return len(self.bounds)
 
-    def speed_caps(self) -> np.ndarray:
-        box = np.asarray(self.bounds, dtype=float)
-        return VMAX_FRACTION * (box[:, 1] - box[:, 0])
-
-
-@dataclass
-class Particle:
-    X: np.ndarray
-    V: np.ndarray
-    P_best: np.ndarray
-    P_best_cost: float = math.inf
-
 
 @dataclass
 class PsoResult:
@@ -123,38 +115,36 @@ class PsoResult:
     history: list[float] = field(default_factory=list)
 
 
-def _stream(seed: int, generation: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, generation, index]))
+def _draws(seed: int, generation: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two swarm-shaped arrays of uniform draws in [0, 1); row i of each comes,
+    in that order, from the independent stream seeded by (seed, generation, i)."""
+    swarm_size, n_dims = shape
+    R = np.array([np.random.default_rng(np.random.SeedSequence([seed, generation, i]))
+                  .random((2, n_dims)) for i in range(swarm_size)])
+    return R[:, 0], R[:, 1]
 
 
-def velocity_update(
-    p: Particle, G: np.ndarray, cfg: PsoConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """New velocity: inertia plus random pulls toward both bests, clamped.
+def velocity_update(X: np.ndarray, V: np.ndarray, P: np.ndarray, G: np.ndarray,
+                    R1: np.ndarray, R2: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """New velocities of the whole swarm: inertia plus random pulls toward
+    each particle's best P and the global best G, clamped.
 
-    v' = W*v + r1*C1*(P_best - X) + r2*C2*(G - X), with r1, r2 uniform
-    per-dimension draws in [0, 1], then clamped to the speed caps.
+    V' = W*V + R1*C1*(P - X) + R2*C2*(G - X), with R1, R2 the uniform draws,
+    then clamped per dimension to [-caps, caps].
     """
-    r1 = rng.random(cfg.n_dims)
-    r2 = rng.random(cfg.n_dims)
-    v = W * p.V + r1 * C1 * (p.P_best - p.X) + r2 * C2 * (G - p.X)
-    caps = cfg.speed_caps()
-    return np.clip(v, -caps, caps)
+    return np.clip(W * V + R1 * C1 * (P - X) + R2 * C2 * (G - X), -caps, caps)
 
 
-def position_update(
-    p: Particle, v_new: np.ndarray, cfg: PsoConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Move by the new velocity, then clamp to the box.
+def position_update(X: np.ndarray, V: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move the whole swarm by V, then clamp to the box [lo, hi].
 
-    Returns (position, velocity): any component clamped at a box face has
+    Returns (positions, velocities): any component clamped at a box face has
     its velocity zeroed, a simple deterministic absorbing boundary.
     """
-    box = np.asarray(cfg.bounds, dtype=float)
-    x_raw = p.X + v_new
-    x = np.clip(x_raw, box[:, 0], box[:, 1])
-    v = np.where(x == x_raw, v_new, 0.0)
-    return x, v
+    x_raw = X + V
+    x = np.clip(x_raw, lo, hi)
+    return x, np.where(x == x_raw, V, 0.0)
 
 
 def _sanitize_cost(c) -> float:
@@ -174,49 +164,44 @@ def pso_run(fitness: Callable[[np.ndarray, float], float], cfg: PsoConfig) -> Ps
     construction.  `fitness(x, bound)` gets the particle's personal-best
     cost as `bound` (+inf in generation 1); it may return any value
     >= bound in place of a cost it knows is not below it, and the result
-    is the same as with exact costs.
+    is the same as with exact costs.  While every cost is +inf, the global
+    best is particle 0's first position.
     """
-    box = np.asarray(cfg.bounds, dtype=float)
-    caps = cfg.speed_caps()
-    particles: list[Particle] = []
-    for i in range(cfg.swarm_size):
-        rng = _stream(cfg.seed, 0, i)
-        x = box[:, 0] + rng.random(cfg.n_dims) * (box[:, 1] - box[:, 0])
-        v = (2.0 * rng.random(cfg.n_dims) - 1.0) * caps
-        particles.append(Particle(X=x, V=v, P_best=x.copy()))
-
-    g_best: np.ndarray | None = None
-    g_cost = math.inf
+    lo, hi = np.asarray(cfg.bounds, dtype=float).T
+    caps = VMAX_FRACTION * (hi - lo)
+    shape = (cfg.swarm_size, cfg.n_dims)
+    U1, U2 = _draws(cfg.seed, 0, shape)
+    X = lo + U1 * (hi - lo)
+    V = (2.0 * U2 - 1.0) * caps
+    P, p_cost = X.copy(), [math.inf] * cfg.swarm_size
+    G, g_cost = X[0].copy(), math.inf
     history: list[float] = []
     for gen in range(1, cfg.max_generations + 1):
-        costs = [_sanitize_cost(fitness(p.X, p.P_best_cost)) for p in particles]
-        for p, c in zip(particles, costs):
-            if c < p.P_best_cost:
-                p.P_best_cost = c
-                p.P_best = p.X.copy()
+        for i in range(cfg.swarm_size):
+            c = _sanitize_cost(fitness(X[i], p_cost[i]))
+            if c < p_cost[i]:
+                p_cost[i] = c
+                P[i] = X[i]
             if c < g_cost:
                 g_cost = c
-                g_best = p.X.copy()
+                G = X[i].copy()
         history.append(g_cost)
         if gen == cfg.max_generations:
             break
-        for i, p in enumerate(particles):
-            rng = _stream(cfg.seed, gen, i)
-            v = velocity_update(p, g_best, cfg, rng)
-            p.X, p.V = position_update(p, v, cfg)
-    assert g_best is not None
-    return PsoResult(best_x=g_best, best_cost=g_cost, history=history)
+        R1, R2 = _draws(cfg.seed, gen, shape)
+        X, V = position_update(X, velocity_update(X, V, P, G, R1, R2, caps), lo, hi)
+    return PsoResult(best_x=G, best_cost=g_cost, history=history)
 
 
 @dataclass(frozen=True)
 class TuneTemplate:
     """A scenario plus the ordered names of the gains the vector patches.
 
-    At least one name, and every name must be a gain the scenario has: the
-    observer gains need an observer, the others sliding-mode gains, and tau
-    a saturated kind.  So `smc_baseline` cannot be tuned.  `cutoff` is the
-    bound `fitness_settling_time` may stop a run at; `presto tune` sets it
-    to each evaluation's `pso_run` bound.
+    At least one name, none twice, and every name must be a gain the
+    scenario has: the observer gains need an observer, the others
+    sliding-mode gains, and tau a saturated kind.  So `smc_baseline` cannot
+    be tuned.  `cutoff` is the bound `fitness_settling_time` may stop a run
+    at; `presto tune` sets it to each evaluation's `pso_run` bound.
     """
 
     scenario: "Scenario"
@@ -230,6 +215,10 @@ class TuneTemplate:
                              f"{sorted(DEFAULT_TUNE_BOXES)}")
         if not self.names:
             raise ValueError("must name at least one gain to tune")
+        twice = [name for name in self.names if self.names.count(name) > 1]
+        if twice:
+            raise ValueError(f"[pso] tune: gain {twice[0]!r} is listed twice; "
+                             "list each gain once")
         sc = self.scenario
         if sc.observer is None and set(self.names) & set(_OBSERVER_GAINS):
             raise ValueError("template scenario has no observer to tune")

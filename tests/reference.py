@@ -7,6 +7,8 @@ way the harness ran before its loops were fused.  tests/test_kernels.py
 holds the fused loops of `run_scenario` to it bit for bit.
 `reference_settling_time` is the sample-by-sample window scan that
 `mathcore.settling_time` replaced with a cumulative count.
+`reference_pso_run` moves the swarm one particle at a time, the way
+`tuner.pso_run` did before the swarm moved into arrays.
 """
 
 import math
@@ -20,6 +22,7 @@ from presto.harness import RunReport, Scenario
 from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import disturbance_estimate, observer_advance, observer_init
 from presto.plant import disturbance_value, plant_derivative
+from presto.tuner import C1, C2, VMAX_FRACTION, W, PsoConfig
 
 
 def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, RunReport]:
@@ -128,3 +131,38 @@ def reference_settling_time(tr: Trace, threshold_fraction: float, hold_duration:
         if run >= window:
             return float(t[i - window + 1])
     return None
+
+
+def reference_pso_run(fitness, cfg: PsoConfig):
+    """`pso_run` one particle at a time: (best position, best cost, history)."""
+    lo, hi = np.asarray(cfg.bounds, dtype=float).T
+    caps = VMAX_FRACTION * (hi - lo)
+
+    def stream(generation, i):
+        return np.random.default_rng(np.random.SeedSequence([cfg.seed, generation, i]))
+
+    swarm = []  # [position, velocity, personal best, its cost] per particle
+    for i in range(cfg.swarm_size):
+        rng = stream(0, i)
+        x = lo + rng.random(cfg.n_dims) * (hi - lo)
+        swarm.append([x, (2.0 * rng.random(cfg.n_dims) - 1.0) * caps, x.copy(), math.inf])
+    g_best, g_cost, history = swarm[0][0].copy(), math.inf, []
+    for gen in range(1, cfg.max_generations + 1):
+        for p in swarm:
+            c = float(fitness(p[0], p[3]))
+            c = c if math.isfinite(c) else math.inf
+            if c < p[3]:
+                p[2], p[3] = p[0].copy(), c
+            if c < g_cost:
+                g_best, g_cost = p[0].copy(), c
+        history.append(g_cost)
+        if gen == cfg.max_generations:
+            break
+        for i, p in enumerate(swarm):
+            rng = stream(gen, i)
+            r1, r2 = rng.random(cfg.n_dims), rng.random(cfg.n_dims)
+            v = W * p[1] + r1 * C1 * (p[2] - p[0]) + r2 * C2 * (g_best - p[0])
+            v = np.clip(v, -caps, caps)
+            x = np.clip(p[0] + v, lo, hi)
+            p[0], p[1] = x, np.where(x == p[0] + v, v, 0.0)
+    return g_best, g_cost, history

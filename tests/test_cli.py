@@ -423,6 +423,10 @@ MALFORMED = {
     "removed_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0.2\n"),
     "infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k 0.5 inf"),
     "minus_infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k -inf 20"),
+    # the swarm would search a dimension the patched scenario never reads
+    "gain_listed_twice": TUNE_JOB.replace("tune = k", "tune = k 0.5 20; k 5 20; eps 0.5 20"),
+    # every candidate fails the positivity gate, so no cost is ever finite
+    "box_at_or_below_zero": TUNE_JOB.replace("tune = k", "tune = k -5 -1"),
     "infinite_box_width": TUNE_JOB.replace("tune = k", "tune = k -1e308 1e308"),
     "step_count_overflow": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e308"),
     "subnormal_dt": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-320"),
@@ -512,6 +516,8 @@ NAMED = {
     "removed_vmax_fraction": "[pso] vmax_fraction: unknown key",
     "infinite_box_edge": "[pso] tune: search box [0.5, inf] must be finite",
     "minus_infinite_box_edge": "[pso] tune: search box [-inf, 20.0] must be finite",
+    "gain_listed_twice": "[pso] tune: gain 'k' is listed twice",
+    "box_at_or_below_zero": "[pso] tune: k box [-5.0, -1.0] holds no gain > 0",
     "infinite_box_width": "[pso] tune: search box [-1e+308, 1e+308] must be finite",
     "step_count_overflow": "horizon / dt: 1e+308 / 0.001 must be a finite step count",
     "subnormal_dt": "dt must be a normal float > 0, got 1e-320",

@@ -11,7 +11,6 @@ from presto.tuner import (
     C2,
     VMAX_FRACTION,
     W,
-    Particle,
     PsoConfig,
     TuneTemplate,
     fitness_settling_time,
@@ -19,16 +18,7 @@ from presto.tuner import (
     pso_run,
     velocity_update,
 )
-
-
-class FixedRng:
-    """Feeds predetermined uniform draws to velocity_update."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self, n):
-        return np.full(n, self.values.pop(0))
+from reference import reference_pso_run
 
 
 def sphere_cfg(seed=0, swarm=20, gens=100):
@@ -47,58 +37,74 @@ def sphere(x, bound):
     return float(np.sum((x - CENTER) ** 2))
 
 
+def row(*values):
+    """A swarm of one particle: a 1 x n array."""
+    return np.array([values])
+
+
 class TestVelocityUpdate:
     # a box of width 20 caps the speed at VMAX_FRACTION * 20 = 4
-    BOX = PsoConfig(bounds=((-10.0, 10.0),))
+    CAPS = np.array([VMAX_FRACTION * 20.0])
 
     def test_pure_inertia(self):
         # zero draws leave only the inertia term
-        p = Particle(X=np.array([1.0]), V=np.array([2.5]), P_best=np.array([3.0]))
-        v = velocity_update(p, np.array([-4.0]), self.BOX, FixedRng(0.0, 0.0))
-        assert v[0] == W * 2.5
+        v = velocity_update(row(1.0), row(2.5), row(3.0), np.array([-4.0]),
+                            row(0.0), row(0.0), self.CAPS)
+        assert v[0, 0] == W * 2.5
 
     def test_attraction_vanishes_at_both_bests(self):
-        x = np.array([3.0])
-        p = Particle(X=x, V=np.array([1.0]), P_best=x.copy())
-        v = velocity_update(p, x.copy(), self.BOX, FixedRng(0.7, 0.9))
-        assert v[0] == W
+        x = row(3.0)
+        v = velocity_update(x, row(1.0), x.copy(), x[0].copy(), row(0.7), row(0.9), self.CAPS)
+        assert v[0, 0] == W
 
     def test_pinned_draw_arithmetic(self):
         # W*v + r1*C1*(P-X) + r2*C2*(G-X) = 0.72 + 0.745 + 0.745 = 2.21, inside the cap
-        p = Particle(X=np.array([0.0]), V=np.array([1.0]), P_best=np.array([1.0]))
-        v = velocity_update(p, np.array([1.0]), self.BOX, FixedRng(0.5, 0.5))
-        assert v[0] == pytest.approx(W + 0.5 * C1 + 0.5 * C2)
-        assert v[0] == pytest.approx(2.21)
+        v = velocity_update(row(0.0), row(1.0), row(1.0), np.array([1.0]),
+                            row(0.5), row(0.5), self.CAPS)
+        assert v[0, 0] == pytest.approx(W + 0.5 * C1 + 0.5 * C2)
+        assert v[0, 0] == pytest.approx(2.21)
 
     def test_speed_cap(self):
         # 0.72*5 + 1.49*10 + 1.49*10 = 33.4 before clamping
-        p = Particle(X=np.array([0.0]), V=np.array([5.0]), P_best=np.array([10.0]))
-        v = velocity_update(p, np.array([10.0]), self.BOX, FixedRng(1.0, 1.0))
-        assert v[0] == VMAX_FRACTION * 20.0 == 4.0
-        p = Particle(X=np.array([0.0]), V=np.array([-5.0]), P_best=np.array([-10.0]))
-        v = velocity_update(p, np.array([-10.0]), self.BOX, FixedRng(1.0, 1.0))
-        assert v[0] == -4.0
+        v = velocity_update(row(0.0), row(5.0), row(10.0), np.array([10.0]),
+                            row(1.0), row(1.0), self.CAPS)
+        assert v[0, 0] == VMAX_FRACTION * 20.0 == 4.0
+        v = velocity_update(row(0.0), row(-5.0), row(-10.0), np.array([-10.0]),
+                            row(1.0), row(1.0), self.CAPS)
+        assert v[0, 0] == -4.0
+
+    def test_rows_move_independently_under_one_global_best(self):
+        # each row takes its own draws and personal best; G is shared
+        X = np.array([[0.0], [2.0]])
+        v = velocity_update(X, np.zeros((2, 1)), X.copy(), np.array([1.0]),
+                            np.zeros((2, 1)), np.array([[0.5], [1.0]]), self.CAPS)
+        assert v[:, 0].tolist() == [0.5 * C2, -C2]
 
 
 class TestPositionUpdate:
+    LO, HI = np.array([-1.0]), np.array([6.0])
+
     def test_zero_velocity(self):
-        cfg = PsoConfig(bounds=((-1.0, 6.0),))
-        p = Particle(X=np.array([5.0]), V=np.zeros(1), P_best=np.array([5.0]))
-        x, v = position_update(p, np.zeros(1), cfg)
-        assert x[0] == 5.0 and v[0] == 0.0
+        x, v = position_update(row(5.0), row(0.0), self.LO, self.HI)
+        assert x[0, 0] == 5.0 and v[0, 0] == 0.0
 
     def test_boundary_absorbs_velocity(self):
-        cfg = PsoConfig(bounds=((-1.0, 6.0),))
-        p = Particle(X=np.array([5.0]), V=np.zeros(1), P_best=np.array([5.0]))
-        x, v = position_update(p, np.array([2.0]), cfg)
-        assert x[0] == 6.0 and v[0] == 0.0
+        x, v = position_update(row(5.0), row(2.0), self.LO, self.HI)
+        assert x[0, 0] == 6.0 and v[0, 0] == 0.0
 
     def test_vector_addition(self):
-        cfg = PsoConfig(bounds=((-10.0, 10.0), (-10.0, 10.0)))
-        p = Particle(X=np.array([1.0, 1.0]), V=np.zeros(2), P_best=np.array([1.0, 1.0]))
-        x, v = position_update(p, np.array([0.5, -0.5]), cfg)
-        assert x == pytest.approx([1.5, 0.5])
-        assert v == pytest.approx([0.5, -0.5])
+        lo, hi = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
+        x, v = position_update(row(1.0, 1.0), row(0.5, -0.5), lo, hi)
+        assert x[0] == pytest.approx([1.5, 0.5])
+        assert v[0] == pytest.approx([0.5, -0.5])
+
+    def test_only_the_clamped_component_is_absorbed(self):
+        # row 0 leaves the box below in dimension 0, row 1 stays inside
+        lo, hi = np.array([-1.0, -1.0]), np.array([6.0, 6.0])
+        x, v = position_update(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                               np.array([[-3.0, 2.0], [1.0, -1.0]]), lo, hi)
+        assert x.tolist() == [[-1.0, 2.0], [2.0, 0.0]]
+        assert v.tolist() == [[0.0, 2.0], [1.0, -1.0]]
 
 
 class TestPsoRun:
@@ -138,12 +144,51 @@ class TestPsoRun:
         assert math.isfinite(res.best_cost)
         assert res.best_x[0] <= 0
 
+    def test_all_infinite_costs_keep_particle_zero(self):
+        seen = []
+
+        def nowhere(x, bound):
+            seen.append(x.copy())
+            return math.inf
+
+        res = pso_run(nowhere, sphere_cfg(seed=4, swarm=3, gens=4))
+        assert res.best_cost == math.inf
+        assert res.history == [math.inf] * 4
+        assert np.array_equal(res.best_x, seen[0])
+
+    def test_empty_bounds_rejected(self):
+        with pytest.raises(ValueError, match=r"\[pso\] tune: must give at least one"):
+            PsoConfig(bounds=())
+
     def test_numpy_scalar_fitness_is_accepted(self):
         def np_sphere(x, bound):
             return np.sum((x - CENTER) ** 2)  # np.float64, not float
 
         res = pso_run(np_sphere, sphere_cfg(seed=2, gens=40))
         assert res.best_cost < 1e-2
+
+    @pytest.mark.parametrize("n_dims,swarm,seed", [(1, 2, 0), (3, 5, 7), (6, 20, 11)])
+    def test_matches_the_per_particle_reference_bit_for_bit(self, n_dims, swarm, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-5.0, 1.0, n_dims)
+        cfg = PsoConfig(bounds=tuple(zip(lo, lo + rng.uniform(0.5, 9.0, n_dims))),
+                        swarm_size=swarm, max_generations=12, seed=seed)
+        center = rng.uniform(-3.0, 3.0, n_dims)
+        evals = {"array": [], "reference": []}
+
+        def rugged(log):
+            def fitness(x, bound):
+                log.append((x.tobytes(), bound))
+                # a hole of nan costs over the top fifth of the first box
+                hole = x[0] > lo[0] + 0.8 * (cfg.bounds[0][1] - lo[0])
+                return math.nan if hole else float(np.sum((x - center) ** 2 + np.sin(3 * x)))
+            return fitness
+
+        res = pso_run(rugged(evals["array"]), cfg)
+        best_x, best_cost, history = reference_pso_run(rugged(evals["reference"]), cfg)
+        assert evals["array"] == evals["reference"]
+        assert res.best_x.tobytes() == best_x.tobytes()
+        assert res.best_cost == best_cost and res.history == history
 
     def test_box_and_speed_invariants_hold_throughout(self):
         cfg = PsoConfig(bounds=((-1.0, 2.0), (0.5, 3.5)), swarm_size=6,
@@ -159,6 +204,9 @@ class TestPsoRun:
         for x in seen:
             assert np.all(x >= box[:, 0] - 1e-12)
             assert np.all(x <= box[:, 1] + 1e-12)
+        # seen runs generation by generation, particle by particle
+        steps = np.diff(np.reshape(seen, (15, 6, 2)), axis=0)
+        assert np.all(np.abs(steps) <= VMAX_FRACTION * (box[:, 1] - box[:, 0]) + 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +326,7 @@ class TestTuneTemplate:
             ("s74", ("alpha1",), "no sliding-mode gains to tune"),
             ("s71", ("k", "tau"), "cannot tune 'tau' on kind tsmc"),
             ("s71", (), "at least one gain"),
+            ("s71", ("k", "eps", "k"), "gain 'k' is listed twice"),
         ],
     )
     def test_rejects_gains_the_scenario_lacks(self, name, names, message):
