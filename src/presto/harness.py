@@ -107,10 +107,10 @@ KINDS = ("tsmc", "tsmc_saturated", "adaptive_tsmc_saturated", "smc_baseline")
 # Scenario fields each kind's loop never reads; one set off its default is
 # rejected rather than silently ignored
 _UNUSED = {
-    "tsmc": ("smc", "ekf"),
-    "tsmc_saturated": ("smc", "ekf"),
+    "tsmc": ("seed", "smc", "ekf"),
+    "tsmc_saturated": ("seed", "smc", "ekf"),
     "adaptive_tsmc_saturated": ("smc",),
-    "smc_baseline": ("tsmc", "observer", "ekf", "z0_offset", "settle_by"),
+    "smc_baseline": ("seed", "tsmc", "observer", "ekf", "z0_offset", "settle_by"),
 }
 
 DIVERGENCE_LIMIT = 1e6
@@ -155,8 +155,8 @@ class Scenario:
     the simulated prefix, and a divergence after the stop goes unseen.
 
     A field the kind's loop never reads, such as the observer gains on
-    `smc_baseline` or `ekf` outside `adaptive_tsmc_saturated`, must keep
-    its default.
+    `smc_baseline`, or `ekf` and `seed` outside `adaptive_tsmc_saturated`,
+    must keep its default.
     """
 
     kind: str
@@ -695,29 +695,11 @@ _BLOCK_VALUES = 4096
 # exponents covered by the power table: every floor(log10|x|) the trace
 # writer takes for 1e-99 <= |x| < 1e99
 _E_MIN, _E_MAX = -100, 99
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
-
-
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """10**(12 - e) for each table exponent e as the pair hi + lo, and hi split.
-
-    hi is the double nearest the power and lo the double nearest the rest,
-    both from exact integer arithmetic, so hi + lo is within 2**-106 of it.
-    """
-    hi, lo = [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        num, den = (10 ** (12 - e), 1) if e <= 12 else (1, 10 ** (e - 12))
-        h = num / den
-        n, d = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * d - n * den) / (den * d))
-    hi = np.array(hi)
-    c = _SPLIT * hi
-    hi_hi = c - (c - hi)
-    return hi, hi_hi, hi - hi_hi, np.array(lo)
-
-
-_POW_HI, _POW_HI_HI, _POW_HI_LO, _POW_LO = _powers_of_ten()
+# 10**(12 - e) at index e - _E_MIN, correctly rounded: Python's int / int
+# rounds the exact quotient once
+_POW = np.array([10 ** max(12 - e, 0) / 10 ** max(e - 12, 0) for e in range(_E_MIN, _E_MAX + 1)])
+# distance from the rounding tie below which a value is left to `%`
+_TIE_MARGIN = 2**-8
 # byte tables, four characters to a native uint32 word; NUL marks an empty byte
 _n = np.arange(10000, dtype=np.uint16)  # small dtypes keep the import's scratch small
 _DIGITS4 = np.ascontiguousarray(  # "0000" .. "9999"
@@ -731,31 +713,22 @@ _EXP = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), np.uint32
 _COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10**(12 - e) as p + t: p = fl(a*hi), t its exact error plus a*lo."""
-    i = e - _E_MIN
-    hi, hi_hi, hi_lo, lo = _POW_HI[i], _POW_HI_HI[i], _POW_HI_LO[i], _POW_LO[i]
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    p = a * hi
-    t = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
-    return p, t
-
-
 def _format_block(block: np.ndarray) -> np.ndarray:
     """CSV bytes of a 2-D float block: each value as `'%.12e' % value`, rows ended by LF.
 
     A value with 1e-99 <= |x| < 1e99, or a zero, takes the vector path.  Its
     decimal exponent e is floor(log10|x|), kept only where the scaled value
-    p + t = |x| * 10**(12 - e) has p in [1e12, 1e13); the 13 digits are
-    p + t rounded to the nearest integer.  p + t lies within
-    2**-104 * 1e13 < 1e-18 of the exact product (the power pair within
-    2**-106, Dekker's product exact, two roundings of t at most 2**-105
-    each), and the residual (p - floor(p)) + t within one more rounding,
-    2**-53, of its exact value.  So every residual at least 1e-6 from the
-    tie at 0.5 rounds as the exact value does.  The doubles 1e-99 and 1e99
-    lie inside (10**-99, 10**99), so every exponent has two digits.
+    p = |x| * _POW[e - _E_MIN], one rounded product, lies in [1e12, 1e13);
+    the 13 digits are p rounded to the nearest integer.  The table entry is
+    within a relative 2**-53 of 10**(12 - e), which moves a product below
+    1e13 by at most 2**-53 * 1e13 < 1.12e-3, and rounding the product adds
+    at most half an ulp of p < 2**44, 2**-10 < 9.8e-4.  So p lies within
+    2.1e-3 of the exact scaled value, and its residual p - floor(p), itself
+    exact, rounds as the exact value does whenever it is at least
+    _TIE_MARGIN = 2**-8 > 3.9e-3 from the tie at 0.5.  A p on the other side
+    of 1e12 or 1e13 than the exact value rounds, as that value does, to the
+    power of ten.  The doubles 1e-99 and 1e99 lie inside (10**-99, 10**99),
+    so every exponent has two digits.
 
     Each value fills a slot of six uint32 words (sign and lead digit, three
     groups of four digits, the exponent, the separator) in which NUL marks
@@ -770,15 +743,14 @@ def _format_block(block: np.ndarray) -> np.ndarray:
     vector = (a >= 1e-99) & (a < 1e99)
     a[~vector] = 1.0  # a stand-in that keeps log10 and the table lookups in range
     e = np.floor(np.log10(a)).astype(np.intp)
-    p, t = _scaled(a, e)
+    p = a * _POW[e - _E_MIN]
     vector &= (p >= 1e12) & (p < 1e13)  # confirms e, which log10 can miss next to a power of ten
     whole = np.floor(p)
     r = p - whole
-    r += t
     digits = whole.astype(np.int64)
     digits += r > 0.5
     r -= 0.5
-    vector &= np.abs(r) >= 1e-6
+    vector &= np.abs(r) >= _TIE_MARGIN
     carry = digits == 10**13  # rounding reached the next decade
     digits[carry] = 10**12
     e += carry
@@ -804,10 +776,10 @@ def _format_block(block: np.ndarray) -> np.ndarray:
     slots[:, :-1, 5] = _COMMA
     slots[:, -1, 5] = _NEWLINE
     chars = words.view(np.uint8)
-    for i in np.flatnonzero(~vector & (x != 0.0)):
-        text = ("%.12e" % x[i]).encode()  # at most 20 bytes, "-1.797693134862e+308"
-        chars[i, :20] = 0
-        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+    i = np.flatnonzero(~vector & (x != 0.0))
+    # at most 20 bytes, "-1.797693134862e+308", NUL-padded to 20 by the dtype
+    text = np.array([b"%.12e" % v for v in x[i].tolist()], dtype="S20")
+    chars[i, :20] = text.view(np.uint8).reshape(-1, 20)
     chars = chars.ravel()
     return chars[chars != 0]
 
@@ -817,8 +789,9 @@ def export_trace(tr: Trace, path: Path | str) -> None:
 
     Every value is written as the bytes of `'%.12e' % value` (13 significant
     digits).  `_format_block` builds them in numpy a block of rows at a time
-    and formats a value it does not take with `%`, so the file is byte for
-    byte what a row-by-row `%` writer gives, and no whole-file string is built.
+    and formats the values it does not take, about 0.6% of a bundled trace,
+    with `%` in one list per block, so the file is byte for byte what a
+    row-by-row `%` writer gives, and no whole-file string is built.
     A trace with zero rows, such as the partial trace of a run that diverged
     before its first logged sample, is its header line alone.
     """

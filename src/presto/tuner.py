@@ -93,9 +93,9 @@ class PsoConfig:
         if not self.bounds:
             raise ValueError("[pso] tune: must give at least one search box")
         if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
+            raise ValueError(f"[pso] swarm_size: must be >= 2, got {self.swarm_size}")
         if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+            raise ValueError(f"[pso] generations: must be >= 1, got {self.max_generations}")
         if self.seed < 0:
             raise ValueError(f"[pso] seed: must be >= 0, got {self.seed}")
         for lo, hi in self.bounds:

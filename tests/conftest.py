@@ -2,9 +2,15 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
 
 from presto import load_scenario, run_scenario
 from reference import reference_run
+
+# every property test draws the same examples on every run, with no example
+# database and no per-example deadline; a test sets only its max_examples
+settings.register_profile("presto", derandomize=True, database=None, deadline=None)
+settings.load_profile("presto")
 
 
 def edit_config(text: str, *edits: tuple[str, str]) -> str:

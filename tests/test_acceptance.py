@@ -129,7 +129,6 @@ class TestCriterion5ObserverDeadline:
                 z0_offset=s0,
                 horizon=0.5,
                 decimation=1,
-                seed=trial,
             )
             trace, _ = run_scenario(sc)
             s = trace.column("s")

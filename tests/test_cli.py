@@ -390,6 +390,7 @@ generations = 1
 tune = k
 """
 
+S71_TEXT = resolve_config_path("s71").read_text()
 S73_TEXT = resolve_config_path("s73").read_text()
 S74_TEXT = resolve_config_path("s74").read_text()
 ADAPTIVE_JOB = edit_config(S73_TEXT, ("horizon = 8.0", "horizon = 0.1")) + """
@@ -476,6 +477,9 @@ MALFORMED = {
     "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
     "negative_scenario_seed": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nseed = -1"),
     "negative_pso_seed": TUNE_JOB.replace("[pso]\n", "[pso]\nseed = -3\n"),
+    "seed_on_s71": edit_config(S71_TEXT, ("decimation = 10\n", "decimation = 10\nseed = 71\n")),
+    "no_pso_generation": edit_config(TUNE_JOB, ("generations = 1", "generations = 0")),
+    "swarm_of_one": edit_config(TUNE_JOB, ("swarm_size = 2", "swarm_size = 1")),
     "label_with_comma": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a,b"),
     "label_with_slash": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = ../escaped"),
     "label_with_backslash": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a\\b"),
@@ -497,6 +501,9 @@ NAMED = {
     "beam_overflow": "[beam] beta: 1e+200 overflows K1 in the assembly",
     "negative_scenario_seed": "[scenario] seed: must be >= 0, got -1",
     "negative_pso_seed": "[pso] seed: must be >= 0, got -3",
+    "seed_on_s71": "kind tsmc does not use seed",
+    "no_pso_generation": "[pso] generations: must be >= 1, got 0",
+    "swarm_of_one": "[pso] swarm_size: must be >= 2, got 1",
     "unread_section": "[ekf]: unused section",
     "default_section": "[DEFAULT]: not supported",
     "beam_beside_plant": "[beam]: unused section",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
@@ -215,7 +215,6 @@ class TestClampContainment:
     A NaN command has no place in the interval, so the clamp refuses it.
     """
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(u_c=st.floats(), lo=st.floats(-1e300, -1e-300), hi=st.floats(1e-300, 1e300))
     @example(u_c=math.nan, lo=-30.0, hi=10.0)
     def test_saturate(self, u_c, lo, hi):
@@ -227,7 +226,6 @@ class TestClampContainment:
         assert lo <= u <= hi
         assert u == u_c or u in (lo, hi)
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(gains=_saturated_gains(), K1=_SIGNED, K2=_SIGNED,
            g=_SIGNED.filter(lambda v: v != 0.0), x1=_SIGNED, x2=_SIGNED,
            d_hat=_SIGNED, s_obs=_SIGNED)

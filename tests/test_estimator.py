@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
@@ -318,7 +318,6 @@ class TestCovarianceInvariant:
     F P F' + Q to rounding, and both keep P's diagonal nonnegative; P is
     symmetric by construction."""
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(A=_factors, x=_states, y=_floats(-10.0, 10.0), r=_floats(1e-12, 1e3))
     def test_update(self, A, x, y, r):
         # any PSD P, rank one included: with r far below P[0,0] the exact
@@ -330,7 +329,6 @@ class TestCovarianceInvariant:
         assert_matches_oracle(out, x_ref, P_ref)
         assert all(out.P[i] >= 0.0 for i in (0, 3, 5))
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(A=_matrices, x=_states, u=_floats(-30.0, 30.0), Ts=_floats(0.0, 0.1),
            q=hnp.arrays(float, 3, elements=_floats(0.0, 1.0)))
     def test_predict(self, A, x, u, Ts, q):
@@ -349,7 +347,6 @@ class TestNumpyOracle:
     bit, the predict against exact rational arithmetic (and numpy, to
     rounding).  Each oracle stage gets the state the filter stage received."""
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(A=_factors, x=_states, u=_floats(-30.0, 30.0), Ts=_floats(0.0, 0.1),
            r=_floats(1e-12, 1e3), q=hnp.arrays(float, 3, elements=_floats(0.0, 1.0)),
            y=_floats(-10.0, 10.0))

@@ -1,13 +1,14 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presto import load_scenario, run_scenario
+from presto import harness, load_scenario, run_scenario
 from presto.config import load_pso_job
 from presto.controller import SatBounds
 from presto.harness import (
@@ -176,12 +177,15 @@ class TestScenarioValidation:
             ("s73", "smc"),
             ("s71", "ekf"),
             ("s72", "ekf"),
+            ("s71", "seed"),
+            ("s72", "seed"),
+            ("s74", "seed"),
         ],
     )
     def test_fields_the_kind_never_reads(self, name, field):
         # the config loader cannot set these, but a library caller could,
         # and the kind's loop would then ignore them without a word
-        values = {"z0_offset": 1.0, "smc": load_scenario("s74").smc}
+        values = {"z0_offset": 1.0, "seed": 7, "smc": load_scenario("s74").smc}
         s73 = load_scenario("s73")
         value = values[field] if field in values else getattr(s73, field)
         with pytest.raises(ValueError, match=f"does not use {field}"):
@@ -298,12 +302,12 @@ def near_ties() -> list[float]:
 class TestTraceBytes:
     """`export_trace` writes exactly the bytes of the row-by-row `%` writer."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(values=st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_float_one_column(self, tmp_path_factory, values):
         assert_oracle_bytes(tmp_path_factory.mktemp("one"), column_trace(values))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(rows=st.integers(1, 7).flatmap(
         lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), min_size=1, max_size=20)))
     def test_any_float_many_columns(self, tmp_path_factory, rows):
@@ -318,6 +322,18 @@ class TestTraceBytes:
         values = near_ties()
         assert_oracle_bytes(tmp_path, column_trace(values))
         assert_oracle_bytes(tmp_path, column_trace(values[::2], values[1::2]))
+
+    def test_tie_margin_covers_both_roundings(self):
+        # the value tests also pass margins too small to be sound, so hold the
+        # margin to the bound: a scaled value below 1e13 moves by the table
+        # entry's relative error times 1e13, and by half an ulp below 2**44,
+        # 2**-10, when the product is rounded
+        exponents = range(harness._E_MIN, harness._E_MAX + 1)
+        assert len(harness._POW) == len(exponents)
+        max_rel = max(abs(Fraction(power) / Fraction(10) ** (12 - e) - 1)
+                      for e, power in zip(exponents, harness._POW.tolist()))
+        assert max_rel <= Fraction(1, 2**53)  # each entry is the double nearest its power
+        assert 10**13 * max_rel + Fraction(1, 2**10) < harness._TIE_MARGIN
 
     @pytest.mark.parametrize("name", ["s71", "s72", "s73", "s74"])
     def test_bundled_traces(self, bundled_runs, tmp_path, name):
@@ -387,7 +403,7 @@ class TestStopWhenSettled:
         with pytest.raises(ValueError, match="settle_by"):
             replace(load_scenario("s74"), settle_by=math.inf)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_any_bound_keeps_the_prefix_and_every_t_s_below_it(self, settling_runs, data):
         name = data.draw(st.sampled_from(sorted(SETTLING)), label="scenario")

@@ -72,7 +72,6 @@ class TestSignedPow:
             e = pairs[rng.integers(len(pairs))]
             assert signed_pow(-s, e) == -signed_pow(s, e)
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(s=st.floats(allow_nan=False, allow_infinity=False), e=ODD_PAIRS)
     def test_odd_symmetry_property(self, s, e):
         assert signed_pow(-s, e) == -signed_pow(s, e)
@@ -232,7 +231,7 @@ class TestSettlingTime:
         assert settling_time(tr, 0.5, hold) == expected
         assert settling_time(tr, 0.5, hold) == reference_settling_time(tr, 0.5, hold)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(BAND_VALUES, BAND_VALUES), min_size=1, max_size=40),
            st.sampled_from([0.05, 0.25, 0.5, 0.9]), st.integers(1, 45))
     def test_matches_scan_on_random_band_patterns(self, samples, fraction, window):

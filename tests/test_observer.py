@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from presto import load_scenario, run_scenario
@@ -95,7 +95,6 @@ class TestDisturbanceEstimate:
             assert dhat - (zdot - forcing) == pytest.approx(-fx, rel=1e-12, abs=1e-12)
 
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(k=st.floats(1e-3, 1e3), beta0=st.floats(1e-3, 1e3), eps=st.floats(1e-3, 1e3),
            e0=st.integers(1, 50).flatmap(lambda j: st.integers(0, j - 1).map(
                lambda i: ExponentPair(2 * i + 1, 2 * j + 1))),

@@ -88,7 +88,7 @@ class TestModeIntegrals:
         # the library's closed-form K1, K2, g against the quadrature assembly
         assert worst_quadrature_error(ORACLE_PARAMS) < 1e-12
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(1e-3, 100.0))
     def test_closed_form_matches_quadrature_assembly(self, alpha, beta, lam):
         assert worst_quadrature_error([(alpha, beta, lam)]) < 1e-12
