@@ -135,6 +135,13 @@ def _cmd_validate(args) -> int:
                 f"observer beta0={sc.observer.beta0:g}",
                 file=sys.stderr,
             )
+        # the baseline's switching gain is designed for a K1 inside its interval
+        if sc.smc is not None and not (sc.smc.K1_min <= sc.plant.K1 <= sc.smc.K1_max):
+            print(
+                f"warning [{sc.label}]: plant K1={sc.plant.K1:g} lies outside [smc] "
+                f"K1_min..K1_max = [{sc.smc.K1_min:g}, {sc.smc.K1_max:g}]",
+                file=sys.stderr,
+            )
     print(f"{path}: OK ({', '.join(sc.kind for sc in scenarios)})")
     return EXIT_OK
 

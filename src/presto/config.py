@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .controller import SatBounds, SmcGains, TsmcGains
 from .estimator import EkfConfig
-from .harness import KINDS, Scenario
+from .harness import KINDS, Scenario, check_labels
 from .mathcore import ExponentPair
 from .observer import ObserverGains
 from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
@@ -240,13 +240,22 @@ def _load_plant(cp) -> PlantParams:
     raise ConfigError("needs a [plant] or [beam] section")
 
 
+def _pair(cp, section: str, p: str, q: str) -> ExponentPair:
+    """The exponent pair of keys p and q; a refusal names both."""
+    pair = _get(cp, section, p, int), _get(cp, section, q, int)
+    try:
+        return ExponentPair(*pair)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {p}, {q}: {err}") from err
+
+
 def _load_observer(cp) -> ObserverGains:
     o = "observer"
     return ObserverGains(
         k=_get(cp, o, "k"),
         beta0=_get(cp, o, "beta0"),
         eps=_get(cp, o, "eps"),
-        e0=ExponentPair(_get(cp, o, "p0", int), _get(cp, o, "q0", int)),
+        e0=_pair(cp, o, "p0", "q0"),
     )
 
 
@@ -258,8 +267,8 @@ def _load_tsmc(cp) -> TsmcGains:
     return TsmcGains(
         alpha1=_get(cp, c, "alpha1"),
         beta1=_get(cp, c, "beta1"),
-        e1=ExponentPair(_get(cp, c, "p1", int), _get(cp, c, "q1", int)),
-        e2=ExponentPair(_get(cp, c, "p2", int), _get(cp, c, "q2", int)),
+        e1=_pair(cp, c, "p1", "q1"),
+        e2=_pair(cp, c, "p2", "q2"),
         delta=_get(cp, c, "delta"),
         mu=_get(cp, c, "mu"),
         **optional,
@@ -349,13 +358,12 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
             except ValueError as err:
                 raise ConfigError(f"{path}: [compare] labels: {err}") from err
     labels = [sc.label for sc in scenarios]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ConfigError(f"two scenarios share the label {label!r}, which names their "
-                              "trace file; set distinct [compare] labels")
-    if "report" in labels:
-        raise ConfigError("label 'report': its trace would overwrite report.csv, the "
-                          "comparison table; set another [compare] labels entry")
+    try:
+        check_labels(labels)
+    except ValueError as err:
+        twice = len(set(labels)) < len(labels)
+        fix = "distinct [compare] labels" if twice else "another [compare] labels entry"
+        raise ConfigError(f"{err}; set {fix}") from err
     return list(zip(labels, scenarios))
 
 

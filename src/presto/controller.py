@@ -55,14 +55,16 @@ SINGULARITY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SatBounds:
-    """Non-symmetric actuator clamp; only the actuator model applies it."""
+    """Non-symmetric actuator clamp, [controller] u_min and u_max; only the
+    actuator model applies it.  It must bracket zero: u_min < 0 < u_max."""
 
     u_min: float
     u_max: float
 
     def __post_init__(self):
-        if not (self.u_min < self.u_max):
-            raise ValueError(f"need u_min < u_max, got [{self.u_min}, {self.u_max}]")
+        if not (self.u_min < 0.0 < self.u_max):
+            raise ValueError(f"[controller] u_min, u_max: clamp must bracket zero, "
+                             f"got [{self.u_min}, {self.u_max}]")
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,6 @@ class TsmcGains:
             )
         if self.tau is not None and not (0.0 < self.tau < math.inf):
             raise ValueError(f"tau must be finite and > 0 when present, got {self.tau}")
-        if self.sat is not None and not (self.sat.u_min < 0.0 < self.sat.u_max):
-            raise ValueError(
-                f"clamp must bracket zero, got [{self.sat.u_min}, {self.sat.u_max}]"
-            )
 
 
 @dataclass(frozen=True)

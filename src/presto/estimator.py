@@ -50,7 +50,8 @@ class EkfConfig:
     """Filter constants, as the [ekf] section gives them.
 
     q_diag and p0_diag are the diagonals of the process noise Q and the
-    initial covariance P0; no input sets an off-diagonal entry.  Every entry
+    initial covariance P0, and R, the key r, is the variance of the position
+    measurement noise; no input sets an off-diagonal entry.  Every entry
     must be finite, the variances >= 0, and the first innovation covariance
     p0_diag[0] + R > 0.  Ts = 0 is tolerated so the exact Ts -> 0 algebra
     (F = I) can be exercised directly; closed-loop scenarios require Ts > 0.
@@ -64,9 +65,9 @@ class EkfConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.Ts < math.inf):
-            raise ValueError(f"Ts must be finite and >= 0, got {self.Ts}")
+            raise ValueError(f"[ekf] Ts: must be finite and >= 0, got {self.Ts}")
         if not (0.0 <= self.R < math.inf):
-            raise ValueError(f"R must be finite and >= 0, got {self.R}")
+            raise ValueError(f"[ekf] r: must be finite and >= 0, got {self.R}")
         for name in ("q_diag", "p0_diag", "x0_hat"):
             v = getattr(self, name)
             if len(v) != 3:

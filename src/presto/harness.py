@@ -97,6 +97,7 @@ __all__ = [
     "RunReport",
     "DivergenceError",
     "run_scenario",
+    "check_labels",
     "compare_controllers",
     "format_report_table",
     "report_csv_rows",
@@ -123,15 +124,15 @@ class DivergenceError(RuntimeError):
     """The truth state, observer or EKF blew past its divergence guard.
 
     Carries the partial trace (every logged column, with zero rows when the
-    run diverged before its first sample), the step time and the peak state
-    magnitude (inf when a value went non-finite).
+    run diverged before its first sample) and the step time.  The message
+    names what diverged; a state divergence gives the magnitude |x| it
+    reached, beyond DIVERGENCE_LIMIT or inf.
     """
 
-    def __init__(self, message: str, trace: Trace, t: float, peak: float):
+    def __init__(self, message: str, trace: Trace, t: float):
         super().__init__(message)
         self.trace = trace
         self.t = t
-        self.peak = peak
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ class Scenario:
     can start before `settle_by`.  A run ended the first way reports the
     full run's `t_s`; one ended the second way reports None, and the full
     run's `t_s` is then None or >= `settle_by`.  The report norms cover only
-    the simulated prefix, and a divergence after the stop goes unseen.
+    the simulated prefix (the `beta0` note covers the horizon), and a
+    divergence after the stop goes unseen.
 
     A field the kind's loop never reads, such as the observer gains on
     `smc_baseline`, or `ekf` and `seed` outside `adaptive_tsmc_saturated`,
@@ -267,10 +269,7 @@ class RunReport:
 def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     """Integrate one scenario; returns the decimated trace and its report."""
     try:
-        if sc.kind == "smc_baseline":
-            trace, max_abs_d = _smc_loop(sc), 0.0
-        else:
-            trace, max_abs_d = _observer_loop(sc)
+        trace = _smc_loop(sc) if sc.kind == "smc_baseline" else _observer_loop(sc)
     except MemoryError as err:  # the loops allocate in proportion to horizon / dt
         raise ValueError(f"horizon {sc.horizon:g} at dt {sc.dt:g}: {err}") from err
     saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
@@ -287,12 +286,17 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
         report.ex_linf = linf_norm(trace, "e_x")
     report.t_s = settling_time(trace, sc.threshold_fraction, SETTLING_HOLD)
     # the plain observer estimates the raw external disturbance, so its
-    # amplitude-bound assumption is checkable against the realized signal
-    if sc.kind == "tsmc" and max_abs_d > sc.observer.beta0:
-        report.diagnostics.append(
-            f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
-            f"bound beta0={sc.observer.beta0:.4g}"
-        )
+    # amplitude-bound assumption is checkable against the realized signal;
+    # |d| never exceeds `bound`, so only a bound above beta0 needs the check
+    if sc.kind == "tsmc" and sc.disturbance.bound > sc.observer.beta0:
+        t = np.arange(sc.n_steps, dtype=float)
+        t *= sc.dt
+        max_abs_d = float(np.max(np.abs(disturbance_value(sc.disturbance, t))))
+        if max_abs_d > sc.observer.beta0:
+            report.diagnostics.append(
+                f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
+                f"bound beta0={sc.observer.beta0:.4g}"
+            )
     return trace, report
 
 
@@ -329,45 +333,30 @@ class _SampleLog:
         return Trace(dt=self.dt, columns={n: data[:, j] for j, n in enumerate(self.names)})
 
 
-def _diverged(what: str, detail: str, t: float, peak: float, log: _SampleLog, offset: int):
-    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t, peak)
+def _diverged(what: str, detail: str, t: float, log: _SampleLog, offset: int):
+    return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", log.trace(offset), t)
 
 
 def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int):
     peak = max(abs(x1), abs(x2)) if math.isfinite(x1) and math.isfinite(x2) else math.inf
-    return _diverged("state", f"|x| reached {peak:.3g}", t, peak, log, offset)
+    return _diverged("state", f"|x| reached {peak:.3g}", t, log, offset)
 
 
-class _DisturbanceSeries:
-    """d at every step time i*dt, evaluated one block of steps when the loop reaches it.
+def _disturbance_blocks(sc: Scenario) -> Iterator[memoryview]:
+    """d at every step time i*dt, one block of steps at a time, evaluated when
+    the loop reaches the block; chained, the blocks yield one float per step.
 
-    Iterating yields floats.  Blocks double from 1024 steps up to 8192, so
-    a run that stops early evaluates little past its stop, and a long run
-    pays the per-block numpy overhead only a few more times than with 8192
-    throughout.  `peak` is max |d| over the blocks evaluated so far: the
-    whole horizon once a full run ends, and the simulated prefix, up to the
-    end of its block, of a run that stopped early.
+    Blocks double from 1024 steps up to 8192, so a run that stops early
+    evaluates little past its stop, and a long run pays the per-block numpy
+    overhead only a few more times than with 8192 throughout.
     """
-
-    def __init__(self, sc: Scenario):
-        self.n = sc.n_steps
-        self.dt = sc.dt
-        self.spec = sc.disturbance
-        self.peak = 0.0
-
-    def __iter__(self) -> Iterator[float]:
-        return itertools.chain.from_iterable(self._blocks())
-
-    def _blocks(self) -> Iterator[memoryview]:
-        start, size = 0, _SERIES_FIRST
-        while start < self.n:
-            stop = min(start + size, self.n)
-            t = np.arange(start, stop, dtype=float)
-            t *= self.dt
-            block = disturbance_value(self.spec, t)
-            self.peak = float(np.max(np.abs(block), initial=self.peak))  # NaN propagates as in one max
-            yield memoryview(block)
-            start, size = stop, min(2 * size, _SERIES_BLOCK)
+    n, start, size = sc.n_steps, 0, _SERIES_FIRST
+    while start < n:
+        stop = min(start + size, n)
+        t = np.arange(start, stop, dtype=float)
+        t *= sc.dt
+        yield memoryview(disturbance_value(sc.disturbance, t))
+        start, size = stop, min(2 * size, _SERIES_BLOCK)
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -385,11 +374,10 @@ def _smc_loop(sc: Scenario) -> Trace:
     lim = DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    d_series = _DisturbanceSeries(sc)
     log = _SampleLog(sc, _SMC_COLUMNS)
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
-    for i, d in enumerate(d_series):
+    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
         b = K2 * x1**3
         s = x2 + Y * x1
         u_eq = (Y * x2 - K1n * x1 - b) / g
@@ -409,11 +397,8 @@ def _smc_loop(sc: Scenario) -> Trace:
     return log.trace(offset)
 
 
-def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
-    """Fused loop of the three observer kinds; returns the trace and max |d|.
-
-    max |d| covers the whole horizon, or the simulated prefix (to the end
-    of its disturbance block) of a run that `settle_by` stopped.
+def _observer_loop(sc: Scenario) -> Trace:
+    """Fused loop of the three observer kinds; returns the trace.
 
     Take the feedback state (x1, x2) to be the truth, or in the adaptive
     kind the EKF estimate with its stiffness estimate in place of K1, and
@@ -473,7 +458,6 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     k1_hat = pp.K1
     fb_stride = 1
-    d_series = _DisturbanceSeries(sc)
     if adaptive:
         cfg = sc.ekf
         ekf_state = ekf_init(cfg)
@@ -482,7 +466,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         # the measurement noise of every EKF cycle in one draw: the same
         # stream as one scalar draw per cycle
         rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-        n_cycles = len(range(0, d_series.n, fb_stride))
+        n_cycles = len(range(0, sc.n_steps, fb_stride))
         noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
     log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]])
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
@@ -499,7 +483,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         window = int(round(SETTLING_HOLD / log.dt)) + 1
         in_band = 0
         earliest = 0.0
-    for i, d in enumerate(d_series):
+    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
         if i == next_fb:
             next_fb += fb_stride
             if adaptive:
@@ -509,7 +493,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 try:
                     ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
                 except ZeroDivisionError as err:
-                    raise _diverged("EKF", str(err), i * dt, inf, log, offset) from None
+                    raise _diverged("EKF", str(err), i * dt, log, offset) from None
                 (fb1, fb2, k1_hat), P = ekf_state
                 p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
                 # the limit on the state estimate also keeps fb1**3 finite
@@ -517,7 +501,7 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
                 if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and isfinite(k1_hat)
                         and isfinite(p_trace)):
                     raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
-                                    f"trace P = {p_trace:.3g}", i * dt, inf, log, offset)
+                                    f"trace P = {p_trace:.3g}", i * dt, log, offset)
             else:
                 fb1, fb2 = x1, x2
             # terms of the drift, the surface and the law that only the
@@ -599,8 +583,20 @@ def _observer_loop(sc: Scenario) -> tuple[Trace, float]:
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
             if -inf < z < inf:
                 raise _state_diverged(x1, x2, i * dt, log, offset)
-            raise _diverged("observer", f"z reached {z}", i * dt, inf, log, offset)
-    return log.trace(offset), d_series.peak
+            raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
+    return log.trace(offset)
+
+
+def check_labels(labels: list[str]) -> None:
+    """Refuse labels of one comparison that would give two of its files one
+    name: a label names its run's trace file, and 'report' names the table's."""
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two scenarios share the label {label!r}, which names their "
+                             "trace file")
+    if "report" in labels:
+        raise ValueError("label 'report': its trace would overwrite report.csv, the "
+                         "comparison table")
 
 
 def compare_controllers(
@@ -609,23 +605,25 @@ def compare_controllers(
 ) -> tuple[list[RunReport], str]:
     """Run every scenario, export traces, and build the comparison table.
 
-    A divergent run is reported as a failed row; the other rows proceed.
-    Trace references inside the report are file names only, so two output
-    directories produced with the same seeds match byte for byte.
+    Labels are checked before anything is written.  A divergent run is
+    reported as a failed row; the other rows proceed.  Trace references
+    inside the report are file names only, so two output directories
+    produced with the same seeds match byte for byte.
     """
+    scenarios = [replace(sc, label=label) for label, sc in entries]
+    check_labels([sc.label for sc in scenarios])
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     reports: list[RunReport] = []
-    for label, sc in entries:
-        sc = replace(sc, label=label)
+    for sc in scenarios:
         try:
             trace, report = run_scenario(sc)
         except DivergenceError as err:
-            report = RunReport(label=label, kind=sc.kind, failed=str(err))
+            report = RunReport(label=sc.label, kind=sc.kind, failed=str(err))
             trace = err.trace
         if out is not None:
-            path = out / f"{label}.csv"
+            path = out / f"{sc.label}.csv"
             export_trace(trace, path)
             report.trace_path = path.name
         reports.append(report)

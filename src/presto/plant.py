@@ -103,8 +103,17 @@ class DisturbanceSpec:
 
     @property
     def bound(self) -> float:
-        """Reported amplitude bound: the sum of |amplitudes|."""
-        return sum(abs(t.amplitude) for t in self.terms)
+        """Amplitude bound: the sum of |amplitudes|, added from 0.0 in file order.
+
+        |disturbance_value(self, t)| <= bound holds in floats too: each term
+        is |A*sin| <= |A| after rounding, and `disturbance_value` adds the
+        terms in this same order, where rounding is monotone.  The loop is
+        written out because `sum` compensates its additions on Python 3.12+.
+        """
+        total = 0.0
+        for term in self.terms:
+            total += abs(term.amplitude)
+        return total
 
 
 def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | np.ndarray:

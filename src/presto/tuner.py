@@ -23,12 +23,12 @@ pin the behavior down:
   (adaptive capping, as in ParamILS: Hutter et al., JAIR 36, 2009).
 
 The stock fitness for gain tuning runs one closed-loop scenario with the
-candidate gains patched in and scores it by settling time, with an
-unsettled or divergent run penalized by horizon plus peak state excursion
-so the ordering stays total.  A run that settles stops at its first
-settling window: the tail is not simulated, so a divergence after settling
-is not scored.  A run whose settling time can no longer beat the bound
-stops too, and is scored as unsettled over the prefix it simulated.
+candidate gains patched in and scores it by settling time; an unsettled run
+costs horizon plus its peak state magnitude and a divergent one horizon
+plus 1e6, so the ordering stays total.  A run that settles stops at its
+first settling window: the tail is not simulated, so a divergence after
+settling is not scored.  A run whose settling time can no longer beat the
+bound stops too, and is scored as unsettled over the prefix it simulated.
 """
 
 from __future__ import annotations
@@ -234,10 +234,10 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     Nonpositive entries fail the positivity gate and cost +inf without
     simulating.  A settled run stops at its first settling window and costs
     its settling time; the tail is not simulated, so a divergence after
-    settling is not scored.  An unsettled or divergent run costs horizon
-    plus the peak state magnitude reached, so every candidate is
-    comparable.  Exponent pairs are never part of the vector; they are
-    discrete, gate-constrained quantities and stay fixed in the template.
+    settling is not scored.  An unsettled run costs horizon plus its peak
+    state magnitude, a divergent one horizon + 1e6 (DIVERGENCE_LIMIT).
+    Exponent pairs are never part of the vector; they are discrete,
+    gate-constrained quantities fixed in the template.
 
     With `template.cutoff` below the horizon, the run also stops once no
     settling window can start before the cutoff (`Scenario.settle_by`).
@@ -259,9 +259,8 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     sc = replace(sc, settle_by=template.cutoff if template.cutoff < sc.horizon else math.inf)
     try:
         trace, report = harness.run_scenario(sc)
-    except harness.DivergenceError as err:
-        peak = min(err.peak, 1e6)
-        return sc.horizon + peak
+    except harness.DivergenceError:
+        return sc.horizon + harness.DIVERGENCE_LIMIT
     if report.t_s is None:
         x1 = trace.column("x1")
         x2 = trace.column("x2")

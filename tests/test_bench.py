@@ -7,6 +7,8 @@ one of those functions fails here instead of in a traced benchmark run.
 The benchmark also counts work by replacing `harness.run_scenario` with a
 wrapper that takes exactly one positional scenario, and
 `cli.fitness_settling_time` with one that takes exactly `(x, template)`.
+That wrapper reads attributes of the `DivergenceError` a divergent run
+raises; their names are read out of the source the same way.
 """
 
 import ast
@@ -17,10 +19,14 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import presto.cli as cli
 import presto.harness as harness
-from presto.config import load_pso_job
+from presto.config import load_pso_job, load_scenario
+from presto.controller import SatBounds
 from presto.harness import Scenario
+from presto.plant import PlantParams
 from presto.tuner import TuneTemplate, fitness_settling_time
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -34,6 +40,30 @@ def traced_entries() -> list[tuple[str, str, str]]:
         ):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no TRACED list in {RUN_PY}")
+
+
+def divergence_attributes() -> set[str]:
+    """The `err.<attr>` names that `Counters.install` reads."""
+    tree = ast.parse(RUN_PY.read_text())
+    counters = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "Counters")
+    install = next(node for node in counters.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    return {node.attr for node in ast.walk(install) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "err"}
+
+
+def test_divergence_attributes_resolve():
+    names = divergence_attributes()
+    assert names
+    # an unstable spring under a clamp far too weak to hold it
+    base = load_scenario("s72")
+    bad = replace(base, plant=PlantParams(K1=-50.0, K2=-19.97, g=-1.09),
+                  tsmc=replace(base.tsmc, sat=SatBounds(-0.1, 0.1)), horizon=4.0)
+    with pytest.raises(harness.DivergenceError) as exc:
+        harness.run_scenario(bad)
+    for name in names:
+        assert hasattr(exc.value, name), f"DivergenceError has no attribute {name!r}"
 
 
 def test_traced_names_resolve():

@@ -111,6 +111,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "beta0" in err
 
+    def test_baseline_plant_outside_design_interval_warns(self, tmp_path, capsys):
+        # the reduced beam's K1 = 90.85 lies below s74's [94.8, 100], and
+        # s74 on that plant diverges at t = 9.3154
+        assert main(["validate", "s74"]) == 0
+        assert capsys.readouterr().err == ""
+        cfg = tmp_path / "beam74.cfg"
+        cfg.write_text(edit_config(resolve_config_path("s74").read_text(), (
+            "[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09", "[beam]\nalpha = 0.1\nbeta = 0.05")))
+        assert main(["validate", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{cfg}: OK (smc_baseline)\n"
+        assert captured.err == ("warning [beam74]: plant K1=90.8464 lies outside [smc] "
+                                "K1_min..K1_max = [94.8, 100]\n")
+
 
 class TestCoeffs:
     def test_prints_one_line(self, capsys):
@@ -472,6 +486,10 @@ MALFORMED = {
     "negative_q_diag": edit_config(ADAPTIVE_JOB, ("q_diag = 2.025e-11, 2.25e-6,",
                                                   "q_diag = 2.025e-11, -2.25e-6,")),
     "infinite_ekf_stride": edit_config(ADAPTIVE_JOB, ("Ts = 6e-3", "Ts = 1e308")),
+    "zero_q0": edit_config(ADAPTIVE_JOB, ("q0 = 7", "q0 = 0")),
+    "negative_q2": edit_config(ADAPTIVE_JOB, ("q2 = 3", "q2 = -3")),
+    "clamp_above_zero": edit_config(ADAPTIVE_JOB, ("u_min = -30.0", "u_min = 1.0")),
+    "nan_r": edit_config(ADAPTIVE_JOB, ("r = 0.01", "r = nan")),
     "infinite_horizon": TUNE_JOB.replace("horizon = 0.5", "horizon = inf"),
     "infinite_observer_gain": TUNE_JOB.replace("k = 4.0", "k = inf"),
     "nan_controller_gain": TUNE_JOB.replace("mu = 1e-4", "mu = nan"),
@@ -531,6 +549,10 @@ NAMED = {
     "subnormal_dt_and_horizon": "dt must be a normal float > 0, got 5e-324",
     "step_count_past_maxsize": "horizon / dt: 1e+20 / 0.001 must be a finite step count",
     "infinite_ekf_stride": "ekf Ts=1e+308 must be a whole multiple of dt=0.0001",
+    "zero_q0": "[observer] p0, q0: exponent pair must be positive, got (1, 0)",
+    "negative_q2": "[controller] p2, q2: exponent pair must be positive, got (1, -3)",
+    "clamp_above_zero": "[controller] u_min, u_max: clamp must bracket zero, got [1.0, 10.0]",
+    "nan_r": "[ekf] r: must be finite and >= 0, got nan",
     "infinite_horizon": "horizon must be finite and exceed dt, got inf",
     "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
     "nan_controller_gain": "gain mu must be finite and > 0, got nan",

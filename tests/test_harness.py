@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -118,7 +119,8 @@ class TestRunScenario:
             run_scenario(bad)
         err = exc.value
         assert err.trace.n_samples > 0
-        assert err.peak > 1e6 or math.isinf(err.peak)
+        reached = re.search(r"\|x\| reached (\S+)\)", str(err)).group(1)
+        assert float(reached) > harness.DIVERGENCE_LIMIT
 
     def test_disturbance_bound_violation_is_diagnosed(self):
         from presto.plant import DisturbanceTerm
@@ -131,7 +133,22 @@ class TestRunScenario:
             warnings.simplefilter("always")
             _, report = run_scenario(sc)
         assert not caught, [str(w.message) for w in caught]
-        assert len(report.diagnostics) == 1 and "beta0" in report.diagnostics[0]
+        assert report.diagnostics == [
+            "disturbance magnitude reached 9.51, exceeding the observer bound beta0=7"]
+
+    @pytest.mark.parametrize("terms,horizon", [
+        ([(8.0, "sin_linear", 0.1)], 1.0),
+        ([(5.0, "sin_linear", 0.1), (4.0, "sin_sqrt", 0.2)], 8.0),
+    ])
+    def test_bound_above_beta0_but_quiet_signal_gets_no_note(self, terms, horizon):
+        # the amplitude bound exceeds beta0 = 7, the realized |d| stays below it
+        from presto.plant import DisturbanceTerm
+
+        spec = DisturbanceSpec(terms=tuple(DisturbanceTerm(*t) for t in terms))
+        sc = replace(load_scenario("s71"), disturbance=spec, horizon=horizon)
+        assert spec.bound > sc.observer.beta0
+        _, report = run_scenario(sc)
+        assert report.diagnostics == []
 
     def test_compliant_disturbance_stays_quiet(self, bundled_runs):
         _, _, report, _ = bundled_runs["s71"]
@@ -210,6 +227,19 @@ class TestCompare:
         assert "FAILED" in text
         assert (tmp_path / "good.csv").exists()
         assert (tmp_path / "bad.csv").exists()  # partial trace still exported
+
+    @pytest.mark.parametrize("labels,message", [
+        (("a", "a"), "two scenarios share the label 'a'"),
+        (("report", "b"), "label 'report': its trace would overwrite report.csv"),
+    ], ids=["shared", "report"])
+    def test_clashing_labels_write_nothing(self, tmp_path, labels, message):
+        # a shared label would leave one trace file for two rows, and a trace
+        # named report.csv would be overwritten by the table
+        short = [replace(load_scenario(name), horizon=0.1) for name in ("s71", "s72")]
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compare_controllers(list(zip(labels, short)), out_dir=out)
+        assert not out.exists()
 
 
 class TestReportTable:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from presto.plant import (
@@ -212,6 +212,24 @@ class TestDisturbance:
         for _ in range(300):
             t = float(rng.uniform(0, 50))
             assert abs(disturbance_value(S71_SPEC, t)) <= S71_SPEC.bound + 1e-12
+
+    @given(
+        terms=st.lists(st.builds(
+            DisturbanceTerm,
+            amplitude=st.floats(-1e300, 1e300),
+            kind=st.sampled_from(["sin_linear", "sin_sqrt"]),
+            rate=st.floats(-1e6, 1e6),
+        ), max_size=4),
+        times=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20),
+    )
+    # every term at sin = 1: left to right the sum is 0.6000000000000001,
+    # one ulp above the compensated 0.6
+    @example(terms=[DisturbanceTerm(a, "sin_linear", 0.5) for a in (0.1, 0.2, 0.3)],
+             times=[1.0])
+    @settings(max_examples=300)
+    def test_bound_holds_in_floats(self, terms, times):
+        spec = DisturbanceSpec(terms=tuple(terms))
+        assert np.max(np.abs(disturbance_value(spec, np.array(times)))) <= spec.bound
 
     def test_small_amplitude_bound(self):
         spec = DisturbanceSpec(

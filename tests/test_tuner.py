@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from presto.config import load_pso_job, load_scenario
-from presto.harness import DivergenceError, run_scenario
+from presto.harness import DIVERGENCE_LIMIT, DivergenceError, run_scenario
 from presto.tuner import (
     C1,
     C2,
@@ -259,8 +259,8 @@ def full_horizon_fitness(design_vector, template: TuneTemplate) -> float:
     assert sc.settle_by is None
     try:
         trace, report = run_scenario(sc)
-    except DivergenceError as err:
-        return sc.horizon + min(err.peak, 1e6)
+    except DivergenceError:
+        return sc.horizon + DIVERGENCE_LIMIT
     if report.t_s is None:
         envelope = np.maximum(np.abs(trace.column("x1")), np.abs(trace.column("x2")))
         return sc.horizon + float(np.max(envelope))
