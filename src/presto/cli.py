@@ -4,8 +4,8 @@
     presto compare <config>... [--out DIR] run several, write the comparison table
     presto tune <config> [--out DIR]       swarm-tune gains declared in [pso]
     presto coeffs <config>                 print plant coefficients for [beam]
-    presto validate <config>               check a scenario, [compare] or [pso]
-                                           config and its gain gates
+    presto validate <config>               check a scenario, [compare], [pso]
+                                           or [beam] config and its gain gates
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 runtime
 divergence.  Bare names like 's71' resolve to the bundled configs.
@@ -126,6 +126,10 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = cfgmod.resolve_config_path(args.config)
+    if cfgmod.holds_only_beam(path):  # the input of `presto coeffs`
+        cfgmod.load_beam_params(path)
+        print(f"{path}: OK (beam)")
+        return EXIT_OK
     scenarios = [sc for _, sc in cfgmod.load_compare_entries([path])]
     for sc in scenarios:
         bound = sc.disturbance.bound

@@ -54,6 +54,7 @@ __all__ = [
     "load_compare_entries",
     "load_pso_job",
     "load_beam_params",
+    "holds_only_beam",
 ]
 
 
@@ -230,6 +231,11 @@ def load_beam_params(name: str | Path) -> BeamParams:
     """Beam data of a file holding only [beam]."""
     path = resolve_config_path(name)
     return _in_file(path, lambda cp, _: _beam(cp), _read(path))
+
+
+def holds_only_beam(name: str | Path) -> bool:
+    """Whether the file's one section is [beam], so it loads only as beam data."""
+    return _read(resolve_config_path(name)).sections() == ["beam"]
 
 
 def _load_plant(cp) -> PlantParams:

@@ -71,13 +71,14 @@ class EkfConfig:
         for name in ("q_diag", "p0_diag", "x0_hat"):
             v = getattr(self, name)
             if len(v) != 3:
-                raise ValueError(f"{name} must have 3 entries, got {len(v)}")
+                raise ValueError(f"[ekf] {name}: must have 3 entries, got {len(v)}")
             if not all(math.isfinite(e) for e in v):
-                raise ValueError(f"{name} entries must be finite, got {tuple(v)}")
+                raise ValueError(f"[ekf] {name}: entries must be finite, got {tuple(v)}")
             if name != "x0_hat" and min(v) < 0.0:
-                raise ValueError(f"{name} entries must be >= 0, got {tuple(v)}")
+                raise ValueError(f"[ekf] {name}: entries must be >= 0, got {tuple(v)}")
         if not (self.p0_diag[0] + self.R > 0.0):
-            raise ValueError("p0_diag[0] + R, the first innovation covariance, must be > 0")
+            raise ValueError("[ekf] p0_diag, r: p0_diag[0] + r, the first innovation "
+                             "covariance, must be > 0")
 
 
 class EkfState(NamedTuple):
@@ -188,12 +189,5 @@ def ekf_update(st: EkfState, y: float, cfg: EkfConfig) -> tuple[EkfState, float]
     c33 = p33 - (k_3 * k_3) * S
     return EkfState(
         (x1 + k_1 * innovation, x2 + k_2 * innovation, k1 + k_3 * innovation),
-        (
-            _floor(0.5 * (c11 + c11)),
-            0.5 * (c12 + c12),
-            0.5 * (c13 + c13),
-            _floor(0.5 * (c22 + c22)),
-            0.5 * (c23 + c23),
-            _floor(0.5 * (c33 + c33)),
-        ),
+        (_floor(c11), c12, c13, _floor(c22), c23, _floor(c33)),
     ), innovation

@@ -339,7 +339,9 @@ def _diverged(what: str, detail: str, t: float, log: _SampleLog, offset: int):
 
 def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int):
     peak = max(abs(x1), abs(x2)) if math.isfinite(x1) and math.isfinite(x2) else math.inf
-    return _diverged("state", f"|x| reached {peak:.3g}", t, log, offset)
+    # repr round-trips, so the printed |x| reads above the limit as the value
+    # is; a rounded form such as .3g prints 1e+06 for 1000000.5
+    return _diverged("state", f"|x| reached {peak!r}", t, log, offset)
 
 
 def _disturbance_blocks(sc: Scenario) -> Iterator[memoryview]:
@@ -473,16 +475,17 @@ def _observer_loop(sc: Scenario) -> Trace:
     offset = next_log = next_fb = 0
     settle_by = sc.settle_by
     if settle_by is not None:
-        # the band and hold window of `settling_time`, the length of the
-        # current run of in-band samples, and the earliest time a window
-        # can still start: the time of the sample after the last one out
-        # of band, which is the current run's first sample time while a
-        # run is going and the next sample time otherwise
+        # the band of `settling_time`, its hold window in steps, and `start`,
+        # the step of the sample after the last one out of band: the current
+        # run's first in-band sample while a run is going, the next sample
+        # otherwise.  `start * dt`, formed as the t column forms it, is the
+        # earliest time a window can still start.  It moves only on a sample
+        # out of band, so only those check it; a bound at or below its first
+        # value, 0.0, ends the run at the first sample through a zero window
         band = sc.threshold_fraction * max(abs(x1), abs(x2))
         nband = -band
-        window = int(round(SETTLING_HOLD / log.dt)) + 1
-        in_band = 0
-        earliest = 0.0
+        window = 0 if settle_by <= 0.0 else (int(round(SETTLING_HOLD / log.dt)) + 1) * dec
+        start = 0
     for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
         if i == next_fb:
             next_fb += fb_stride
@@ -562,14 +565,11 @@ def _observer_loop(sc: Scenario) -> Trace:
                 pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2)
             offset += row_bytes
             if settle_by is not None:
-                if nband <= x1 <= band and nband <= x2 <= band:
-                    in_band += 1
-                    if in_band >= window:
+                if not (nband <= x1 <= band and nband <= x2 <= band):
+                    start = next_log
+                    if start * dt >= settle_by:
                         break
-                else:
-                    in_band = 0
-                    earliest = next_log * dt
-                if earliest >= settle_by:
+                elif next_log - start >= window:
                     break
 
         dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
@@ -601,20 +601,21 @@ def check_labels(labels: list[str]) -> None:
 
 def compare_controllers(
     entries: list[tuple[str, Scenario]],
-    out_dir: Path | str | None = None,
+    out_dir: Path | str,
 ) -> tuple[list[RunReport], str]:
-    """Run every scenario, export traces, and build the comparison table.
+    """Run every scenario into `out_dir`: one trace CSV per label, and the
+    comparison table as report.txt and report.csv.
 
-    Labels are checked before anything is written.  A divergent run is
-    reported as a failed row; the other rows proceed.  Trace references
+    `out_dir` is required and is created if missing.  Labels are checked
+    before anything is written.  A divergent run is reported as a failed
+    row, with its partial trace; the other rows proceed.  Trace references
     inside the report are file names only, so two output directories
     produced with the same seeds match byte for byte.
     """
     scenarios = [replace(sc, label=label) for label, sc in entries]
     check_labels([sc.label for sc in scenarios])
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     reports: list[RunReport] = []
     for sc in scenarios:
         try:
@@ -622,15 +623,13 @@ def compare_controllers(
         except DivergenceError as err:
             report = RunReport(label=sc.label, kind=sc.kind, failed=str(err))
             trace = err.trace
-        if out is not None:
-            path = out / f"{sc.label}.csv"
-            export_trace(trace, path)
-            report.trace_path = path.name
+        path = out / f"{sc.label}.csv"
+        export_trace(trace, path)
+        report.trace_path = path.name
         reports.append(report)
     text = format_report_table(reports)
-    if out is not None:
-        (out / "report.txt").write_text(text, newline="\n")
-        (out / "report.csv").write_text(report_csv_rows(reports), newline="\n")
+    (out / "report.txt").write_text(text, newline="\n")
+    (out / "report.csv").write_text(report_csv_rows(reports), newline="\n")
     return reports, text
 
 

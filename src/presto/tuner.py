@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .harness import Scenario
+from . import harness
 
 __all__ = [
     "PsoConfig",
@@ -204,7 +203,7 @@ class TuneTemplate:
     at; `presto tune` sets it to each evaluation's `pso_run` bound.
     """
 
-    scenario: "Scenario"
+    scenario: harness.Scenario
     names: tuple[str, ...]
     cutoff: float = math.inf
 
@@ -248,8 +247,6 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
     cost may still lie below it.  This is the `pso_run` bound contract;
     the two-argument call shape stays, so the bound travels in the template.
     """
-    from . import harness  # local import; harness depends on this module's siblings
-
     vec = [float(v) for v in design_vector]
     if len(vec) != len(template.names):
         raise ValueError(f"vector has {len(vec)} entries for {len(template.names)} names")

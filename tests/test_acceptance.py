@@ -15,8 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from presto import load_scenario, run_scenario
+from presto import galerkin_coefficients, load_scenario, run_scenario
 from presto.cli import main as cli_main
+from presto.config import load_beam_params
 from presto.estimator import augmented_transition, transition_jacobian
 from presto.mathcore import ExponentPair, TimeBoundInputs, prescribed_time_bound, signed_pow
 from presto.plant import DisturbanceSpec, DisturbanceTerm
@@ -79,29 +80,71 @@ class TestCriterion3BaselineOrdering:
         )
 
 
+def _k1_entry_time(trace, k1_true: float) -> float:
+    """The time from which K1_hat stays inside +/-5% of k1_true to the end:
+    the first sample time, the sample after the last one outside, or inf
+    when the last sample is outside."""
+    k1 = trace.column("K1_hat")
+    t = trace.times()
+    outside = np.nonzero((k1 < k1_true * 0.95) | (k1 > k1_true * 1.05))[0]
+    if outside.size == 0:
+        return float(t[0])
+    if outside[-1] + 1 < len(k1):
+        return float(t[outside[-1] + 1])
+    return math.inf
+
+
 class TestCriterion4ParameterConvergence:
     def test_ten_seeded_realizations(self):
         base = load_scenario("s73")
         k1_true = base.plant.K1
-        lo, hi = k1_true * 0.95, k1_true * 1.05
-        enters = []
-        for seed in range(10):
-            trace, _ = run_scenario(replace(base, seed=seed))
-            k1 = trace.column("K1_hat")
-            t = trace.times()
-            outside = np.nonzero((k1 < lo) | (k1 > hi))[0]
-            if outside.size == 0:
-                enters.append(float(t[0]))
-            elif outside[-1] + 1 < len(k1):
-                enters.append(float(t[outside[-1] + 1]))
-            else:
-                enters.append(math.inf)
+        enters = [_k1_entry_time(run_scenario(replace(base, seed=seed))[0], k1_true)
+                  for seed in range(10)]
         ok = all(te <= 5.0 for te in enters)
         _report(
             "criterion 4",
             ok,
             f"stiffness estimate inside +/-5% of {k1_true} from "
             f"t={max(enters):.3f} at the latest (10 seeds, must be <= 5)",
+        )
+
+
+class TestReducedBeamClosedLoop:
+    """The bundled s71, s72 and s73 gains on the paper's plant, the closed-form
+    Galerkin reduction of `beam.cfg`: K1 = 90.846, K2 = +24.35, g = -24.
+
+    lambda = 12 is `beam.cfg`'s bundled value, and it sets g = -2*lambda.
+    lambda = 0.545 would give the bundled g = -1.09, so choosing it would be
+    a calibration to the bundled plant, not a property of the beam.
+    Criteria 1-3's bands are calibrated to the published table on the
+    bundled plant, so none of them applies here, and this sets no band of
+    its own.  It checks the paper's qualitative claims: the terminal laws
+    settle, the saturated commands stay in their clamp, and the stiffness
+    estimate meets criterion 4's rule around the reduced K1.  s74 stays out:
+    its [smc] interval [94.8, 100] excludes the reduced K1, which `presto
+    validate` warns about, and it diverges at t = 9.3154.
+    """
+
+    def test_bundled_gains_settle_and_estimate_the_reduced_k1(self):
+        plant = galerkin_coefficients(load_beam_params("beam"))
+        runs = {name: run_scenario(replace(load_scenario(name), plant=plant))
+                for name in ("s71", "s72")}
+        s73 = replace(load_scenario("s73"), plant=plant)
+        seeded = [run_scenario(replace(s73, seed=seed))[0] for seed in range(10)]
+        enters = [_k1_entry_time(trace, plant.K1) for trace in seeded]
+        sat = s73.tsmc.sat
+        assert load_scenario("s72").tsmc.sat == sat
+        contained = all(bool(np.all((trace.column("u") >= sat.u_min)
+                                    & (trace.column("u") <= sat.u_max)))
+                        for trace in [runs["s72"][0], *seeded])
+        t_s = {name: report.t_s for name, (_, report) in runs.items()}
+        ok = None not in t_s.values() and contained and all(te <= 5.0 for te in enters)
+        _report(
+            "reduced beam",
+            ok,
+            f"t_s {t_s} settled, u inside [{sat.u_min:g}, {sat.u_max:g}] for s72 and "
+            f"s73, K1_hat inside +/-5% of {plant.K1:.5g} from t={max(enters):.3f} at the "
+            "latest (10 seeds, must be <= 5)",
         )
 
 

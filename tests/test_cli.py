@@ -69,6 +69,17 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 1
         assert "warp" in capsys.readouterr().err
 
+    def test_beam_file(self, tmp_path, capsys):
+        # a file holding only [beam] gets the checks of `presto coeffs`
+        path = resolve_config_path("beam")
+        assert main(["validate", "beam"]) == 0
+        assert capsys.readouterr().out == f"{path}: OK (beam)\n"
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text(edit_config(path.read_text(), ("alpha = 0.1", "alpha = -1")))
+        assert main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [beam] alpha: must be finite and >= 0, got -1.0\n")
+
     def test_missing_config_exits_one(self, capsys):
         assert main(["validate", "nope.cfg"]) == 1
 
@@ -443,6 +454,8 @@ MALFORMED = {
     # every candidate fails the positivity gate, so no cost is ever finite
     "box_at_or_below_zero": TUNE_JOB.replace("tune = k", "tune = k -5 -1"),
     "infinite_box_width": TUNE_JOB.replace("tune = k", "tune = k -1e308 1e308"),
+    "tune_entry_of_two_fields": TUNE_JOB.replace("tune = k", "tune = k 20"),
+    "tune_lists_no_gain": TUNE_JOB.replace("tune = k", "tune = ;"),
     "step_count_overflow": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e308"),
     "subnormal_dt": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-320"),
     "subnormal_dt_and_horizon": edit_config(TUNE_JOB, ("dt = 1e-3", "dt = 5e-324"),
@@ -527,12 +540,13 @@ NAMED = {
     "beam_beside_plant": "[beam]: unused section",
     "misspelled_required_key": "missing required key [controller] u_max; "
                                "[controller] u_mx: unknown key; did you mean u_max?",
-    "singular_first_innovation": "p0_diag[0] + R, the first innovation covariance, must be > 0",
-    "non_finite_x0_hat": "x0_hat entries must be finite, got (nan, 5.0, 20.0)",
-    "infinite_q_diag": "q_diag entries must be finite, got (inf, 2.25e-06, 0.01)",
-    "nan_p0_diag": "p0_diag entries must be finite, got (0.01, nan, 6000.0)",
-    "two_entry_q_diag": "q_diag must have 3 entries, got 2",
-    "negative_q_diag": "q_diag entries must be >= 0, got (2.025e-11, -2.25e-06, 0.01)",
+    "singular_first_innovation": "[ekf] p0_diag, r: p0_diag[0] + r, the first innovation "
+                                 "covariance, must be > 0",
+    "non_finite_x0_hat": "[ekf] x0_hat: entries must be finite, got (nan, 5.0, 20.0)",
+    "infinite_q_diag": "[ekf] q_diag: entries must be finite, got (inf, 2.25e-06, 0.01)",
+    "nan_p0_diag": "[ekf] p0_diag: entries must be finite, got (0.01, nan, 6000.0)",
+    "two_entry_q_diag": "[ekf] q_diag: must have 3 entries, got 2",
+    "negative_q_diag": "[ekf] q_diag: entries must be >= 0, got (2.025e-11, -2.25e-06, 0.01)",
     "removed_hold_duration": "[scenario] hold_duration: unknown key",
     "negative_hold": "[scenario] hold_duration: unknown key",
     "removed_pso_w": "[pso] w: unknown key",
@@ -544,6 +558,8 @@ NAMED = {
     "gain_listed_twice": "[pso] tune: gain 'k' is listed twice",
     "box_at_or_below_zero": "[pso] tune: k box [-5.0, -1.0] holds no gain > 0",
     "infinite_box_width": "[pso] tune: search box [-1e+308, 1e+308] must be finite",
+    "tune_entry_of_two_fields": "[pso] tune: entry 'k 20' is not 'name [lo hi]'",
+    "tune_lists_no_gain": "[pso] tune: must list at least one gain",
     "step_count_overflow": "horizon / dt: 1e+308 / 0.001 must be a finite step count",
     "subnormal_dt": "dt must be a normal float > 0, got 1e-320",
     "subnormal_dt_and_horizon": "dt must be a normal float > 0, got 5e-324",

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -126,11 +127,11 @@ class TestConfigValidation:
 
     def test_q_must_be_psd(self):
         # a diagonal Q is positive semidefinite exactly when no entry is negative
-        with pytest.raises(ValueError, match="q_diag entries must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape("[ekf] q_diag: entries must be >= 0")):
             make_cfg(q=(1e-4, -1e-12, 1e-2))
 
     def test_p0_must_be_psd(self):
-        with pytest.raises(ValueError, match="p0_diag entries must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape("[ekf] p0_diag: entries must be >= 0")):
             make_cfg(p0=(1.0, -1e-12, 500.0))
 
     @pytest.mark.parametrize("key", ["q", "p0", "x0"])
@@ -367,11 +368,11 @@ class TestNumpyOracle:
         assert bits(innov) == bits(innov_ref)
 
     def test_edge_values(self):
-        """A variance past half the float range survives the predict, which is
-        symmetric by construction and has no `0.5*(a + a)` step to double it
-        to inf.  A predict that does overflow leaves inf in P, which the
-        loop's `isfinite(trace P)` guard ends the run on.  The floor makes
-        -0.0 and negatives +0.0 but passes NaN."""
+        """A variance past half the float range survives the predict and the
+        update, which are symmetric by construction and have no `0.5*(a + a)`
+        step to double it to inf.  A predict that does overflow leaves inf in
+        P, which the loop's `isfinite(trace P)` guard ends the run on.  The
+        floor makes -0.0 and negatives +0.0 but passes NaN."""
         x = np.zeros(3)
         cfg = make_cfg(Ts=0.0, q=(0.0, 0.0, 0.0), r=1.0)
         P = np.diag([1e308, 1.0, 1.0])
@@ -379,6 +380,8 @@ class TestNumpyOracle:
         P = np.diag([1e308, 1e308, 1.0])
         out = ekf_predict(state(x, P), 0.0, make_cfg(Ts=1.0), K2, G)
         assert out.P[0] == math.inf
+        out, _ = ekf_update(state(x, np.diag([1.0, 1e308, 1.0])), 0.5, cfg)
+        assert out.P == (0.5, 0.0, 0.0, 1e308, 0.0, 1.0)
         for diag in ([1.0, -0.0, np.nan], [1.0, -1e-3, 0.0]):
             P = np.diag(diag)
             out, _ = ekf_update(state(x, P), 0.5, cfg)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presto import harness, load_scenario, run_scenario
-from presto.config import load_pso_job
+from presto.config import load_beam_params, load_pso_job
 from presto.controller import SatBounds
 from presto.harness import (
     DivergenceError,
@@ -22,7 +22,7 @@ from presto.harness import (
 )
 from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import ObserverState, z_derivative
-from presto.plant import DisturbanceSpec, PlantParams
+from presto.plant import DisturbanceSpec, PlantParams, galerkin_coefficients
 
 
 def load_csv(path) -> Trace:
@@ -115,12 +115,18 @@ class TestRunScenario:
             tsmc=replace(base.tsmc, sat=SatBounds(-0.1, 0.1)),
             horizon=4.0,
         )
-        with pytest.raises(DivergenceError) as exc:
-            run_scenario(bad)
-        err = exc.value
-        assert err.trace.n_samples > 0
-        reached = re.search(r"\|x\| reached (\S+)\)", str(err)).group(1)
-        assert float(reached) > harness.DIVERGENCE_LIMIT
+        # the baseline on the reduced beam, whose K1 = 90.85 lies outside its
+        # [smc] interval: it leaves the limit at t = 9.3154 by about 100, so
+        # a rounded |x| would print the limit itself
+        beam = replace(load_scenario("s74"),
+                       plant=galerkin_coefficients(load_beam_params("beam")))
+        for sc in (bad, beam):
+            with pytest.raises(DivergenceError) as exc:
+                run_scenario(sc)
+            err = exc.value
+            assert err.trace.n_samples > 0
+            reached = re.search(r"\|x\| reached (\S+)\)", str(err)).group(1)
+            assert float(reached) > harness.DIVERGENCE_LIMIT, str(err)
 
     def test_disturbance_bound_violation_is_diagnosed(self):
         from presto.plant import DisturbanceTerm
@@ -171,6 +177,20 @@ class TestScenarioValidation:
         base = load_scenario("s74")
         with pytest.raises(ValueError, match="K1_nominal must be finite"):
             replace(base, smc=replace(base.smc, K1_nominal=math.nan))
+
+    @pytest.mark.parametrize("name,changes,message", [
+        ("s74", dict(smc=None), "smc_baseline needs [smc] gains"),
+        ("s71", dict(tsmc=None), "kind tsmc needs sliding-mode gains"),
+        ("s72", dict(observer=None), "kind tsmc_saturated needs observer gains"),
+        ("s73", dict(ekf=None), "adaptive kind needs an [ekf] section"),
+        ("s73", dict(ekf=replace(load_scenario("s73").ekf, Ts=0.0)),
+         "adaptive kind needs ekf Ts > 0"),
+    ], ids=["smc", "tsmc", "observer", "ekf", "ekf-Ts"])
+    def test_library_only_sections_required(self, name, changes, message):
+        # the config loader always builds these sections for the kind, so
+        # only a library caller can leave one out
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(load_scenario(name), **changes)
 
     @pytest.mark.parametrize(
         "changes", [dict(tau=3.7), dict(sat=SatBounds(-1.0, 1.0))], ids=["tau", "sat"]
@@ -398,6 +418,24 @@ def assert_prefix(short, full):
         assert np.array_equal(col, full.columns[name][: len(col)]), name
 
 
+def stop_samples(sc, full, bound) -> int:
+    """The samples a run with `settle_by=bound` logs, from the full run's trace:
+    it ends at the sample that completes a hold window, or at the first one
+    after which the earliest window start, `next_log * dt`, is at or past
+    `bound`."""
+    x1, x2 = full.column("x1"), full.column("x2")
+    band = sc.threshold_fraction * max(abs(x1[0]), abs(x2[0]))
+    inside = (np.abs(x1) <= band) & (np.abs(x2) <= band)
+    window = int(round(SETTLING_HOLD / full.dt)) + 1
+    start = 0  # the sample after the last one out of band
+    for k in range(full.n_samples):
+        if not inside[k]:
+            start = k + 1
+        if k + 1 - start >= window or start * sc.decimation * sc.dt >= bound:
+            return k + 1
+    return full.n_samples
+
+
 @pytest.fixture(scope="module")
 def settling_runs():
     """Each SETTLING scenario with its full run, as (scenario, trace, report)."""
@@ -429,6 +467,15 @@ class TestStopWhenSettled:
         assert short.n_samples == full.n_samples
         assert_prefix(short, full)
 
+    @pytest.mark.parametrize("bound", [0.0, -0.0, -1.0, -math.inf])
+    def test_bound_at_or_below_zero_stops_at_the_first_sample(self, bound):
+        # the earliest window start is 0.0 before the first step.  A start
+        # at rest lies in its zero-width band until the disturbance moves
+        # it, so the first sample opens a run of in-band samples
+        sc = replace(load_scenario("s71"), x0=(0.0, 0.0), horizon=1.0)
+        short, report = run_scenario(replace(sc, settle_by=bound))
+        assert short.n_samples == 1 and report.t_s is None
+
     def test_rejected_on_smc_baseline(self):
         with pytest.raises(ValueError, match="settle_by"):
             replace(load_scenario("s74"), settle_by=math.inf)
@@ -447,6 +494,7 @@ class TestStopWhenSettled:
                           | st.sampled_from(ties), label="settle_by")
         short, report = run_scenario(replace(sc, settle_by=bound))
         assert_prefix(short, full)
+        assert short.n_samples == stop_samples(sc, full, bound)
         if full_report.t_s < bound:
             assert report.t_s == full_report.t_s
         if report.t_s is None:

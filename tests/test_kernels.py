@@ -28,7 +28,7 @@ def short(name: str, steps: int = STEPS, **changes) -> Scenario:
 
 
 # a negative amplitude, and the sin_sqrt term before the sin_linear one
-TABLE = DisturbanceSpec(
+NEGATIVE_REVERSED = DisturbanceSpec(
     terms=(DisturbanceTerm(-1.5, "sin_sqrt", 0.3), DisturbanceTerm(2.0, "sin_linear", 0.1)),
 )
 
@@ -42,8 +42,8 @@ CASES = {
     "tune_s71": lambda: load_pso_job("tune_s71")[1].scenario,
     "z0-offset-s72": lambda: short("s72", z0_offset=1.5),
     "z0-offset-s73": lambda: short("s73", z0_offset=-0.5),
-    "table-s71": lambda: short("s71", disturbance=TABLE),
-    "table-s74": lambda: short("s74", disturbance=TABLE),
+    "negative-reversed-s71": lambda: short("s71", disturbance=NEGATIVE_REVERSED),
+    "negative-reversed-s74": lambda: short("s74", disturbance=NEGATIVE_REVERSED),
     "decimation1-s73": lambda: short("s73", decimation=1),
 }
 # at rest with no disturbance, from +0.0 and from -0.0: every step of the

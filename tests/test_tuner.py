@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from presto.config import load_pso_job, load_scenario
+from presto.controller import SatBounds
 from presto.harness import DIVERGENCE_LIMIT, DivergenceError, run_scenario
+from presto.plant import PlantParams
 from presto.tuner import (
     C1,
     C2,
@@ -238,6 +240,15 @@ class TestSettlingFitness:
         tpl = replace(template, scenario=short)
         cost = fitness_settling_time([4.0, 7.0, 10.0], tpl)
         assert cost > short.horizon
+
+    def test_divergent_run_pays_horizon_plus_the_limit(self):
+        # an unstable spring under a clamp far too weak to hold it
+        base = load_scenario("s72")
+        bad = replace(base, plant=PlantParams(K1=-50.0, K2=-19.97, g=-1.09),
+                      tsmc=replace(base.tsmc, sat=SatBounds(-0.1, 0.1)), horizon=4.0)
+        template = TuneTemplate(scenario=bad, names=("k",))
+        cost = fitness_settling_time([bad.observer.k], template)
+        assert cost == bad.horizon + DIVERGENCE_LIMIT
 
     def test_vector_length_checked(self, job):
         _, template = job
