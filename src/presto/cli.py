@@ -126,7 +126,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_validate(args) -> int:
     path = cfgmod.resolve_config_path(args.config)
-    if cfgmod.holds_only_beam(path):  # the input of `presto coeffs`
+    if cfgmod.is_beam_file(path):  # the input of `presto coeffs`
         cfgmod.load_beam_params(path)
         print(f"{path}: OK (beam)")
         return EXIT_OK

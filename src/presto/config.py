@@ -22,11 +22,13 @@ SmcGains, [ekf] EkfConfig and [pso] PsoConfig.  [scenario] feeds the
 Scenario around them.  A key the file omits is not passed on, so it takes
 the default of the field it feeds, for instance x0 = 1.0, 5.0 or [pso]
 generations = 40.  The checks live on those types too.  Values are
-literal: a '%' needs no escaping.  Scenario kinds pull in their required
-sections and reject configs missing them.  A file may set only the keys
-its loaders ask for (case-folded): any other key, a section nothing
-reads, or [DEFAULT] is an error, and a scenario file with [pso] always
-loads as a tuning job.  Config names that are not existing paths fall
+literal: a '%' needs no escaping.  Every [pso] tune entry names its
+gain's search box.  Scenario kinds pull in their required sections and
+reject configs missing them.  A file may set only the keys its loaders
+ask for (case-folded): any other key, a section nothing reads, or
+[DEFAULT] is an error.  A scenario file with [pso] always loads as a
+tuning job, and a file with [beam] and neither [scenario] nor [compare]
+is beam data only.  Config names that are not existing paths fall
 back to the bundled files under presto/configs.
 """
 
@@ -45,7 +47,7 @@ from .mathcore import ExponentPair
 from .observer import ObserverGains
 from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
 from .plant import galerkin_coefficients
-from .tuner import DEFAULT_TUNE_BOXES, PsoConfig, TuneTemplate
+from .tuner import PsoConfig, TuneTemplate
 
 __all__ = [
     "ConfigError",
@@ -54,7 +56,7 @@ __all__ = [
     "load_compare_entries",
     "load_pso_job",
     "load_beam_params",
-    "holds_only_beam",
+    "is_beam_file",
 ]
 
 
@@ -203,17 +205,15 @@ def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
     return tuple(terms)
 
 
-def _tune(raw: str) -> list[tuple[str, tuple[float, float] | None]]:
-    """'name [lo hi]' entries separated by semicolons; None takes the default box."""
+def _tune(raw: str) -> list[tuple[str, tuple[float, float]]]:
+    """'name lo hi' entries separated by semicolons."""
     entries = []
     for chunk in raw.split(";"):
         parts = chunk.split()
-        if len(parts) == 1:
-            entries.append((parts[0], None))
-        elif len(parts) == 3:
+        if len(parts) == 3:
             entries.append((parts[0], (float(parts[1]), float(parts[2]))))
         elif parts:
-            raise ValueError(f"entry {chunk.strip()!r} is not 'name [lo hi]'")
+            raise ValueError(f"entry {chunk.strip()!r} is not 'name lo hi'")
     if not entries:
         raise ValueError("must list at least one gain")
     return entries
@@ -233,9 +233,12 @@ def load_beam_params(name: str | Path) -> BeamParams:
     return _in_file(path, lambda cp, _: _beam(cp), _read(path))
 
 
-def holds_only_beam(name: str | Path) -> bool:
-    """Whether the file's one section is [beam], so it loads only as beam data."""
-    return _read(resolve_config_path(name)).sections() == ["beam"]
+def is_beam_file(name: str | Path) -> bool:
+    """Whether the file has [beam] and neither [scenario] nor [compare], so it
+    loads only as beam data."""
+    cp = _read(resolve_config_path(name))
+    return cp.has_section("beam") and not (cp.has_section("scenario")
+                                           or cp.has_section("compare"))
 
 
 def _load_plant(cp) -> PlantParams:
@@ -376,15 +379,15 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
 def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
     scenario = _scenario(cp, path)
     tune = _get(cp, "pso", "tune", _tune)
-    template = TuneTemplate(scenario=scenario, names=tuple(name for name, _ in tune))
-    bounds = tuple(box or DEFAULT_TUNE_BOXES[name] for name, box in tune)
+    names, bounds = zip(*tune)
+    template = TuneTemplate(scenario=scenario, names=names)
     optional = _given(cp, "pso", {
         "swarm_size": int,
         "generations": ("max_generations", int),
         "seed": int,
     })
     cfg = PsoConfig(bounds=bounds, **optional)
-    for name, (lo, hi) in zip(template.names, bounds):
+    for name, (lo, hi) in tune:
         if not hi > 0.0:
             raise ConfigError(f"[pso] tune: {name} box [{lo}, {hi}] holds no gain > 0; "
                               "every tuned gain must be > 0")
@@ -395,7 +398,7 @@ def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
     """Load a tuning job: the base scenario plus the swarm setup.
 
     The tune key lists gains as 'name lo hi' triples separated by
-    semicolons; a bare name takes its default search box.
+    semicolons: every tuned gain names its own search box.
     """
     path = resolve_config_path(name)
     return _in_file(path, _pso_job, _read(path))

@@ -122,14 +122,16 @@ class SmcGains:
 
     def __post_init__(self):
         for name in ("Y", "Kg", "K1_min", "K1_max", "K1_nominal"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"[smc] {name}: must be finite, got {value}")
         if not (self.Y > 0.0):
-            raise ValueError(f"surface slope Y must be > 0, got {self.Y}")
+            raise ValueError(f"[smc] Y: surface slope must be > 0, got {self.Y}")
         if not (self.Kg > 0.0):
-            raise ValueError(f"switching gain Kg must be > 0, got {self.Kg}")
+            raise ValueError(f"[smc] Kg: switching gain must be > 0, got {self.Kg}")
         if not (self.K1_min < self.K1_max):
-            raise ValueError("need K1_min < K1_max")
+            raise ValueError(f"[smc] K1_min, K1_max: need K1_min < K1_max, got "
+                             f"{self.K1_min} and {self.K1_max}")
 
 
 def ddt_signed_pow(x1: float, x2: float, e: ExponentPair) -> float:

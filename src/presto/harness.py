@@ -69,9 +69,10 @@ from typing import Iterator
 
 import numpy as np
 
-# The stage functions below are the documented reference that the fused
-# loops reproduce bit for bit; they stay importable from here because the
-# benchmark's per-layer tracer wraps them under these names (tests/test_bench.py).
+# This module imports eight stage functions that it never calls (noqa: F401):
+# the fused loops reproduce them bit for bit (tests/test_kernels.py).  They are
+# imported only for the benchmark's TRACED list, which wraps them under these
+# names (tests/test_bench.py), so their tracer rows read 0 calls.
 from .controller import (  # noqa: F401
     SINGULARITY_FLOOR,
     SmcGains,
@@ -199,7 +200,7 @@ class Scenario:
             raise ValueError(f"horizon / dt: {self.horizon:g} / {self.dt:g} must be a finite "
                              f"step count below {sys.maxsize}")
         if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
+            raise ValueError(f"[scenario] decimation: must be >= 1, got {self.decimation}")
         if self.seed < 0:
             raise ValueError(f"[scenario] seed: must be >= 0, got {self.seed}")
         # checked here too, so a bad settling rule fails before the run, not after it
@@ -284,7 +285,7 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     if sc.kind == "adaptive_tsmc_saturated":
         report.ex_l2 = l2_norm(trace, "e_x")
         report.ex_linf = linf_norm(trace, "e_x")
-    report.t_s = settling_time(trace, sc.threshold_fraction, SETTLING_HOLD)
+    report.t_s = settling_time(trace, sc.threshold_fraction)
     # the plain observer estimates the raw external disturbance, so its
     # amplitude-bound assumption is checkable against the realized signal;
     # |d| never exceeds `bound`, so only a bound above beta0 needs the check

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "ExponentPair",
-    "TimeBoundInputs",
     "Trace",
     "sgn",
     "signed_pow",
@@ -62,27 +61,6 @@ class ExponentPair:
         return self.p / self.q
 
 
-@dataclass(frozen=True)
-class TimeBoundInputs:
-    """Constants of the decay inequality Vdot + theta*V + xi*V**gamma <= 0."""
-
-    theta: float
-    xi: float
-    gamma: float
-    V0: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if not (self.xi > 0.0):
-            raise ValueError(f"xi must be > 0, got {self.xi}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not (self.V0 >= 0.0):
-            raise ValueError(f"V0 must be >= 0, got {self.V0}")
-
-
 def sgn(x: float) -> int:
     """Exact signum: -1 for x < 0, +1 for x > 0, 0 at x = 0."""
     if not math.isfinite(x):
@@ -114,17 +92,23 @@ def signed_pow(s: float, e: ExponentPair) -> float:
     return _spow(s, e.ratio)
 
 
-def prescribed_time_bound(inp: TimeBoundInputs) -> float:
-    """Deadline by which V reaches zero under the two-term decay inequality.
+def prescribed_time_bound(theta: float, xi: float, gamma: float, V0: float) -> float:
+    """Deadline by which V reaches zero under Vdot + theta*V + xi*V**gamma <= 0.
 
-    Returns ``t0 + ln((theta*V0**(1-gamma) + xi)/xi) / (theta*(1-gamma))``,
-    the explicit upper bound on the convergence time.  Monotone nondecreasing
-    in V0 and equal to t0 when V0 = 0.
+    Returns ``ln((theta*V0**(1-gamma) + xi)/xi) / (theta*(1-gamma))``, the
+    explicit upper bound on the convergence time counted from the moment V
+    equals V0.  Monotone nondecreasing in V0 and zero when V0 = 0.
     """
-    one_m_g = 1.0 - inp.gamma
-    return inp.t0 + math.log((inp.theta * inp.V0**one_m_g + inp.xi) / inp.xi) / (
-        inp.theta * one_m_g
-    )
+    if not (theta > 0.0):
+        raise ValueError(f"theta must be > 0, got {theta}")
+    if not (xi > 0.0):
+        raise ValueError(f"xi must be > 0, got {xi}")
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not (V0 >= 0.0):
+        raise ValueError(f"V0 must be >= 0, got {V0}")
+    one_m_g = 1.0 - gamma
+    return math.log((theta * V0**one_m_g + xi) / xi) / (theta * one_m_g)
 
 
 def check_exponent_pair(e: ExponentPair) -> bool:
@@ -200,19 +184,17 @@ def linf_norm(tr: Trace, column: str) -> float:
 SETTLING_HOLD = 0.5
 
 
-def settling_time(tr: Trace, threshold_fraction: float, hold_duration: float) -> float | None:
+def settling_time(tr: Trace, threshold_fraction: float) -> float | None:
     """First time the state pair enters and holds a band around the origin.
 
     Returns the earliest sample time t* such that
     ``max(|x1(t)|, |x2(t)|) <= threshold_fraction * max(|x1(0)|, |x2(0)|)``
-    for every sample t in [t*, t* + hold_duration], with the whole hold
+    for every sample t in [t*, t* + SETTLING_HOLD], with the whole hold
     window inside the trace.  Returns None when no such window exists
     ("not settled" is a result, not an error).
     """
     if not (0.0 < threshold_fraction < 1.0):
         raise ValueError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
-    if not (0.0 <= hold_duration < math.inf):
-        raise ValueError(f"hold_duration must be finite and >= 0, got {hold_duration}")
     x1 = tr.column("x1")
     x2 = tr.column("x2")
     if len(x1) == 0:
@@ -220,7 +202,7 @@ def settling_time(tr: Trace, threshold_fraction: float, hold_duration: float) ->
     envelope = np.maximum(np.abs(x1), np.abs(x2))
     band = threshold_fraction * envelope[0]
     in_band = envelope <= band
-    window = int(round(hold_duration / tr.dt)) + 1  # samples covering [t*, t*+hold]
+    window = int(round(SETTLING_HOLD / tr.dt)) + 1  # samples covering [t*, t*+hold]
     if window > len(in_band):
         return None
     # in_band[j:j + window] is all in band where the count of in-band

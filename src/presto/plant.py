@@ -69,10 +69,11 @@ class PlantParams:
 
     def __post_init__(self):
         for name in ("K1", "K2", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"[plant] {name}: must be finite, got {value}")
         if self.g == 0.0:
-            raise ValueError("input coefficient g must be nonzero")
+            raise ValueError(f"[plant] g: input coefficient must be nonzero, got {self.g}")
 
 
 @dataclass(frozen=True)

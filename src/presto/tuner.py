@@ -22,6 +22,9 @@ pin the behavior down:
   return any value >= bound once it knows its cost is not below it
   (adaptive capping, as in ParamILS: Hutter et al., JAIR 36, 2009).
 
+A tuning job names each gain it tunes with that gain's own search box;
+`TUNABLE` lists the gains it may name.
+
 The stock fitness for gain tuning runs one closed-loop scenario with the
 candidate gains patched in and scores it by settling time; an unsettled run
 costs horizon plus its peak state magnitude and a divergent one horizon
@@ -45,7 +48,7 @@ __all__ = [
     "PsoConfig",
     "PsoResult",
     "TuneTemplate",
-    "DEFAULT_TUNE_BOXES",
+    "TUNABLE",
     "W",
     "C1",
     "C2",
@@ -56,20 +59,10 @@ __all__ = [
     "fitness_settling_time",
 ]
 
-# search boxes for tunable gains when a job does not give its own;
-# chosen to contain the reference scenario's published values
-DEFAULT_TUNE_BOXES: dict[str, tuple[float, float]] = {
-    "k": (1e-3, 20.0),
-    "beta0": (1e-3, 20.0),
-    "eps": (1e-3, 20.0),
-    "alpha1": (1e-3, 200.0),
-    "beta1": (1e-3, 20.0),
-    "delta": (1e-3, 10.0),
-    "mu": (1e-6, 0.1),
-    "tau": (1e-3, 10.0),
-}
 # tunable gains of ObserverGains; the rest belong to TsmcGains
 _OBSERVER_GAINS = ("k", "beta0", "eps")
+# every gain a tuning job may name, each with its own search box
+TUNABLE = _OBSERVER_GAINS + ("alpha1", "beta1", "delta", "mu", "tau")
 # inertia, the pulls toward the personal and global bests, and each gain's speed
 # cap as a fraction of its box width: the usual constriction-flavored constants
 W, C1, C2, VMAX_FRACTION = 0.72, 1.49, 1.49, 0.2
@@ -208,10 +201,9 @@ class TuneTemplate:
     cutoff: float = math.inf
 
     def __post_init__(self):
-        unknown = set(self.names) - set(DEFAULT_TUNE_BOXES)
+        unknown = set(self.names) - set(TUNABLE)
         if unknown:
-            raise ValueError(f"cannot tune {sorted(unknown)}; tunable: "
-                             f"{sorted(DEFAULT_TUNE_BOXES)}")
+            raise ValueError(f"cannot tune {sorted(unknown)}; tunable: {sorted(TUNABLE)}")
         if not self.names:
             raise ValueError("must name at least one gain to tune")
         twice = [name for name in self.names if self.names.count(name) > 1]

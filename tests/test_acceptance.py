@@ -19,7 +19,7 @@ from presto import galerkin_coefficients, load_scenario, run_scenario
 from presto.cli import main as cli_main
 from presto.config import load_beam_params
 from presto.estimator import augmented_transition, transition_jacobian
-from presto.mathcore import ExponentPair, TimeBoundInputs, prescribed_time_bound, signed_pow
+from presto.mathcore import ExponentPair, prescribed_time_bound, signed_pow
 from presto.plant import DisturbanceSpec, DisturbanceTerm
 from presto.tuner import PsoConfig, pso_run
 from test_plant import ORACLE_PARAMS, worst_quadrature_error
@@ -176,9 +176,7 @@ class TestCriterion5ObserverDeadline:
             trace, _ = run_scenario(sc)
             s = trace.column("s")
             hits = np.nonzero(np.abs(s) <= 1e-3)[0]
-            bound = prescribed_time_bound(
-                TimeBoundInputs(theta=2 * og.k, xi=xi, gamma=gamma, V0=0.5 * s0 * s0)
-            )
+            bound = prescribed_time_bound(theta=2 * og.k, xi=xi, gamma=gamma, V0=0.5 * s0 * s0)
             assert hits.size > 0, f"trial {trial}: auxiliary error never reached 1e-3"
             crossing = float(trace.times()[hits[0]])
             worst_margin = min(worst_margin, bound - crossing)

@@ -65,7 +65,7 @@ class TestValidate:
 
     def test_tune_job_checks_pso(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
-        cfg.write_text(resolve_config_path("s71").read_text() + "\n[pso]\ntune = warp\n")
+        cfg.write_text(resolve_config_path("s71").read_text() + "\n[pso]\ntune = warp 0 1\n")
         assert main(["validate", str(cfg)]) == 1
         assert "warp" in capsys.readouterr().err
 
@@ -79,6 +79,15 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: [beam] alpha: must be finite and >= 0, got -1.0\n")
+
+    def test_beam_file_with_a_stray_section(self, tmp_path, capsys):
+        # without [scenario] or [compare], validate says what coeffs says
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text("[beam]\nalpha = 0.1\nbeta = 0.05\n\n[plnt]\nK1 = 1\n")
+        for command in ("validate", "coeffs"):
+            assert main([command, str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: [plnt]: unused section; this file reads [beam]\n"), command
 
     def test_missing_config_exits_one(self, capsys):
         assert main(["validate", "nope.cfg"]) == 1
@@ -323,7 +332,7 @@ class TestSimulate:
         text = edit_config(resolve_config_path("s71").read_text(),
                            ("horizon = 8.0", "horizon = 1e12"))
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(text + ("\n[pso]\ntune = k\n" if command == "tune" else ""))
+        cfg.write_text(text + ("\n[pso]\ntune = k 0.5 20\n" if command == "tune" else ""))
         assert main(["validate", str(cfg)]) == 0
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: horizon 1e+12 at dt 0.0001: " in capsys.readouterr().err
@@ -412,7 +421,7 @@ q2 = 3
 [pso]
 swarm_size = 2
 generations = 1
-tune = k
+tune = k 0.5 20
 """
 
 S71_TEXT = resolve_config_path("s71").read_text()
@@ -422,7 +431,7 @@ ADAPTIVE_JOB = edit_config(S73_TEXT, ("horizon = 8.0", "horizon = 0.1")) + """
 [pso]
 swarm_size = 2
 generations = 1
-tune = k
+tune = k 0.5 20
 """
 
 MALFORMED = {
@@ -447,15 +456,16 @@ MALFORMED = {
     "removed_pso_c1": TUNE_JOB.replace("[pso]\n", "[pso]\nc1 = 1.49\n"),
     "removed_pso_c2": TUNE_JOB.replace("[pso]\n", "[pso]\nc2 = 1.49\n"),
     "removed_vmax_fraction": TUNE_JOB.replace("[pso]\n", "[pso]\nvmax_fraction = 0.2\n"),
-    "infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k 0.5 inf"),
-    "minus_infinite_box_edge": TUNE_JOB.replace("tune = k", "tune = k -inf 20"),
+    "infinite_box_edge": TUNE_JOB.replace("tune = k 0.5 20", "tune = k 0.5 inf"),
+    "minus_infinite_box_edge": TUNE_JOB.replace("tune = k 0.5 20", "tune = k -inf 20"),
     # the swarm would search a dimension the patched scenario never reads
-    "gain_listed_twice": TUNE_JOB.replace("tune = k", "tune = k 0.5 20; k 5 20; eps 0.5 20"),
+    "gain_listed_twice": TUNE_JOB.replace("k 0.5 20", "k 0.5 20; k 5 20; eps 0.5 20"),
     # every candidate fails the positivity gate, so no cost is ever finite
-    "box_at_or_below_zero": TUNE_JOB.replace("tune = k", "tune = k -5 -1"),
-    "infinite_box_width": TUNE_JOB.replace("tune = k", "tune = k -1e308 1e308"),
-    "tune_entry_of_two_fields": TUNE_JOB.replace("tune = k", "tune = k 20"),
-    "tune_lists_no_gain": TUNE_JOB.replace("tune = k", "tune = ;"),
+    "box_at_or_below_zero": TUNE_JOB.replace("tune = k 0.5 20", "tune = k -5 -1"),
+    "infinite_box_width": TUNE_JOB.replace("tune = k 0.5 20", "tune = k -1e308 1e308"),
+    "tune_entry_of_two_fields": TUNE_JOB.replace("tune = k 0.5 20", "tune = k 20"),
+    "tune_entry_of_bare_name": TUNE_JOB.replace("tune = k 0.5 20", "tune = k"),
+    "tune_lists_no_gain": TUNE_JOB.replace("tune = k 0.5 20", "tune = ;"),
     "step_count_overflow": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e308"),
     "subnormal_dt": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-320"),
     "subnormal_dt_and_horizon": edit_config(TUNE_JOB, ("dt = 1e-3", "dt = 5e-324"),
@@ -516,6 +526,11 @@ MALFORMED = {
     "label_with_backslash": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a\\b"),
     "label_dot_dot": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = .."),
     "label_empty": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel ="),
+    "nan_plant_K1": TUNE_JOB.replace("K1 = 97.4", "K1 = nan"),
+    "smc_interval_reversed": edit_config(S74_TEXT, ("K1_min = 94.8", "K1_min = 120")),
+    "zero_decimation": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\ndecimation = 0"),
+    "no_plant_section": TUNE_JOB.replace("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09", ""),
+    "config_is_a_directory": None,  # case.cfg is made a directory
 }
 
 # what the error must say, for the cases that name a key or a section; a
@@ -558,7 +573,8 @@ NAMED = {
     "gain_listed_twice": "[pso] tune: gain 'k' is listed twice",
     "box_at_or_below_zero": "[pso] tune: k box [-5.0, -1.0] holds no gain > 0",
     "infinite_box_width": "[pso] tune: search box [-1e+308, 1e+308] must be finite",
-    "tune_entry_of_two_fields": "[pso] tune: entry 'k 20' is not 'name [lo hi]'",
+    "tune_entry_of_two_fields": "[pso] tune: entry 'k 20' is not 'name lo hi'",
+    "tune_entry_of_bare_name": "[pso] tune: entry 'k' is not 'name lo hi'",
     "tune_lists_no_gain": "[pso] tune: must list at least one gain",
     "step_count_overflow": "horizon / dt: 1e+308 / 0.001 must be a finite step count",
     "subnormal_dt": "dt must be a normal float > 0, got 1e-320",
@@ -585,6 +601,11 @@ NAMED = {
     "label_with_backslash": "label 'a\\\\b': names output files",
     "label_dot_dot": "label '..': names output files",
     "label_empty": "label '': names output files",
+    "nan_plant_K1": "[plant] K1: must be finite, got nan",
+    "smc_interval_reversed": "[smc] K1_min, K1_max: need K1_min < K1_max, got 120.0 and 100.0",
+    "zero_decimation": "[scenario] decimation: must be >= 1, got 0",
+    "no_plant_section": "needs a [plant] or [beam] section",
+    "config_is_a_directory": "cannot read config file",
 }
 
 
@@ -594,7 +615,10 @@ class TestMalformedConfig:
         # main returning 1, rather than raising, is what keeps a traceback
         # off the terminal: the console entry point only wraps its result
         cfg = tmp_path / "case.cfg"
-        cfg.write_text(MALFORMED[case])
+        if MALFORMED[case] is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(MALFORMED[case])
         for command in ("validate", "simulate", "compare", "tune"):
             argv = [command, str(cfg)]
             if command != "validate":

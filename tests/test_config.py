@@ -216,24 +216,27 @@ class TestPsoJob:
             load_pso_job(p)
 
     def test_tau_not_tunable_on_tsmc_kind(self, tmp_path):
-        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k; tau\n")
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20; tau 1 10\n")
         with pytest.raises(ConfigError, match="cannot tune 'tau' on kind tsmc"):
             load_pso_job(p)
 
-    def test_default_boxes(self, tmp_path):
-        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k; eps\n")
+    def test_each_gain_names_its_box(self, tmp_path):
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20; eps 1 15\n")
         cfg, template = load_pso_job(p)
         assert template.names == ("k", "eps")
-        assert cfg.bounds[0] == (1e-3, 20.0)
+        assert cfg.bounds == ((0.5, 20.0), (1.0, 15.0))
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20; eps\n")
+        with pytest.raises(ConfigError, match=r"\[pso\] tune: entry 'eps' is not 'name lo hi'"):
+            load_pso_job(p)
 
     def test_omitted_keys_take_field_defaults(self, tmp_path):
-        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k\n")
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20\n")
         cfg, _ = load_pso_job(p)
-        assert cfg == PsoConfig(bounds=((1e-3, 20.0),))
+        assert cfg == PsoConfig(bounds=((0.5, 20.0),))
         assert cfg.max_generations == 40
 
     def test_observer_gain_on_smc_template_fails_at_load(self, tmp_path):
-        text = resolve_config_path("s74").read_text() + "\n[pso]\ntune = k\n"
+        text = resolve_config_path("s74").read_text() + "\n[pso]\ntune = k 0.5 20\n"
         p = write_cfg(tmp_path, text)
         with pytest.raises(ConfigError, match="no observer to tune") as exc:
             load_pso_job(p)
@@ -304,7 +307,7 @@ class TestUnreadKeys:
         assert "unknown key" not in str(exc.value)
 
     def test_pso_keys_checked_when_run_as_a_scenario(self, tmp_path):
-        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k\nswarm = 4\n")
+        p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20\nswarm = 4\n")
         for load in (load_scenario, load_pso_job):
             with pytest.raises(ConfigError, match=r"\[pso\] swarm: unknown key"):
                 load(p)

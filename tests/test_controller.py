@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +19,7 @@ from presto.controller import (
     smc_control,
     tsmc_control,
 )
-from presto.mathcore import (
-    ExponentPair,
-    TimeBoundInputs,
-    check_exponent_pair,
-    prescribed_time_bound,
-    signed_pow,
-)
+from presto.mathcore import ExponentPair, check_exponent_pair, prescribed_time_bound, signed_pow
 from presto.plant import PlantParams
 
 REF = PlantParams(K1=97.4, K2=-19.97, g=-1.09)
@@ -87,7 +82,8 @@ class TestGainGates:
 
     def test_smc_gains(self):
         for Kg in (0.0, -1.0):
-            with pytest.raises(ValueError, match="switching gain Kg must be > 0"):
+            message = f"[smc] Kg: switching gain must be > 0, got {Kg}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 SmcGains(Y=1.0, Kg=Kg, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
         with pytest.raises(ValueError):
             SmcGains(Y=-1.0, Kg=2.0, K1_min=90.0, K1_max=100.0, K1_nominal=95.0)
@@ -171,12 +167,7 @@ class TestTsmcControl:
         assert crossed.size > 0
         gamma = (1 + 3) / (2 * 3)
         bound = prescribed_time_bound(
-            TimeBoundInputs(
-                theta=2 * 5.0,
-                xi=1e-4 * 2**gamma,
-                gamma=gamma,
-                V0=0.5 * float(s2[0]) ** 2,
-            )
+            theta=2 * 5.0, xi=1e-4 * 2**gamma, gamma=gamma, V0=0.5 * float(s2[0]) ** 2
         )
         assert float(t[crossed[0]]) <= bound
 

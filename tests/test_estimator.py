@@ -42,7 +42,6 @@ def np_update(x_hat: np.ndarray, P: np.ndarray, y, cfg):
     K = P[:, 0] / S
     x_new = x_hat + K * innovation
     P_new = P - np.outer(K, K) * S
-    P_new = 0.5 * (P_new + P_new.T)
     diag = P_new.reshape(9)[::4]
     np.maximum(diag, 0.0, out=diag)
     return x_new, P_new, float(innovation)
@@ -370,9 +369,10 @@ class TestNumpyOracle:
     def test_edge_values(self):
         """A variance past half the float range survives the predict and the
         update, which are symmetric by construction and have no `0.5*(a + a)`
-        step to double it to inf.  A predict that does overflow leaves inf in
-        P, which the loop's `isfinite(trace P)` guard ends the run on.  The
-        floor makes -0.0 and negatives +0.0 but passes NaN."""
+        step to double it to inf; nor has the update's oracle.  A predict that
+        does overflow leaves inf in P, which the loop's `isfinite(trace P)`
+        guard ends the run on.  The floor makes -0.0 and negatives +0.0 but
+        passes NaN."""
         x = np.zeros(3)
         cfg = make_cfg(Ts=0.0, q=(0.0, 0.0, 0.0), r=1.0)
         P = np.diag([1e308, 1.0, 1.0])
@@ -382,7 +382,7 @@ class TestNumpyOracle:
         assert out.P[0] == math.inf
         out, _ = ekf_update(state(x, np.diag([1.0, 1e308, 1.0])), 0.5, cfg)
         assert out.P == (0.5, 0.0, 0.0, 1e308, 0.0, 1.0)
-        for diag in ([1.0, -0.0, np.nan], [1.0, -1e-3, 0.0]):
+        for diag in ([1.0, -0.0, np.nan], [1.0, -1e-3, 0.0], [1.0, 1e308, 1.0]):
             P = np.diag(diag)
             out, _ = ekf_update(state(x, P), 0.5, cfg)
             assert_matches_oracle(out, *np_update(x, P, 0.5, cfg)[:2])

@@ -175,7 +175,8 @@ class TestScenarioValidation:
     def test_smc_needs_nominal(self):
         # the nominal K1 is a required field of SmcGains, and must be finite
         base = load_scenario("s74")
-        with pytest.raises(ValueError, match="K1_nominal must be finite"):
+        message = "[smc] K1_nominal: must be finite, got nan"
+        with pytest.raises(ValueError, match=re.escape(message)):
             replace(base, smc=replace(base.smc, K1_nominal=math.nan))
 
     @pytest.mark.parametrize("name,changes,message", [

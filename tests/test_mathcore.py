@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presto.mathcore import (
+    SETTLING_HOLD,
     ExponentPair,
-    TimeBoundInputs,
     Trace,
     check_exponent_pair,
     l2_norm,
@@ -91,8 +91,7 @@ class TestSignedPow:
 
 class TestPrescribedTimeBound:
     def test_zero_initial_value_returns_start(self):
-        inp = TimeBoundInputs(theta=8.0, xi=3.0, gamma=0.5, V0=0.0, t0=1.25)
-        assert prescribed_time_bound(inp) == 1.25
+        assert prescribed_time_bound(theta=8.0, xi=3.0, gamma=0.5, V0=0.0) == 0.0
 
     def test_high_precision_oracle(self):
         # reference-observer constants: theta = 2k, xi = 2**((p0+q0)/(2 q0)) * eps,
@@ -105,9 +104,7 @@ class TestPrescribedTimeBound:
         xi = mp.mpf(2) ** gamma * 10
         V0 = mp.mpf("0.5")
         expected = mp.log((theta * V0 ** (1 - gamma) + xi) / xi) / (theta * (1 - gamma))
-        got = prescribed_time_bound(
-            TimeBoundInputs(theta=8.0, xi=float(2 ** (4 / 7) * 10), gamma=4 / 7, V0=0.5)
-        )
+        got = prescribed_time_bound(theta=8.0, xi=float(2 ** (4 / 7) * 10), gamma=4 / 7, V0=0.5)
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     def test_monotone_in_initial_value(self):
@@ -117,8 +114,8 @@ class TestPrescribedTimeBound:
             xi = float(rng.uniform(0.1, 20))
             gamma = float(rng.uniform(0.05, 0.95))
             va, vb = sorted(rng.uniform(0, 100, size=2))
-            ta = prescribed_time_bound(TimeBoundInputs(theta, xi, gamma, float(va)))
-            tb = prescribed_time_bound(TimeBoundInputs(theta, xi, gamma, float(vb)))
+            ta = prescribed_time_bound(theta, xi, gamma, float(va))
+            tb = prescribed_time_bound(theta, xi, gamma, float(vb))
             assert ta <= tb + 1e-15
 
     @pytest.mark.parametrize(
@@ -133,7 +130,7 @@ class TestPrescribedTimeBound:
     )
     def test_domain_errors(self, kw):
         with pytest.raises(ValueError):
-            TimeBoundInputs(**kw)
+            prescribed_time_bound(**kw)
 
 
 class TestCheckExponentPair:
@@ -195,59 +192,55 @@ class TestSettlingTime:
     def test_identically_zero_settles_at_origin(self):
         n = 100
         tr = Trace(dt=0.01, columns={"x1": np.zeros(n), "x2": np.zeros(n)})
-        assert settling_time(tr, 0.02, 0.5) == 0.0
+        assert settling_time(tr, 0.02) == 0.0
 
     def test_never_entering_band(self):
         n = 100
         tr = Trace(dt=0.01, columns={"x1": np.ones(n), "x2": np.zeros(n)})
-        assert settling_time(tr, 0.02, 0.5) is None
+        assert settling_time(tr, 0.02) is None
 
     def test_window_semantics_ignore_later_exits(self):
-        # in band over samples 2..6, exits at 7; hold of 0.3 = 4 samples fits
+        # in band over samples 2..6, exits at 7; a hold of 4 samples fits
         x1 = np.array([1.0, 0.5, 0.05, 0.04, 0.03, 0.05, 0.06, 1.0, 1.0, 1.0])
-        x2 = np.zeros_like(x1)
-        tr = Trace(dt=0.1, columns={"x1": x1, "x2": x2})
-        assert settling_time(tr, 0.1, 0.3) == pytest.approx(0.2)
+        tr = _holding(4, x1, np.zeros_like(x1))
+        assert settling_time(tr, 0.1) == 2 * tr.dt
 
     def test_hold_window_must_fit_inside_trace(self):
         x1 = np.array([1.0, 0.5, 0.05, 0.04])
-        tr = Trace(dt=0.1, columns={"x1": x1, "x2": np.zeros_like(x1)})
-        assert settling_time(tr, 0.1, 0.3) is None
+        assert settling_time(_holding(4, x1, np.zeros_like(x1)), 0.1) is None
 
-    # x1 samples and the window in samples; band = 0.5 * max(|x1(0)|, |x2(0)|)
+    # x1 samples, the window in samples and the settling sample; band = 0.5 * max(|x1(0)|, |x2(0)|)
     EDGES = {
-        "window-1": ([1.0, 0.9, 0.1, 0.9], 1, 0.2),
-        "window-equals-length": ([0.0] * 5, 5, 0.0),
+        "window-1": ([1.0, 0.9, 0.1, 0.9], 1, 2),
+        "window-equals-length": ([0.0] * 5, 5, 0),
         "window-exceeds-length": ([0.0] * 5, 6, None),
-        "all-in-band": ([0.0, -0.0, 0.0, -0.0, 0.0, -0.0], 3, 0.0),
+        "all-in-band": ([0.0, -0.0, 0.0, -0.0, 0.0, -0.0], 3, 0),
         "none-in-band": ([1.0, 2.0, -1.0, 0.9, -0.7], 2, None),
     }
 
     @pytest.mark.parametrize("case", sorted(EDGES))
     def test_window_edges_match_scan(self, case):
         x1, window, expected = self.EDGES[case]
-        tr = Trace(dt=0.1, columns={"x1": x1, "x2": np.zeros(len(x1))})
-        hold = (window - 1) * 0.1
-        assert settling_time(tr, 0.5, hold) == expected
-        assert settling_time(tr, 0.5, hold) == reference_settling_time(tr, 0.5, hold)
+        tr = _holding(window, x1, np.zeros(len(x1)))
+        assert settling_time(tr, 0.5) == (None if expected is None else expected * tr.dt)
+        assert settling_time(tr, 0.5) == reference_settling_time(tr, 0.5, SETTLING_HOLD)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(BAND_VALUES, BAND_VALUES), min_size=1, max_size=40),
            st.sampled_from([0.05, 0.25, 0.5, 0.9]), st.integers(1, 45))
     def test_matches_scan_on_random_band_patterns(self, samples, fraction, window):
-        x1, x2 = (np.array(c) for c in zip(*samples))
-        tr = Trace(dt=0.01, columns={"x1": x1, "x2": x2})
-        hold = (window - 1) * 0.01
-        assert settling_time(tr, fraction, hold) == reference_settling_time(tr, fraction, hold)
+        tr = _holding(window, *(np.array(c) for c in zip(*samples)))
+        assert settling_time(tr, fraction) == reference_settling_time(tr, fraction, SETTLING_HOLD)
 
     def test_parameter_validation(self):
         tr = Trace(dt=0.1, columns={"x1": [1.0, 0.0], "x2": [0.0, 0.0]})
         with pytest.raises(ValueError):
-            settling_time(tr, 0.0, 0.5)
+            settling_time(tr, 0.0)
         with pytest.raises(ValueError):
-            settling_time(tr, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            settling_time(tr, 0.5, -1.0)
-        for hold in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="hold_duration must be finite"):
-                settling_time(tr, 0.5, hold)
+            settling_time(tr, 1.0)
+
+
+def _holding(window: int, x1, x2) -> Trace:
+    """A trace of x1, x2 whose step makes the SETTLING_HOLD window `window`
+    samples long: the hold is window - 0.75 steps, which rounds to window - 1."""
+    return Trace(dt=SETTLING_HOLD / (window - 0.75), columns={"x1": x1, "x2": x2})
