@@ -21,14 +21,17 @@ single fixed step:
        (g(x)*u in the plain loop, v_r in the saturated loops), re-anchored
        against the freshest feedback state.
 
-Each step runs in one of two fused loops, one for `smc_baseline` and one
-for the three observer kinds, over plain floats hoisted out of the
-scenario before the loop starts.  The stage functions of `plant`,
-`observer`, `controller` and `estimator` stay the documented reference:
-tests/test_kernels.py holds the fused loops to a step-by-step composition
-of them, bit for bit.  The EKF cycle itself calls `ekf_predict` and
-`ekf_update` on the filter's plain-float state, and the loop's divergence
-guard is its only run-time check.
+Each step runs in one of three fused loops over plain floats hoisted out of
+the scenario, split by where the feedback comes from: `_smc_loop` for
+`smc_baseline`, `_truth_loop` for the observer kinds fed back the truth
+state, and `_filter_loop` for the adaptive kind fed back the EKF estimate.
+No step tests for an EKF cycle its loop cannot have, and only `_truth_loop`
+branches per step on its kind, for the clamp.  The stage functions of
+`plant`, `observer`, `controller` and `estimator` are the tested reference:
+tests/reference.py composes them step by step, and tests/test_kernels.py
+holds every loop to that composition, bit for bit.  The EKF cycle itself
+calls `ekf_predict` and `ekf_update`, and each loop's divergence guard is
+its only run-time check.
 
 A scenario with a `settle_by` bound (observer kinds only) stops early on a
 logged sample.  The band `threshold_fraction * max(|x1(0)|, |x2(0)|)` and
@@ -270,7 +273,7 @@ class RunReport:
 def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     """Integrate one scenario; returns the decimated trace and its report."""
     try:
-        trace = _smc_loop(sc) if sc.kind == "smc_baseline" else _observer_loop(sc)
+        trace = _LOOPS[sc.kind](sc)
     except MemoryError as err:  # the loops allocate in proportion to horizon / dt
         raise ValueError(f"horizon {sc.horizon:g} at dt {sc.dt:g}: {err}") from err
     saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
@@ -301,13 +304,11 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     return trace, report
 
 
-# logged columns in trace order; each observer kind keeps a prefix of them
-_SMC_COLUMNS = ("t", "x1", "x2", "u", "d", "s", "u_eq", "u_c")
-_OBSERVER_COLUMNS = (
-    "t", "x1", "x2", "u", "d", "d_hat", "s", "s2", "v_r", "u_c",
-    "x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace",
-)
-_OBSERVER_WIDTH = {"tsmc": 8, "tsmc_saturated": 10, "adaptive_tsmc_saturated": 16}
+# logged columns of each kind in trace order, after t, which `_SampleLog.trace` forms
+_SMC_COLUMNS = ("x1", "x2", "u", "d", "s", "u_eq", "u_c")
+_TSMC_COLUMNS = ("x1", "x2", "u", "d", "d_hat", "s", "s2")
+_SATURATED_COLUMNS = _TSMC_COLUMNS + ("v_r", "u_c")
+_ADAPTIVE_COLUMNS = _SATURATED_COLUMNS + ("x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace")
 
 
 class _SampleLog:
@@ -315,23 +316,28 @@ class _SampleLog:
 
     A row holds exactly the logged columns `names`, so each kind packs and
     stores only its own.  The loops write a row in place with
-    `pack(buf, offset, *values)`, so logging keeps no Python object alive
-    per sample.
+    `pack(buf, offset, *values)`, `buf` a memoryview of the array, so logging
+    keeps no Python object alive per sample.  No row holds t: `trace` forms
+    that column from the row count, as each logged step index times dt, bit
+    for bit the `i * dt` of logged step i.
     """
 
     def __init__(self, sc: Scenario, names: tuple[str, ...]):
         n_samples = len(range(0, sc.n_steps, sc.decimation))
         packer = struct.Struct(f"{len(names)}d")
         self.names = names
-        self.dt = sc.dt * sc.decimation
-        self.buf = np.empty((n_samples, len(names)))
+        self.step_dt, self.decimation = sc.dt, sc.decimation
+        self.rows = np.empty((n_samples, len(names)))
+        self.buf = memoryview(self.rows)  # pack_into skips numpy's buffer export
         self.pack = packer.pack_into
         self.row_bytes = packer.size
 
     def trace(self, offset: int) -> Trace:
-        """The rows written below byte offset, one column view of the buffer per name."""
-        data = self.buf[: offset // self.row_bytes]
-        return Trace(dt=self.dt, columns={n: data[:, j] for j, n in enumerate(self.names)})
+        """The rows written below byte offset: t, then a column view of the buffer per name."""
+        n = offset // self.row_bytes
+        t = np.arange(0, n * self.decimation, self.decimation, dtype=float) * self.step_dt
+        columns = {"t": t} | dict(zip(self.names, self.rows[:n].T))
+        return Trace(dt=self.step_dt * self.decimation, columns=columns)
 
 
 def _diverged(what: str, detail: str, t: float, log: _SampleLog, offset: int):
@@ -381,15 +387,16 @@ def _smc_loop(sc: Scenario) -> Trace:
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
     for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
-        b = K2 * x1**3
+        b = K2 * x1**3.0  # a float exponent: the same pow, with no int conversion per call
         s = x2 + Y * x1
         u_eq = (Y * x2 - K1n * x1 - b) / g
         sg = 1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0)
-        u_c = (dK * abs(x1) + Kg) / g * sg
+        # |x1| without a call; -0.0 stays -0.0, which dK*(-0.0) + Kg drops (Kg > 0)
+        u_c = (dK * (-x1 if x1 < 0.0 else x1) + Kg) / g * sg
         u = u_eq + u_c
         if i == next_log:
             next_log += dec
-            pack(buf, offset, i * dt, x1, x2, u, d, s, u_eq, u_c)
+            pack(buf, offset, x1, x2, u, d, s, u_eq, u_c)
             offset += row_bytes
 
         dx2 = nK1 * x1 - b - g * u + d
@@ -400,12 +407,18 @@ def _smc_loop(sc: Scenario) -> Trace:
     return log.trace(offset)
 
 
-def _observer_loop(sc: Scenario) -> Trace:
-    """Fused loop of the three observer kinds; returns the trace.
+def _settle_rule(sc: Scenario, x1: float, x2: float) -> tuple[float, int]:
+    """The band of `settling_time` from (x1, x2) and its hold window in steps;
+    a bound <= 0.0 gets a zero window, so the run ends at its first sample."""
+    band = sc.threshold_fraction * max(abs(x1), abs(x2))
+    hold = int(round(SETTLING_HOLD / (sc.dt * sc.decimation))) + 1
+    return band, 0 if sc.settle_by <= 0.0 else hold * sc.decimation
 
-    Take the feedback state (x1, x2) to be the truth, or in the adaptive
-    kind the EKF estimate with its stiffness estimate in place of K1, and
-    let f = -K1*x1 - K2*x1**3, G = -g, and a**r the signed power
+
+def _truth_loop(sc: Scenario) -> Trace:
+    """Fused loop of `tsmc` and `tsmc_saturated`, fed back the truth state.
+
+    Let f = -K1*x1 - K2*x1**3, G = -g, and a**r the signed power
     sign(a)*|a|**r.  Each step evaluates the observer and the law
 
         prefix = -k*s - beta0*sgn(s) - eps*s**(p0/q0) - |f|*sgn(s)
@@ -416,31 +429,20 @@ def _observer_loop(sc: Scenario) -> Trace:
 
     where the beta1 rate term is 0 below |x1| = SINGULARITY_FLOOR.  Kind
     tsmc applies u = -v/g and drives the observer with forcing = G*u; the
-    saturated kinds apply u = min(max(u_c, u_min), u_max) with
-    u_c = G*v/(G**2 + tau), and drive it with forcing = v.  After the
-    plant's Euler step the observer advances and re-anchors:
+    saturated kind applies u = min(max(u_c, u_min), u_max) with
+    u_c = G*v/(G**2 + tau), and drives it with forcing = v.  After the
+    plant's Euler step the observer advances and re-anchors against the new
+    x2, z starting at x2(0) + z0_offset:
 
-        z <- z + dt*(prefix + forcing),    s = z - x_n
+        z <- z + dt*(prefix + forcing),    s = z - x2
 
-    with x_n the new truth x2, or the current estimate of x2 in the
-    adaptive kind; z starts at x2(0) + z0_offset of the feedback state.
-
-    Composes `disturbance_value`, `ekf_predict`/`ekf_update`,
-    `disturbance_estimate`, `sliding_stack_n2`, `tsmc_control` or
-    `saturated_tsmc_control`, `plant_derivative` and `observer_advance`
-    with every operand hoisted, bit for bit (tests/test_kernels.py).
-    The feedback terms that depend only on the feedback state are
-    refreshed every step from the truth, or on each EKF cycle from the
-    estimate in the adaptive kind.  The EKF itself runs through the library
-    functions, whose state is already plain floats: the loop unpacks the
-    estimate and sums the covariance trace from the three diagonal entries,
-    and the divergence guard checks both after each update.
+    Composes `disturbance_value`, `disturbance_estimate`, `sliding_stack_n2`,
+    the kind's control law, `plant_derivative` and `observer_advance` with
+    every operand hoisted, bit for bit (tests/test_kernels.py).
     """
-    adaptive = sc.kind == "adaptive_tsmc_saturated"
-    saturated = sc.kind != "tsmc"
-
-    pp, tg = sc.plant, sc.tsmc
-    nK1, K2, g = -pp.K1, pp.K2, pp.g
+    saturated = sc.kind == "tsmc_saturated"
+    pp, tg, og = sc.plant, sc.tsmc, sc.observer
+    K1, K2, g = pp.K1, pp.K2, pp.g
     ng = -g  # G, the input coefficient in system form
     ninv_g = -(1.0 / g)
     a1, b1 = tg.alpha1, tg.beta1
@@ -452,86 +454,44 @@ def _observer_loop(sc: Scenario) -> Trace:
     if saturated:
         gden = ng * ng + tg.tau
         u_min, u_max = tg.sat.u_min, tg.sat.u_max
-    og = sc.observer
     nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
     dt, dec = sc.dt, sc.decimation
-    isfinite = math.isfinite
     lim, inf = DIVERGENCE_LIMIT, math.inf
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    k1_hat = pp.K1
-    fb_stride = 1
-    if adaptive:
-        cfg = sc.ekf
-        ekf_state = ekf_init(cfg)
-        fb_stride = int(round(cfg.Ts / dt))
-        u_acc = 0.0
-        # the measurement noise of every EKF cycle in one draw: the same
-        # stream as one scalar draw per cycle
-        rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-        n_cycles = len(range(0, sc.n_steps, fb_stride))
-        noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
-    log = _SampleLog(sc, _OBSERVER_COLUMNS[: _OBSERVER_WIDTH[sc.kind]])
+    z, s = x2 + sc.z0_offset, sc.z0_offset
+    log = _SampleLog(sc, _SATURATED_COLUMNS if saturated else _TSMC_COLUMNS)
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
-    offset = next_log = next_fb = 0
+    offset = next_log = 0
     settle_by = sc.settle_by
     if settle_by is not None:
-        # the band of `settling_time`, its hold window in steps, and `start`,
-        # the step of the sample after the last one out of band: the current
-        # run's first in-band sample while a run is going, the next sample
-        # otherwise.  `start * dt`, formed as the t column forms it, is the
-        # earliest time a window can still start.  It moves only on a sample
-        # out of band, so only those check it; a bound at or below its first
-        # value, 0.0, ends the run at the first sample through a zero window
-        band = sc.threshold_fraction * max(abs(x1), abs(x2))
-        nband = -band
-        window = 0 if settle_by <= 0.0 else (int(round(SETTLING_HOLD / log.dt)) + 1) * dec
-        start = 0
+        band, window = _settle_rule(sc, x1, x2)
+        # start * dt: the earliest time a window can still start (module
+        # docstring); only a sample out of band moves it, so only those check it
+        nband, start = -band, 0
     for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
-        if i == next_fb:
-            next_fb += fb_stride
-            if adaptive:
-                if i:
-                    ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
-                u_acc = 0.0
-                try:
-                    ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
-                except ZeroDivisionError as err:
-                    raise _diverged("EKF", str(err), i * dt, log, offset) from None
-                (fb1, fb2, k1_hat), P = ekf_state
-                p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
-                # the limit on the state estimate also keeps fb1**3 finite
-                # and the next predict's covariance free of overflow
-                if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and isfinite(k1_hat)
-                        and isfinite(p_trace)):
-                    raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
-                                    f"trace P = {p_trace:.3g}", i * dt, log, offset)
-            else:
-                fb1, fb2 = x1, x2
-            # terms of the drift, the surface and the law that only the
-            # feedback state moves.  The signed powers of fb1, s and s2 are
-            # folded into one branch per sign, exact in IEEE arithmetic:
-            # a - (-b) is a + b, and every gain is finite and > 0, so
-            # gain*0.0 is +0.0.  Subtracting +0.0 leaves any value as it
-            # is, -0.0 included; adding it does not, so s2_fb keeps its + 0.0
-            lin = k1_hat * fb1
-            cub = K2 * fb1**3
-            fx = -lin - cub
-            abs_fx = abs(fx)
-            if fb1 > 0.0:
-                ax = fb1
-                s2_fb = fb2 + a1 * fb1 + b1 * fb1**r1
-            elif fb1 < 0.0:
-                ax = -fb1
-                s2_fb = fb2 + a1 * fb1 - b1 * ax**r1
-            else:
-                ax = 0.0
-                s2_fb = fb2 + a1 * fb1 + 0.0
-            ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
-            law_fb = lin + cub - a1 * fb2 - b1 * ddt
-            if i == 0:
-                z = fb2 + sc.z0_offset
-                s = sc.z0_offset
+        # the drift, surface and law terms of the state.  The signed powers
+        # of x1, s and s2 are folded into one branch per sign, exact in IEEE
+        # arithmetic: a - (-b) is a + b, and every gain is finite and > 0,
+        # so gain*0.0 is +0.0.  Subtracting +0.0 leaves any value as it is,
+        # -0.0 included; adding it does not, so s2_fb keeps its + 0.0
+        lin = K1 * x1
+        cub = K2 * x1**3.0  # a float exponent: the same pow, with no int conversion per call
+        fx = -lin - cub
+        # |f| without a call; it enters only a prefix of magnitude >= beta0 > 0,
+        # where the sign of a zero |f| cannot show
+        abs_fx = -fx if fx < 0.0 else fx
+        if x1 > 0.0:
+            ax = x1
+            s2_fb = x2 + a1 * x1 + b1 * x1**r1
+        elif x1 < 0.0:
+            ax = -x1
+            s2_fb = x2 + a1 * x1 - b1 * ax**r1
+        else:
+            ax = 0.0
+            s2_fb = x2 + a1 * x1 + 0.0
+        ddt = r1 * ax**r1m1 * x2 if ax >= floor else 0.0
+        law_fb = lin + cub - a1 * x2 - b1 * ddt
 
         # the observer's and the law's sign terms, folded as above
         if s > 0.0:
@@ -557,13 +517,10 @@ def _observer_loop(sc: Scenario) -> Trace:
             forcing = ng * u
         if i == next_log:
             next_log += dec
-            if adaptive:
-                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2, v, u_c,
-                     fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
-            elif saturated:
-                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2, v, u_c)
+            if saturated:
+                pack(buf, offset, x1, x2, u, d, d_hat, s, s2, v, u_c)
             else:
-                pack(buf, offset, i * dt, x1, x2, u, d, d_hat, s, s2)
+                pack(buf, offset, x1, x2, u, d, d_hat, s, s2)
             offset += row_bytes
             if settle_by is not None:
                 if not (nband <= x1 <= band and nband <= x2 <= band):
@@ -573,19 +530,142 @@ def _observer_loop(sc: Scenario) -> Trace:
                 elif next_log - start >= window:
                     break
 
-        dx2 = (fx if not adaptive else nK1 * x1 - K2 * x1**3) - g * u + d
+        dx2 = fx - g * u + d
         x1 += dt * x2
         x2 += dt * dx2
         z += dt * (prefix + forcing)
-        s = z - (fb2 if adaptive else x2)
-        if adaptive:
-            u_acc += u
+        s = z - x2
 
         if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
             if -inf < z < inf:
                 raise _state_diverged(x1, x2, i * dt, log, offset)
             raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
     return log.trace(offset)
+
+
+def _filter_loop(sc: Scenario) -> Trace:
+    """Fused loop of `adaptive_tsmc_saturated`: the saturated law and observer
+    of `_truth_loop`, fed back the EKF estimate (x1_hat, x2_hat, K1_hat).
+
+    The EKF cycle, predict (after step 0) and update, and the feedback terms
+    run every Ts/dt steps; the observer re-anchors against the current x2_hat.
+    `ekf_predict` and `ekf_update` run on the filter's plain-float state, and
+    the divergence guard checks the estimate and trace P after each update.
+    Bit for bit the step-by-step composition (tests/test_kernels.py).
+    """
+    pp, tg, og, cfg = sc.plant, sc.tsmc, sc.observer, sc.ekf
+    nK1, K2, g = -pp.K1, pp.K2, pp.g
+    ng = -g  # G, the input coefficient in system form
+    gden = ng * ng + tg.tau
+    u_min, u_max = tg.sat.u_min, tg.sat.u_max
+    a1, b1 = tg.alpha1, tg.beta1
+    r1 = tg.e1.ratio
+    r1m1 = r1 - 1.0
+    r2 = tg.e2.ratio
+    delta, mu = tg.delta, tg.mu
+    floor = SINGULARITY_FLOOR
+    nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
+    dt, dec = sc.dt, sc.decimation
+    lim, inf = DIVERGENCE_LIMIT, math.inf
+
+    x1, x2 = float(sc.x0[0]), float(sc.x0[1])
+    ekf_state = ekf_init(cfg)
+    fb_stride = int(round(cfg.Ts / dt))
+    # the measurement noise of every EKF cycle in one draw: the same stream
+    # as one scalar draw per cycle
+    rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
+    n_cycles = len(range(0, sc.n_steps, fb_stride))
+    noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
+    log = _SampleLog(sc, _ADAPTIVE_COLUMNS)
+    buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
+    offset = next_log = next_fb = 0
+    settle_by = sc.settle_by
+    if settle_by is not None:
+        band, window = _settle_rule(sc, x1, x2)
+        nband, start = -band, 0
+    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
+        if i == next_fb:
+            next_fb += fb_stride
+            if i:
+                ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
+            u_acc = 0.0
+            try:
+                ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
+            except ZeroDivisionError as err:
+                raise _diverged("EKF", str(err), i * dt, log, offset) from None
+            (fb1, fb2, k1_hat), P = ekf_state
+            p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
+            # the limit on the state estimate also keeps fb1**3 finite
+            # and the next predict's covariance free of overflow
+            if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and math.isfinite(k1_hat)
+                    and math.isfinite(p_trace)):
+                raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
+                                f"trace P = {p_trace:.3g}", i * dt, log, offset)
+            if i == 0:
+                z, s = fb2 + sc.z0_offset, sc.z0_offset
+            # the drift, surface and law terms of the estimate, as in `_truth_loop`
+            lin = k1_hat * fb1
+            cub = K2 * fb1**3.0
+            fx = -lin - cub
+            abs_fx = -fx if fx < 0.0 else fx
+            if fb1 > 0.0:
+                ax = fb1
+                s2_fb = fb2 + a1 * fb1 + b1 * fb1**r1
+            elif fb1 < 0.0:
+                ax = -fb1
+                s2_fb = fb2 + a1 * fb1 - b1 * ax**r1
+            else:
+                ax = 0.0
+                s2_fb = fb2 + a1 * fb1 + 0.0
+            ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
+            law_fb = lin + cub - a1 * fb2 - b1 * ddt
+
+        if s > 0.0:
+            prefix = nk * s - beta0 - eps * s**r0 - abs_fx
+        elif s < 0.0:
+            prefix = nk * s + beta0 + eps * (-s) ** r0 + abs_fx
+        else:
+            prefix = nk * s
+        d_hat = prefix - fx
+        s2 = s2_fb + s
+        if s2 > 0.0:
+            v = law_fb - d_hat - delta * s2 - mu * s2**r2
+        elif s2 < 0.0:
+            v = law_fb - d_hat - delta * s2 + mu * (-s2) ** r2
+        else:
+            v = law_fb - d_hat - delta * s2
+        u_c = ng * v / gden
+        u = u_max if u_c > u_max else (u_min if u_c < u_min else u_c)
+        if i == next_log:
+            next_log += dec
+            pack(buf, offset, x1, x2, u, d, d_hat, s, s2, v, u_c,
+                 fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
+            offset += row_bytes
+            if settle_by is not None:
+                if not (nband <= x1 <= band and nband <= x2 <= band):
+                    start = next_log
+                    if start * dt >= settle_by:
+                        break
+                elif next_log - start >= window:
+                    break
+
+        dx2 = nK1 * x1 - K2 * x1**3.0 - g * u + d
+        x1 += dt * x2
+        x2 += dt * dx2
+        z += dt * (prefix + v)
+        s = z - fb2
+        u_acc += u
+
+        if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
+            if -inf < z < inf:
+                raise _state_diverged(x1, x2, i * dt, log, offset)
+            raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
+    return log.trace(offset)
+
+
+# each kind's fused loop, chosen by where its feedback state comes from
+_LOOPS = {"tsmc": _truth_loop, "tsmc_saturated": _truth_loop,
+          "adaptive_tsmc_saturated": _filter_loop, "smc_baseline": _smc_loop}
 
 
 def check_labels(labels: list[str]) -> None:

@@ -325,17 +325,40 @@ class TestSimulate:
         assert "saturated kinds only, not to tsmc" in capsys.readouterr().err
         assert not (tmp_path / "clamped.csv").exists()
 
+    # The one known file that `validate` passes and a run refuses, a stated
+    # exception: validate allocates nothing, while the run's sample log, and
+    # the adaptive kind's noise draw, outgrow any address space.  numpy's
+    # MemoryError comes at once, and `run_scenario` turns it into this error.
     @pytest.mark.parametrize("command", ["simulate", "compare", "tune"])
     def test_unallocatable_horizon_exits_one(self, tmp_path, capsys, command):
-        # 1e16 steps at dt 1e-4: the sample log exceeds any address space,
-        # so its allocation fails at once
+        # 1e16 steps at dt 1e-4
         text = edit_config(resolve_config_path("s71").read_text(),
                            ("horizon = 8.0", "horizon = 1e12"))
         cfg = tmp_path / "long.cfg"
         cfg.write_text(text + ("\n[pso]\ntune = k 0.5 20\n" if command == "tune" else ""))
         assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "error: horizon 1e+12 at dt 0.0001: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon 1e+12 at dt 0.0001: "), err
+        assert "Traceback" not in err
+
+    # the same for the EKF-fed loop and for the bundled tuning job
+    @pytest.mark.parametrize("name, command, horizon", [
+        ("s73", "simulate", "horizon = 8.0"),
+        ("tune_s71", "tune", "horizon = 4.0"),
+    ])
+    def test_validate_passes_an_unallocatable_run(self, tmp_path, capsys, name, command,
+                                                  horizon):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(edit_config(resolve_config_path(name).read_text(),
+                                   (horizon, "horizon = 1e12")))
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon 1e+12 at dt "), err
+        assert "Traceback" not in err
 
 
 class TestTune:

@@ -44,7 +44,11 @@ CASES = {
     "z0-offset-s73": lambda: short("s73", z0_offset=-0.5),
     "negative-reversed-s71": lambda: short("s71", disturbance=NEGATIVE_REVERSED),
     "negative-reversed-s74": lambda: short("s74", disturbance=NEGATIVE_REVERSED),
+    "decimation1-s71": lambda: short("s71", decimation=1),
     "decimation1-s73": lambda: short("s73", decimation=1),
+    # a horizon that is not a whole number of decimation intervals
+    "ragged-s72": lambda: short("s72", steps=3005),
+    "ragged-s74": lambda: short("s74", steps=3005),
 }
 # at rest with no disturbance, from +0.0 and from -0.0: every step of the
 # tsmc kinds takes the exact-zero branches of s, s2 and fb1; the adaptive
@@ -142,11 +146,18 @@ class TestNonFiniteLoops:
         assert lines[1].startswith("s71") and "FAILED" not in lines[1]
         assert lines[2].startswith("far") and "FAILED: EKF diverged" in lines[2]
 
-    def test_overflowing_observer_raises_divergence(self):
+    @pytest.mark.parametrize("name", ["s72", "s73"])
+    def test_overflowing_observer_raises_divergence(self, name):
         # the clamp keeps the truth finite while delta*s2 overflows the
-        # unclamped v_r that drives z
-        sc = short("s72")
+        # unclamped v_r that drives z; s72 runs the truth-fed loop, s73 the
+        # EKF-fed one
+        sc = short(name)
         sc = replace(sc, tsmc=replace(sc.tsmc, delta=1e300))
-        with pytest.raises(DivergenceError, match="observer") as exc:
+        with pytest.raises(DivergenceError) as exc:
             run_scenario(sc)
-        assert exc.value.trace.n_samples > 0
+        assert str(exc.value) == "observer diverged at t=0.0001 (z reached inf)"
+        trace = exc.value.trace
+        assert trace.n_samples > 0
+        # the partial trace's t column is formed from its row count
+        t = np.arange(0, trace.n_samples * sc.decimation, sc.decimation) * sc.dt
+        assert trace.column("t").tobytes() == t.tobytes()
