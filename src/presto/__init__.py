@@ -1,6 +1,6 @@
 """Closed-loop simulation toolkit for prescribed-time sliding-mode control.
 
-Subpackages by responsibility:
+Modules by responsibility:
 
 * mathcore   - signed fractional powers, convergence deadlines, trace norms
 * plant      - reduced nanobeam dynamics, closed-form beam reduction, disturbances

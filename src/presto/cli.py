@@ -168,9 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except harness.DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -99,9 +99,11 @@ class _Parser(configparser.ConfigParser):
 def _read(path: Path) -> _Parser:
     cp = _Parser()
     try:
-        loaded = cp.read(str(path))
+        loaded = cp.read(str(path), encoding="utf-8")
     except configparser.Error as err:  # its message names the file
         raise ConfigError(str(err)) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
     if cp.defaults():
@@ -361,11 +363,16 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
             continue
         for fname, label in _in_file(path, _compare_members, cp):
             sub = path.parent / fname
-            sc = load_scenario(sub if sub.exists() else fname)
+            try:
+                member = resolve_config_path(sub if sub.exists() else fname)
+            except ConfigError as err:
+                raise ConfigError(f"{path}: [compare] scenarios: {err}") from err
+            sc = load_scenario(member)
             try:
                 scenarios.append(sc if label is None else replace(sc, label=label))
-            except ValueError as err:
-                raise ConfigError(f"{path}: [compare] labels: {err}") from err
+            except ValueError as err:  # the label came from this key, not from [scenario]
+                reason = str(err).removeprefix("[scenario] label: ")
+                raise ConfigError(f"{path}: [compare] labels: {reason}") from err
     labels = [sc.label for sc in scenarios]
     try:
         check_labels(labels)

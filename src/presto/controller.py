@@ -96,14 +96,16 @@ class TsmcGains:
         for name in ("alpha1", "beta1", "delta", "mu"):
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
-                raise ValueError(f"gain {name} must be finite and > 0, got {value}")
+                raise ValueError(f"[controller] {name}: must be finite and > 0, got {value}")
         if not check_exponent_pair(self.e1):
             raise ValueError(
-                f"exponent pair ({self.e1.p}, {self.e1.q}) is inadmissible: requires "
-                "p1/q1 > 1/2 to keep the control law nonsingular at zero error"
+                f"[controller] p1, q1: exponent pair ({self.e1.p}, {self.e1.q}) is "
+                "inadmissible: requires p1/q1 > 1/2 to keep the control law nonsingular "
+                "at zero error"
             )
         if self.tau is not None and not (0.0 < self.tau < math.inf):
-            raise ValueError(f"tau must be finite and > 0 when present, got {self.tau}")
+            raise ValueError(f"[controller] tau: must be finite and > 0 when present, "
+                             f"got {self.tau}")
 
 
 @dataclass(frozen=True)

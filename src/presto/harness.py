@@ -117,6 +117,8 @@ _UNUSED = {
     "adaptive_tsmc_saturated": ("smc",),
     "smc_baseline": ("seed", "tsmc", "observer", "ekf", "z0_offset", "settle_by"),
 }
+# the config section of each gain field; a kind needs each one it does not list above
+_SECTIONS = {"smc": "[smc]", "tsmc": "[controller]", "observer": "[observer]", "ekf": "[ekf]"}
 
 DIVERGENCE_LIMIT = 1e6
 # steps of the disturbance waveform evaluated at once: the first block, and
@@ -162,7 +164,11 @@ class Scenario:
 
     A field the kind's loop never reads, such as the observer gains on
     `smc_baseline`, or `ekf` and `seed` outside `adaptive_tsmc_saturated`,
-    must keep its default.
+    must keep its default; every other gain section is required.  A refusal
+    names the config key or section at fault, for instance `[scenario] dt:
+    must be a normal float > 0, got 0.0`, `[ekf] Ts: must be a whole
+    multiple of dt=0.0001, got 0.00015`, `kind tsmc needs [controller]
+    gains` or `[scenario] seed: kind tsmc does not use seed`.
     """
 
     kind: str
@@ -184,65 +190,61 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
+            raise ValueError(f"[scenario] kind: unknown scenario kind {self.kind!r}; "
+                             f"expected one of {KINDS}")
         if self.label in ("", ".", "..") or any(c in self.label for c in "/\\,"):
             # the label names the run's trace and report files and its report rows
-            raise ValueError(f"label {self.label!r}: names output files, so it must not be "
-                             "empty, '.' or '..', nor hold '/', '\\' or ','")
+            raise ValueError(f"[scenario] label: {self.label!r} names output files, so it "
+                             "must not be empty, '.' or '..', nor hold '/', '\\' or ','")
         if len(self.x0) != 2:
-            raise ValueError(f"x0 needs two entries, got {len(self.x0)}")
+            raise ValueError(f"[scenario] x0: needs two entries, got {len(self.x0)}")
         if not all(math.isfinite(v) for v in self.x0):
-            raise ValueError(f"x0 entries must be finite, got {self.x0}")
+            raise ValueError(f"[scenario] x0: entries must be finite, got {self.x0}")
         if not math.isfinite(self.z0_offset):
             raise ValueError(f"z0_offset must be finite, got {self.z0_offset}")
         if not (self.dt >= sys.float_info.min):  # SETTLING_HOLD / a subnormal dt overflows
-            raise ValueError(f"dt must be a normal float > 0, got {self.dt}")
+            raise ValueError(f"[scenario] dt: must be a normal float > 0, got {self.dt}")
         if not (self.dt < self.horizon < math.inf):
-            raise ValueError(f"horizon must be finite and exceed dt, got {self.horizon}")
+            raise ValueError(f"[scenario] horizon: must be finite and exceed dt, "
+                             f"got {self.horizon}")
         if not (self.horizon / self.dt < sys.maxsize):
-            raise ValueError(f"horizon / dt: {self.horizon:g} / {self.dt:g} must be a finite "
-                             f"step count below {sys.maxsize}")
+            raise ValueError(f"[scenario] horizon, dt: {self.horizon:g} / {self.dt:g} must be "
+                             f"a finite step count below {sys.maxsize}")
         if self.decimation < 1:
             raise ValueError(f"[scenario] decimation: must be >= 1, got {self.decimation}")
         if self.seed < 0:
             raise ValueError(f"[scenario] seed: must be >= 0, got {self.seed}")
         # checked here too, so a bad settling rule fails before the run, not after it
         if not (0.0 < self.threshold_fraction < 1.0):
-            raise ValueError(
-                f"threshold_fraction must lie in (0, 1), got {self.threshold_fraction}"
-            )
-        if self.kind == "smc_baseline":
-            if self.smc is None:
-                raise ValueError("smc_baseline needs [smc] gains")
-        else:
-            if self.tsmc is None:
-                raise ValueError(f"kind {self.kind} needs sliding-mode gains")
-            if self.observer is None:
-                raise ValueError(f"kind {self.kind} needs observer gains")
+            raise ValueError(f"[scenario] threshold_fraction: must lie in (0, 1), "
+                             f"got {self.threshold_fraction}")
+        for name, section in _SECTIONS.items():
+            if name not in _UNUSED[self.kind] and getattr(self, name) is None:
+                raise ValueError(f"kind {self.kind} needs {section} gains")
         if self.kind in ("tsmc_saturated", "adaptive_tsmc_saturated"):
             if self.tsmc.tau is None or self.tsmc.sat is None:
-                raise ValueError(f"kind {self.kind} needs tau and saturation bounds")
+                raise ValueError(f"[controller] tau, u_min, u_max: kind {self.kind} needs "
+                                 "tau and saturation bounds")
         elif self.kind == "tsmc" and (self.tsmc.tau is not None or self.tsmc.sat is not None):
             # the plain law neither regularizes nor clamps its input
             raise ValueError(
-                "tau and the clamp (tsmc.tau, tsmc.sat: u_min, u_max) apply to the "
-                "saturated kinds only, not to tsmc"
+                "[controller] tau, u_min, u_max: tau and the clamp (tsmc.tau, tsmc.sat) "
+                "apply to the saturated kinds only, not to tsmc"
             )
         if self.kind == "adaptive_tsmc_saturated":
-            if self.ekf is None:
-                raise ValueError("adaptive kind needs an [ekf] section")
             if not (self.ekf.Ts > 0.0):
-                raise ValueError("adaptive kind needs ekf Ts > 0")
+                raise ValueError(f"[ekf] Ts: the adaptive kind needs Ts > 0, got {self.ekf.Ts}")
             stride = self.ekf.Ts / self.dt
             if (not math.isfinite(stride) or abs(stride - round(stride)) > 1e-9
                     or round(stride) < 1):
-                raise ValueError(
-                    f"ekf Ts={self.ekf.Ts} must be a whole multiple of dt={self.dt}"
-                )
+                raise ValueError(f"[ekf] Ts: must be a whole multiple of dt={self.dt}, "
+                                 f"got {self.ekf.Ts}")
         unused = [f.name for f in fields(self)
                   if f.name in _UNUSED[self.kind] and getattr(self, f.name) != f.default]
         if unused:
-            raise ValueError(f"kind {self.kind} does not use {', '.join(unused)}")
+            # seed is the one such field a file can set; the rest are library only
+            where = "[scenario] seed: " if "seed" in unused else ""
+            raise ValueError(f"{where}kind {self.kind} does not use {', '.join(unused)}")
 
     @property
     def n_steps(self) -> int:

@@ -55,7 +55,7 @@ class ObserverGains:
         for name in ("k", "beta0", "eps"):
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
-                raise ValueError(f"observer gain {name} must be finite and > 0, got {value}")
+                raise ValueError(f"[observer] {name}: must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

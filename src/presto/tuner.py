@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import harness
+from .mathcore import linf_norm
 
 __all__ = [
     "PsoConfig",
@@ -203,30 +204,35 @@ class TuneTemplate:
     def __post_init__(self):
         unknown = set(self.names) - set(TUNABLE)
         if unknown:
-            raise ValueError(f"cannot tune {sorted(unknown)}; tunable: {sorted(TUNABLE)}")
+            raise ValueError(f"[pso] tune: cannot tune {sorted(unknown)}; "
+                             f"tunable: {sorted(TUNABLE)}")
         if not self.names:
-            raise ValueError("must name at least one gain to tune")
+            raise ValueError("[pso] tune: must name at least one gain to tune")
         twice = [name for name in self.names if self.names.count(name) > 1]
         if twice:
             raise ValueError(f"[pso] tune: gain {twice[0]!r} is listed twice; "
                              "list each gain once")
         sc = self.scenario
         if sc.observer is None and set(self.names) & set(_OBSERVER_GAINS):
-            raise ValueError("template scenario has no observer to tune")
+            raise ValueError("[pso] tune: template scenario has no observer to tune")
         if sc.tsmc is None and set(self.names) - set(_OBSERVER_GAINS):
-            raise ValueError("template scenario has no sliding-mode gains to tune")
+            raise ValueError("[pso] tune: template scenario has no sliding-mode gains to tune")
         if sc.kind == "tsmc" and "tau" in self.names:
-            raise ValueError("cannot tune 'tau' on kind tsmc: it has no saturated input map")
+            raise ValueError("[pso] tune: cannot tune 'tau' on kind tsmc: it has no saturated "
+                             "input map")
 
 
 def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate) -> float:
     """Cost of one candidate gain vector: closed-loop settling time.
 
     Nonpositive entries fail the positivity gate and cost +inf without
-    simulating.  A settled run stops at its first settling window and costs
-    its settling time; the tail is not simulated, so a divergence after
-    settling is not scored.  An unsettled run costs horizon plus its peak
-    state magnitude, a divergent one horizon + 1e6 (DIVERGENCE_LIMIT).
+    simulating.  Otherwise the candidate is one scenario, the template's
+    with the named gains and its `settle_by` bound set in a single
+    `replace`, so it is built and checked once.  A settled run stops at its
+    first settling window and costs its settling time; the tail is not
+    simulated, so a divergence after settling is not scored.  An unsettled
+    run costs horizon plus its peak state magnitude (the larger of the x1
+    and x2 `linf_norm`s), a divergent one horizon + 1e6 (DIVERGENCE_LIMIT).
     Exponent pairs are never part of the vector; they are discrete,
     gate-constrained quantities fixed in the template.
 
@@ -244,26 +250,16 @@ def fitness_settling_time(design_vector: Sequence[float], template: TuneTemplate
         raise ValueError(f"vector has {len(vec)} entries for {len(template.names)} names")
     if any(v <= 0.0 for v in vec):
         return math.inf
-    sc = _patch_scenario(template.scenario, dict(zip(template.names, vec)))
-    sc = replace(sc, settle_by=template.cutoff if template.cutoff < sc.horizon else math.inf)
+    gains = dict(zip(template.names, vec))
+    observer = {name: gains.pop(name) for name in _OBSERVER_GAINS if name in gains}
+    base = template.scenario
+    sc = replace(base, observer=replace(base.observer, **observer),
+                 tsmc=replace(base.tsmc, **gains),
+                 settle_by=template.cutoff if template.cutoff < base.horizon else math.inf)
     try:
         trace, report = harness.run_scenario(sc)
     except harness.DivergenceError:
         return sc.horizon + harness.DIVERGENCE_LIMIT
     if report.t_s is None:
-        x1 = trace.column("x1")
-        x2 = trace.column("x2")
-        peak = float(np.max(np.maximum(np.abs(x1), np.abs(x2))))
-        return sc.horizon + peak
+        return sc.horizon + max(linf_norm(trace, "x1"), linf_norm(trace, "x2"))
     return report.t_s
-
-
-def _patch_scenario(scenario, updates: dict[str, float]):
-    obs_keys = {k: v for k, v in updates.items() if k in _OBSERVER_GAINS}
-    ctl_keys = {k: v for k, v in updates.items() if k not in _OBSERVER_GAINS}
-    sc = scenario
-    if obs_keys:
-        sc = replace(sc, observer=replace(sc.observer, **obs_keys))
-    if ctl_keys:
-        sc = replace(sc, tsmc=replace(sc.tsmc, **ctl_keys))
-    return sc

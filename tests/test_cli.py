@@ -554,6 +554,21 @@ MALFORMED = {
     "zero_decimation": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\ndecimation = 0"),
     "no_plant_section": TUNE_JOB.replace("[plant]\nK1 = 97.4\nK2 = -19.97\ng = -1.09", ""),
     "config_is_a_directory": None,  # case.cfg is made a directory
+    "not_utf8": ("# Latin-1 caf\xe9\n" + TUNE_JOB).encode("latin-1"),
+    "x0_of_one_entry": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nx0 = 1.0"),
+    "zero_dt": TUNE_JOB.replace("dt = 1e-3", "dt = 0.0"),
+    "horizon_below_dt": TUNE_JOB.replace("horizon = 0.5", "horizon = 1e-5"),
+    "unknown_kind": TUNE_JOB.replace("kind = tsmc", "kind = tsmcx"),
+    "zero_observer_gain": TUNE_JOB.replace("k = 4.0", "k = 0.0"),
+    "zero_controller_gain": TUNE_JOB.replace("alpha1 = 100.0", "alpha1 = 0.0"),
+    "zero_tau": edit_config(ADAPTIVE_JOB, ("tau = 3.7", "tau = 0.0")),
+    "inadmissible_surface_pair": edit_config(TUNE_JOB, ("p1 = 3", "p1 = 1")),
+    "clamp_on_tsmc": TUNE_JOB.replace("mu = 1e-4", "mu = 1e-4\ntau = 3.7"),
+    "saturated_without_clamp": TUNE_JOB.replace("kind = tsmc", "kind = tsmc_saturated"),
+    "zero_ekf_Ts": edit_config(ADAPTIVE_JOB, ("Ts = 6e-3", "Ts = 0.0")),
+    "ragged_ekf_stride": edit_config(ADAPTIVE_JOB, ("Ts = 6e-3", "Ts = 1.5e-4")),
+    "tune_unknown_gain": TUNE_JOB.replace("tune = k 0.5 20", "tune = warp 0.5 20"),
+    "tune_tau_on_tsmc": TUNE_JOB.replace("tune = k 0.5 20", "tune = tau 0.5 20"),
 }
 
 # what the error must say, for the cases that name a key or a section; a
@@ -570,7 +585,7 @@ NAMED = {
     "beam_overflow": "[beam] beta: 1e+200 overflows K1 in the assembly",
     "negative_scenario_seed": "[scenario] seed: must be >= 0, got -1",
     "negative_pso_seed": "[pso] seed: must be >= 0, got -3",
-    "seed_on_s71": "kind tsmc does not use seed",
+    "seed_on_s71": "[scenario] seed: kind tsmc does not use seed",
     "no_pso_generation": "[pso] generations: must be >= 1, got 0",
     "swarm_of_one": "[pso] swarm_size: must be >= 2, got 1",
     "unread_section": "[ekf]: unused section",
@@ -599,19 +614,20 @@ NAMED = {
     "tune_entry_of_two_fields": "[pso] tune: entry 'k 20' is not 'name lo hi'",
     "tune_entry_of_bare_name": "[pso] tune: entry 'k' is not 'name lo hi'",
     "tune_lists_no_gain": "[pso] tune: must list at least one gain",
-    "step_count_overflow": "horizon / dt: 1e+308 / 0.001 must be a finite step count",
-    "subnormal_dt": "dt must be a normal float > 0, got 1e-320",
-    "subnormal_dt_and_horizon": "dt must be a normal float > 0, got 5e-324",
-    "step_count_past_maxsize": "horizon / dt: 1e+20 / 0.001 must be a finite step count",
-    "infinite_ekf_stride": "ekf Ts=1e+308 must be a whole multiple of dt=0.0001",
+    "step_count_overflow": "[scenario] horizon, dt: 1e+308 / 0.001 must be a finite step count",
+    "subnormal_dt": "[scenario] dt: must be a normal float > 0, got 1e-320",
+    "subnormal_dt_and_horizon": "[scenario] dt: must be a normal float > 0, got 5e-324",
+    "step_count_past_maxsize": "[scenario] horizon, dt: 1e+20 / 0.001 must be a finite step "
+                               "count",
+    "infinite_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0001, got 1e+308",
     "zero_q0": "[observer] p0, q0: exponent pair must be positive, got (1, 0)",
     "negative_q2": "[controller] p2, q2: exponent pair must be positive, got (1, -3)",
     "clamp_above_zero": "[controller] u_min, u_max: clamp must bracket zero, got [1.0, 10.0]",
     "nan_r": "[ekf] r: must be finite and >= 0, got nan",
-    "infinite_horizon": "horizon must be finite and exceed dt, got inf",
-    "infinite_observer_gain": "observer gain k must be finite and > 0, got inf",
-    "nan_controller_gain": "gain mu must be finite and > 0, got nan",
-    "nan_x0": "x0 entries must be finite, got (nan, 5.0)",
+    "infinite_horizon": "[scenario] horizon: must be finite and exceed dt, got inf",
+    "infinite_observer_gain": "[observer] k: must be finite and > 0, got inf",
+    "nan_controller_gain": "[controller] mu: must be finite and > 0, got nan",
+    "nan_x0": "[scenario] x0: entries must be finite, got (nan, 5.0)",
     "removed_table_file": "[disturbance] table_file: unknown key",
     "removed_z0_offset": "[observer] z0_offset: unknown key",
     "removed_eta": "[smc] eta: unknown key",
@@ -619,16 +635,32 @@ NAMED = {
     ("removed_eta", "tune"): "missing required section [pso]",
     "infinite_amplitude": "disturbance amplitude and rate must be finite, got inf and 0.1",
     "nan_rate": "disturbance amplitude and rate must be finite, got 2.0 and nan",
-    "label_with_comma": "label 'a,b': names output files",
-    "label_with_slash": "label '../escaped': names output files",
-    "label_with_backslash": "label 'a\\\\b': names output files",
-    "label_dot_dot": "label '..': names output files",
-    "label_empty": "label '': names output files",
+    "label_with_comma": "[scenario] label: 'a,b' names output files",
+    "label_with_slash": "[scenario] label: '../escaped' names output files",
+    "label_with_backslash": "[scenario] label: 'a\\\\b' names output files",
+    "label_dot_dot": "[scenario] label: '..' names output files",
+    "label_empty": "[scenario] label: '' names output files",
     "nan_plant_K1": "[plant] K1: must be finite, got nan",
     "smc_interval_reversed": "[smc] K1_min, K1_max: need K1_min < K1_max, got 120.0 and 100.0",
     "zero_decimation": "[scenario] decimation: must be >= 1, got 0",
     "no_plant_section": "needs a [plant] or [beam] section",
     "config_is_a_directory": "cannot read config file",
+    "not_utf8": "case.cfg: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    "threshold_out_of_range": "[scenario] threshold_fraction: must lie in (0, 1), got 1.5",
+    "x0_of_one_entry": "[scenario] x0: needs two entries, got 1",
+    "zero_dt": "[scenario] dt: must be a normal float > 0, got 0.0",
+    "horizon_below_dt": "[scenario] horizon: must be finite and exceed dt, got 1e-05",
+    "unknown_kind": "[scenario] kind: unknown scenario kind 'tsmcx'",
+    "zero_observer_gain": "[observer] k: must be finite and > 0, got 0.0",
+    "zero_controller_gain": "[controller] alpha1: must be finite and > 0, got 0.0",
+    "zero_tau": "[controller] tau: must be finite and > 0 when present, got 0.0",
+    "inadmissible_surface_pair": "[controller] p1, q1: exponent pair (1, 5) is inadmissible",
+    "clamp_on_tsmc": "[controller] tau, u_min, u_max: tau and the clamp",
+    "saturated_without_clamp": "[controller] tau, u_min, u_max: kind tsmc_saturated needs",
+    "zero_ekf_Ts": "[ekf] Ts: the adaptive kind needs Ts > 0, got 0.0",
+    "ragged_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0001, got 0.00015",
+    "tune_unknown_gain": "[pso] tune: cannot tune ['warp']",
+    "tune_tau_on_tsmc": "[pso] tune: cannot tune 'tau' on kind tsmc",
 }
 
 
@@ -640,6 +672,8 @@ class TestMalformedConfig:
         cfg = tmp_path / "case.cfg"
         if MALFORMED[case] is None:
             cfg.mkdir()
+        elif isinstance(MALFORMED[case], bytes):
+            cfg.write_bytes(MALFORMED[case])
         else:
             cfg.write_text(MALFORMED[case])
         for command in ("validate", "simulate", "compare", "tune"):
@@ -656,6 +690,37 @@ class TestMalformedConfig:
             assert NAMED.get((case, command), NAMED.get(case, "")) in err, command
             assert "Traceback" not in err, command
 
+
+
+class TestCompareMembers:
+    """A [compare] file's member that cannot load is named with the file
+    that lists it, or with its own path once it exists."""
+
+    @staticmethod
+    def run(tmp_path, command, cfg):
+        argv = [command, str(cfg)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_missing_member_names_the_compare_key(self, tmp_path, capsys, command):
+        (tmp_path / "s71.cfg").write_text(S71_TEXT)
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("[compare]\nscenarios = s71.cfg, nope.cfg\n")
+        assert self.run(tmp_path, command, cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [compare] scenarios: config file not found: nope.cfg\n")
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_bad_member_keeps_its_own_path(self, tmp_path, capsys, command):
+        member = tmp_path / "s71.cfg"
+        member.write_text(edit_config(S71_TEXT, ("horizon = 8.0", "horizon = inf")))
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("[compare]\nscenarios = s71.cfg\n")
+        assert self.run(tmp_path, command, cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {member}: [scenario] horizon: must be finite and exceed dt, got inf\n")
 
 
 class TestLabels:
@@ -706,7 +771,7 @@ class TestLabels:
         cfg = tmp_path / "labeled.cfg"
         cfg.write_text(f"[compare]\nscenarios = s71.cfg\nlabels = {label}\n")
         assert self.run(tmp_path, command, cfg) == 1
-        assert f"error: {cfg}: [compare] labels: label {label!r}: names output files" in (
+        assert f"error: {cfg}: [compare] labels: {label!r} names output files" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
@@ -714,7 +779,8 @@ class TestLabels:
         cfg = tmp_path / "escape.cfg"
         cfg.write_text(edit_config(self.S71, ("[scenario]\n", "[scenario]\nlabel = ../escaped\n")))
         assert self.run(tmp_path, command, cfg) == 1
-        assert f"error: {cfg}: label '../escaped': names output files" in capsys.readouterr().err
+        assert (f"error: {cfg}: [scenario] label: '../escaped' names output files"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["validate", "compare"])
     @pytest.mark.parametrize("where", ["compare_labels", "scenario_label"])

@@ -122,7 +122,7 @@ class TestScenarioParsing:
 
     def test_x0_needs_two_entries(self, tmp_path):
         text = MINIMAL_TSMC.replace("x0 = 1.0, 5.0", "x0 = 1.0, 5.0, 2.0")
-        with pytest.raises(ConfigError, match="x0 needs two entries"):
+        with pytest.raises(ConfigError, match=re.escape("[scenario] x0: needs two entries")):
             load_scenario(write_cfg(tmp_path, text))
 
     def test_beam_section_builds_plant(self, tmp_path):

@@ -180,12 +180,12 @@ class TestScenarioValidation:
             replace(base, smc=replace(base.smc, K1_nominal=math.nan))
 
     @pytest.mark.parametrize("name,changes,message", [
-        ("s74", dict(smc=None), "smc_baseline needs [smc] gains"),
-        ("s71", dict(tsmc=None), "kind tsmc needs sliding-mode gains"),
-        ("s72", dict(observer=None), "kind tsmc_saturated needs observer gains"),
-        ("s73", dict(ekf=None), "adaptive kind needs an [ekf] section"),
+        ("s74", dict(smc=None), "kind smc_baseline needs [smc] gains"),
+        ("s71", dict(tsmc=None), "kind tsmc needs [controller] gains"),
+        ("s72", dict(observer=None), "kind tsmc_saturated needs [observer] gains"),
+        ("s73", dict(ekf=None), "kind adaptive_tsmc_saturated needs [ekf] gains"),
         ("s73", dict(ekf=replace(load_scenario("s73").ekf, Ts=0.0)),
-         "adaptive kind needs ekf Ts > 0"),
+         "[ekf] Ts: the adaptive kind needs Ts > 0, got 0.0"),
     ], ids=["smc", "tsmc", "observer", "ekf", "ekf-Ts"])
     def test_library_only_sections_required(self, name, changes, message):
         # the config loader always builds these sections for the kind, so

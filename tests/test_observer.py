@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ class TestGainsValidation:
     def test_positivity(self, kw):
         base = dict(k=4.0, beta0=7.0, eps=10.0, e0=ExponentPair(1, 7))
         base.update(kw)
-        with pytest.raises(ValueError, match=f"observer gain {next(iter(kw))} must be"):
+        with pytest.raises(ValueError, match=re.escape(f"[observer] {next(iter(kw))}: must be")):
             ObserverGains(**base)
 
 
