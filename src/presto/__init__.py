@@ -14,8 +14,9 @@ Modules by responsibility:
 
 The package exports the entry points, the types they take, return or
 raise, and one type per config section.  The stage functions the loops
-inline (`plant_derivative`, `observer_advance`, `tsmc_control`,
-`ekf_predict`, ...) are the tested reference and import from their modules.
+inline (`plant_derivative`, `observer_advance`, `tsmc_control`, ...) are
+the tested reference and import from their modules; the adaptive loop
+calls `ekf_predict` and `ekf_update` once per EKF cycle.
 """
 
 from .mathcore import ExponentPair, Trace

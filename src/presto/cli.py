@@ -81,8 +81,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    entries = cfgmod.load_compare_entries(args.configs)
-    reports, text = harness.compare_controllers(entries, out_dir=args.out)
+    scenarios = cfgmod.load_compare_entries(args.configs)
+    reports, text = harness.compare_controllers(scenarios, out_dir=args.out)
     print(text, end="")
     for r in reports:
         for note in r.diagnostics:
@@ -130,7 +130,7 @@ def _cmd_validate(args) -> int:
         cfgmod.load_beam_params(path)
         print(f"{path}: OK (beam)")
         return EXIT_OK
-    scenarios = [sc for _, sc in cfgmod.load_compare_entries([path])]
+    scenarios = cfgmod.load_compare_entries([path])
     for sc in scenarios:
         bound = sc.disturbance.bound
         if sc.observer is not None and bound > sc.observer.beta0:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import configparser
 import difflib
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 from .controller import SatBounds, SmcGains, TsmcGains
@@ -70,12 +69,9 @@ def resolve_config_path(name: str | Path) -> Path:
     if p.exists():
         return p
     stem = p.name if p.name.endswith(".cfg") else p.name + ".cfg"
-    bundled = resources.files("presto").joinpath("configs").joinpath(stem)
-    try:
-        if bundled.is_file():
-            return Path(str(bundled))
-    except (OSError, TypeError):
-        pass
+    bundled = Path(__file__).with_name("configs") / stem
+    if bundled.is_file():
+        return bundled
     raise ConfigError(f"config file not found: {name}")
 
 
@@ -96,12 +92,29 @@ class _Parser(configparser.ConfigParser):
         return super().has_option(section, option)
 
 
+def _syntax(err: configparser.Error, path: Path) -> str:
+    """configparser's refusal of the file's syntax, on one line."""
+    if isinstance(err, configparser.DuplicateOptionError):
+        return f"[{err.section}] {err.option}: set twice (line {err.lineno})"
+    if isinstance(err, configparser.DuplicateSectionError):
+        return f"[{err.section}]: set twice (line {err.lineno})"
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return f"line {err.lineno}: {err.line.strip()!r} comes before any [section] header"
+    if isinstance(err, configparser.ParsingError):
+        # err.errors holds each bad line as its message prints it, newline
+        # and all; the first is read back from the file and quoted plainly
+        lineno = err.errors[0][0]
+        line = path.read_text(encoding="utf-8").split("\n")[lineno - 1]
+        return f"line {lineno}: {line.strip()!r} is neither a [section] header nor key = value"
+    return str(err)
+
+
 def _read(path: Path) -> _Parser:
     cp = _Parser()
     try:
         loaded = cp.read(str(path), encoding="utf-8")
-    except configparser.Error as err:  # its message names the file
-        raise ConfigError(str(err)) from err
+    except configparser.Error as err:
+        raise ConfigError(f"{path}: {_syntax(err, path)}") from err
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
     if not loaded:
@@ -346,13 +359,13 @@ def _compare_members(cp, path: Path) -> list[tuple[str, str | None]]:
     return list(zip(files, labels or [None] * len(files)))
 
 
-def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
-    """Expand config names into labeled scenarios for a comparison run.
+def load_compare_entries(names: list[str | Path]) -> list[Scenario]:
+    """Expand config names into the scenarios of a comparison run.
 
     A config carrying a [compare] section expands to its listed scenario
     files (resolved relative to it); anything else loads as one scenario.
-    Each scenario carries its entry's label; no two labels may match, and
-    none may be 'report', the stem of the comparison table's files.
+    A [compare] labels entry relabels its scenario.  No two labels may
+    match, and none may be 'report', the stem of the comparison table's files.
     """
     scenarios: list[Scenario] = []
     for name in names:
@@ -380,7 +393,7 @@ def load_compare_entries(names: list[str | Path]) -> list[tuple[str, Scenario]]:
         twice = len(set(labels)) < len(labels)
         fix = "distinct [compare] labels" if twice else "another [compare] labels entry"
         raise ConfigError(f"{err}; set {fix}") from err
-    return list(zip(labels, scenarios))
+    return scenarios
 
 
 def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:

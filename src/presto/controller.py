@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .mathcore import ExponentPair, _spow, check_exponent_pair, sgn
+from .mathcore import ExponentPair, check_exponent_pair, sgn, signed_pow
 from .plant import PlantParams
 
 __all__ = [
@@ -157,7 +157,7 @@ def sliding_stack_n2(x: tuple[float, float], s_obs: float, gains: TsmcGains) -> 
     s2 = x2 + alpha1*x1 + beta1*x1**(p1/q1) + s_obs
     """
     x1, x2 = x
-    return x2 + gains.alpha1 * x1 + gains.beta1 * _spow(x1, gains.e1.ratio) + s_obs
+    return x2 + gains.alpha1 * x1 + gains.beta1 * signed_pow(x1, gains.e1) + s_obs
 
 
 def _virtual_input(
@@ -172,7 +172,7 @@ def _virtual_input(
         - gains.beta1 * ddt_signed_pow(x1, x2, gains.e1)
         - d_hat
         - gains.delta * s2
-        - gains.mu * _spow(s2, gains.e2.ratio)
+        - gains.mu * signed_pow(s2, gains.e2)
     )
 
 

@@ -66,16 +66,16 @@ import itertools
 import math
 import struct
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace  # noqa: F401 (see below)
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-# This module imports eight stage functions that it never calls (noqa: F401):
-# the fused loops reproduce them bit for bit (tests/test_kernels.py).  They are
-# imported only for the benchmark's TRACED list, which wraps them under these
-# names (tests/test_bench.py), so their tracer rows read 0 calls.
+# Eight stage functions and `dataclasses.replace` (above) are imported only for the
+# benchmark's TRACED list, which wraps them by name (noqa: F401; tests/test_bench.py),
+# so each row reads 0 calls (replace read 4 on compare4 when it relabelled scenarios);
+# the fused loops reproduce the stages bit for bit (tests/test_kernels.py).
 from .controller import (  # noqa: F401
     SINGULARITY_FLOOR,
     SmcGains,
@@ -277,7 +277,8 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     try:
         trace = _LOOPS[sc.kind](sc)
     except MemoryError as err:  # the loops allocate in proportion to horizon / dt
-        raise ValueError(f"horizon {sc.horizon:g} at dt {sc.dt:g}: {err}") from err
+        raise ValueError(f"[scenario] horizon, dt: {sc.horizon:g} / {sc.dt:g} steps do not fit "
+                         f"in memory for run {sc.label!r}: {err}") from err
     saturated = sc.kind in ("tsmc_saturated", "adaptive_tsmc_saturated")
     report = RunReport(label=sc.label, kind=sc.kind)
     report.u_l2 = l2_norm(trace, "u")
@@ -295,9 +296,7 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     # amplitude-bound assumption is checkable against the realized signal;
     # |d| never exceeds `bound`, so only a bound above beta0 needs the check
     if sc.kind == "tsmc" and sc.disturbance.bound > sc.observer.beta0:
-        t = np.arange(sc.n_steps, dtype=float)
-        t *= sc.dt
-        max_abs_d = float(np.max(np.abs(disturbance_value(sc.disturbance, t))))
+        max_abs_d = max(float(np.max(np.abs(d))) for d in _disturbance_blocks(sc))
         if max_abs_d > sc.observer.beta0:
             report.diagnostics.append(
                 f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
@@ -683,11 +682,11 @@ def check_labels(labels: list[str]) -> None:
 
 
 def compare_controllers(
-    entries: list[tuple[str, Scenario]],
+    scenarios: list[Scenario],
     out_dir: Path | str,
 ) -> tuple[list[RunReport], str]:
-    """Run every scenario into `out_dir`: one trace CSV per label, and the
-    comparison table as report.txt and report.csv.
+    """Run every scenario into `out_dir`: one trace CSV per scenario, named by
+    its label, and the comparison table as report.txt and report.csv.
 
     `out_dir` is required and is created if missing.  Labels are checked
     before anything is written.  A divergent run is reported as a failed
@@ -695,7 +694,6 @@ def compare_controllers(
     inside the report are file names only, so two output directories
     produced with the same seeds match byte for byte.
     """
-    scenarios = [replace(sc, label=label) for label, sc in entries]
     check_labels([sc.label for sc in scenarios])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

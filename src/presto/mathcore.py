@@ -72,15 +72,6 @@ def sgn(x: float) -> int:
     return 0
 
 
-def _spow(s: float, ratio: float) -> float:
-    # hot-loop core of signed_pow; ratio is a precomputed p/q
-    if s > 0.0:
-        return s**ratio
-    if s < 0.0:
-        return -((-s) ** ratio)
-    return 0.0
-
-
 def signed_pow(s: float, e: ExponentPair) -> float:
     """Real odd root sign(s) * |s|**(p/q) for an odd exponent pair.
 
@@ -89,7 +80,11 @@ def signed_pow(s: float, e: ExponentPair) -> float:
     """
     if not math.isfinite(s):
         raise ValueError(f"signed_pow requires a finite argument, got {s}")
-    return _spow(s, e.ratio)
+    if s > 0.0:
+        return s**e.ratio
+    if s < 0.0:
+        return -((-s) ** e.ratio)
+    return 0.0
 
 
 def prescribed_time_bound(theta: float, xi: float, gamma: float, V0: float) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mathcore import ExponentPair, _spow, sgn
+from .mathcore import ExponentPair, sgn, signed_pow
 
 __all__ = [
     "ObserverGains",
@@ -88,7 +88,7 @@ def _prefix(s: float, fx: float, gains: ObserverGains) -> float:
     return (
         -gains.k * s
         - gains.beta0 * sw
-        - gains.eps * _spow(s, gains.e0.ratio)
+        - gains.eps * signed_pow(s, gains.e0)
         - abs(fx) * sw
     )
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -340,7 +344,8 @@ class TestSimulate:
         capsys.readouterr()
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: horizon 1e+12 at dt 0.0001: "), err
+        assert err.startswith("error: [scenario] horizon, dt: 1e+12 / 0.0001 steps do not fit "
+                              "in memory for run 'long': "), err
         assert "Traceback" not in err
 
     # the same for the EKF-fed loop and for the bundled tuning job
@@ -357,7 +362,8 @@ class TestSimulate:
         capsys.readouterr()
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: horizon 1e+12 at dt "), err
+        assert err.startswith("error: [scenario] horizon, dt: 1e+12 / "), err
+        assert f"for run {name!r}: " in err, err
         assert "Traceback" not in err
 
 
@@ -462,6 +468,7 @@ MALFORMED = {
     "no_section_header": "kind = tsmc\n" + TUNE_JOB,
     "duplicate_section": TUNE_JOB + "\n[plant]\nK1 = 1.0\n",
     "duplicate_option": TUNE_JOB.replace("K1 = 97.4", "K1 = 97.4\nK1 = 97.4"),
+    "garbage_line": TUNE_JOB.replace("g = -1.09", "g = -1.09\ngarbage line"),
     "compare_without_scenarios": "[compare]\nlabels = a\n",
     "compare_empty_list": "[compare]\nscenarios = ,\n",
     "non_numeric_value": TUNE_JOB.replace("K1 = 97.4", "K1 = abc"),
@@ -574,6 +581,22 @@ MALFORMED = {
 # what the error must say, for the cases that name a key or a section; a
 # (case, command) entry holds what one command says instead
 NAMED = {
+    "percent_in_value": "[scenario] x0: could not convert string to float: '5.0%'",
+    "non_numeric_value": "[plant] K1: could not convert string to float: 'abc'",
+    "missing_required_key": "missing required key [observer] k",
+    "compare_without_scenarios": "missing required key [compare] scenarios",
+    "compare_empty_list": "[compare] scenarios: lists no scenario file",
+    # a [compare] file is no scenario, so simulate and tune ask for one
+    ("compare_without_scenarios", "simulate"): "missing required section [scenario]",
+    ("compare_without_scenarios", "tune"): "missing required section [scenario]",
+    ("compare_empty_list", "simulate"): "missing required section [scenario]",
+    ("compare_empty_list", "tune"): "missing required section [scenario]",
+    # configparser's refusals, each on one line after the path
+    "duplicate_option": "case.cfg: [plant] k1: set twice (line 9)",
+    "duplicate_section": "case.cfg: [plant]: set twice (line 34)",
+    "no_section_header": "case.cfg: line 1: 'kind = tsmc' comes before any [section] header",
+    "garbage_line": "case.cfg: line 11: 'garbage line' is neither a [section] header nor "
+                    "key = value",
     "misspelled_key": "[scenario] horizn: unknown key; did you mean horizon?",
     "removed_integrator": "[scenario] integrator: unknown key",
     "removed_process_noise": "[scenario] process_noise: unknown key",
@@ -686,10 +709,37 @@ class TestMalformedConfig:
                 assert main(argv) == 1, command
             assert not caught, (command, [str(w.message) for w in caught])
             err = capsys.readouterr().err
-            assert "error:" in err, command
-            assert NAMED.get((case, command), NAMED.get(case, "")) in err, command
+            assert err.startswith("error:") and err.count("\n") == 1, (command, err)
+            assert NAMED.get((case, command), NAMED[case]) in err, command
             assert "Traceback" not in err, command
 
+    def test_every_case_names_its_message(self):
+        assert [case for case in MALFORMED if case not in NAMED] == []
+
+
+class TestModuleEntryPoint:
+    """`python -m presto.cli` in a fresh interpreter: the `__main__` line
+    that the in-process calls of `main` never reach."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "presto.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+
+    def test_validate_exits_zero(self):
+        done = self.run("validate", "s71")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith(": OK (tsmc)\n"), done.stdout
+
+    def test_malformed_file_exits_one_with_one_line(self, tmp_path):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(MALFORMED["garbage_line"])
+        done = self.run("validate", str(cfg))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"error: {cfg}: line 11: 'garbage line' is neither a [section] "
+                               "header nor key = value\n")
 
 
 class TestCompareMembers:

@@ -177,12 +177,12 @@ class TestErrorMessages:
 
 class TestCompareExpansion:
     def test_bundled_compare_config(self):
-        entries = load_compare_entries(["compare"])
-        assert [label for label, _ in entries] == ["s71", "s72", "s73", "s74"]
+        scenarios = load_compare_entries(["compare"])
+        assert [sc.label for sc in scenarios] == ["s71", "s72", "s73", "s74"]
 
     def test_explicit_list(self):
-        entries = load_compare_entries(["s71", "s74"])
-        assert [label for label, _ in entries] == ["s71", "s74"]
+        scenarios = load_compare_entries(["s71", "s74"])
+        assert [sc.label for sc in scenarios] == ["s71", "s74"]
 
     def test_labels_must_align(self, tmp_path):
         p = write_cfg(

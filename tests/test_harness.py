@@ -232,17 +232,16 @@ class TestScenarioValidation:
 
 class TestCompare:
     def test_failed_row_does_not_poison_others(self, tmp_path):
-        good = replace(load_scenario("s71"), horizon=1.0)
+        good = replace(load_scenario("s71"), horizon=1.0, label="good")
         sat_base = load_scenario("s72")
         bad = replace(
             sat_base,
             plant=PlantParams(K1=-50.0, K2=-19.97, g=-1.09),
             tsmc=replace(sat_base.tsmc, sat=SatBounds(-0.1, 0.1)),
             horizon=4.0,
+            label="bad",
         )
-        reports, text = compare_controllers(
-            [("good", good), ("bad", bad)], out_dir=tmp_path
-        )
+        reports, text = compare_controllers([good, bad], out_dir=tmp_path)
         assert reports[0].failed is None
         assert reports[1].failed is not None
         assert "FAILED" in text
@@ -256,10 +255,11 @@ class TestCompare:
     def test_clashing_labels_write_nothing(self, tmp_path, labels, message):
         # a shared label would leave one trace file for two rows, and a trace
         # named report.csv would be overwritten by the table
-        short = [replace(load_scenario(name), horizon=0.1) for name in ("s71", "s72")]
+        short = [replace(load_scenario(name), horizon=0.1, label=label)
+                 for name, label in zip(("s71", "s72"), labels)]
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=re.escape(message)):
-            compare_controllers(list(zip(labels, short)), out_dir=out)
+            compare_controllers(short, out_dir=out)
         assert not out.exists()
 
 
