@@ -8,7 +8,7 @@
                                            or [beam] config and its gain gates
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 runtime
-divergence.  Bare names like 's71' resolve to the bundled configs.
+divergence.  A name that is no regular file, like 's71', names a bundled config.
 """
 
 from __future__ import annotations

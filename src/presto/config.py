@@ -12,7 +12,7 @@ One flat INI-style file per job, one section per subsystem:
     [smc]         Y, Kg, K1_min, K1_max, K1_nominal
     [ekf]         Ts, q_diag, r, p0_diag, x0_hat
     [pso]         swarm_size, generations, seed, tune = name lo hi; ...
-    [compare]     scenarios = a.cfg, b.cfg, ...   labels = ...
+    [compare]     scenarios = a.cfg, b.cfg, ...
 
 This module only reads keys and parses their text.  Each section feeds
 one library type whose fields hold the values the file gives, unconverted:
@@ -28,15 +28,16 @@ reject configs missing them.  A file may set only the keys its loaders
 ask for (case-folded): any other key, a section nothing reads, or
 [DEFAULT] is an error.  A scenario file with [pso] always loads as a
 tuning job, and a file with [beam] and neither [scenario] nor [compare]
-is beam data only.  Config names that are not existing paths fall
-back to the bundled files under presto/configs.
+is beam data only.  A config name, or a [compare] entry joined to its
+file's directory, that is no regular file falls back to the bundled file
+of that name under presto/configs.  Files are UTF-8, with or without a
+byte-order mark.
 """
 
 from __future__ import annotations
 
 import configparser
 import difflib
-from dataclasses import replace
 from pathlib import Path
 
 from .controller import SatBounds, SmcGains, TsmcGains
@@ -64,9 +65,9 @@ class ConfigError(ValueError):
 
 
 def resolve_config_path(name: str | Path) -> Path:
-    """Existing path as-is; otherwise fall back to a bundled config name."""
+    """A regular file as-is; otherwise the bundled config of that name."""
     p = Path(name)
-    if p.exists():
+    if p.is_file():
         return p
     stem = p.name if p.name.endswith(".cfg") else p.name + ".cfg"
     bundled = Path(__file__).with_name("configs") / stem
@@ -92,7 +93,7 @@ class _Parser(configparser.ConfigParser):
         return super().has_option(section, option)
 
 
-def _syntax(err: configparser.Error, path: Path) -> str:
+def _syntax(err: configparser.Error, text: str) -> str:
     """configparser's refusal of the file's syntax, on one line."""
     if isinstance(err, configparser.DuplicateOptionError):
         return f"[{err.section}] {err.option}: set twice (line {err.lineno})"
@@ -102,9 +103,9 @@ def _syntax(err: configparser.Error, path: Path) -> str:
         return f"line {err.lineno}: {err.line.strip()!r} comes before any [section] header"
     if isinstance(err, configparser.ParsingError):
         # err.errors holds each bad line as its message prints it, newline
-        # and all; the first is read back from the file and quoted plainly
+        # and all; the first is looked up in the text and quoted plainly
         lineno = err.errors[0][0]
-        line = path.read_text(encoding="utf-8").split("\n")[lineno - 1]
+        line = text.split("\n")[lineno - 1]
         return f"line {lineno}: {line.strip()!r} is neither a [section] header nor key = value"
     return str(err)
 
@@ -112,13 +113,12 @@ def _syntax(err: configparser.Error, path: Path) -> str:
 def _read(path: Path) -> _Parser:
     cp = _Parser()
     try:
-        loaded = cp.read(str(path), encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
+        cp.read_string(text, source=str(path))
     except configparser.Error as err:
-        raise ConfigError(f"{path}: {_syntax(err, path)}") from err
+        raise ConfigError(f"{path}: {_syntax(err, text)}") from err
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
-    if not loaded:
-        raise ConfigError(f"cannot read config file {path}")
     if cp.defaults():
         # configparser would copy these keys into every section
         raise ConfigError(f"{path}: [{cp.default_section}]: not supported; "
@@ -349,23 +349,21 @@ def load_scenario(name: str | Path) -> Scenario:
     return _in_file(path, _scenario_file, _read(path))
 
 
-def _compare_members(cp, path: Path) -> list[tuple[str, str | None]]:
+def _compare_members(cp, path: Path) -> list[str]:
     files = _get(cp, "compare", "scenarios", _names)
     if not files:
         raise ConfigError("[compare] scenarios: lists no scenario file")
-    labels = _given(cp, "compare", {"labels": _names}).get("labels")
-    if labels and len(labels) != len(files):
-        raise ConfigError("labels must match scenarios one-for-one")
-    return list(zip(files, labels or [None] * len(files)))
+    return files
 
 
 def load_compare_entries(names: list[str | Path]) -> list[Scenario]:
     """Expand config names into the scenarios of a comparison run.
 
     A config carrying a [compare] section expands to its listed scenario
-    files (resolved relative to it); anything else loads as one scenario.
-    A [compare] labels entry relabels its scenario.  No two labels may
-    match, and none may be 'report', the stem of the comparison table's files.
+    files, each joined to the directory of the [compare] file and resolved
+    by `resolve_config_path`; anything else loads as one scenario.  No two
+    labels may match, and none may be 'report', the stem of the comparison
+    table's files.
     """
     scenarios: list[Scenario] = []
     for name in names:
@@ -374,25 +372,16 @@ def load_compare_entries(names: list[str | Path]) -> list[Scenario]:
         if not cp.has_section("compare"):
             scenarios.append(_in_file(path, _scenario_file, cp))
             continue
-        for fname, label in _in_file(path, _compare_members, cp):
-            sub = path.parent / fname
+        for fname in _in_file(path, _compare_members, cp):
             try:
-                member = resolve_config_path(sub if sub.exists() else fname)
+                member = resolve_config_path(path.parent / fname)
             except ConfigError as err:
                 raise ConfigError(f"{path}: [compare] scenarios: {err}") from err
-            sc = load_scenario(member)
-            try:
-                scenarios.append(sc if label is None else replace(sc, label=label))
-            except ValueError as err:  # the label came from this key, not from [scenario]
-                reason = str(err).removeprefix("[scenario] label: ")
-                raise ConfigError(f"{path}: [compare] labels: {reason}") from err
-    labels = [sc.label for sc in scenarios]
+            scenarios.append(load_scenario(member))
     try:
-        check_labels(labels)
+        check_labels([sc.label for sc in scenarios])
     except ValueError as err:
-        twice = len(set(labels)) < len(labels)
-        fix = "distinct [compare] labels" if twice else "another [compare] labels entry"
-        raise ConfigError(f"{err}; set {fix}") from err
+        raise ConfigError(str(err)) from err
     return scenarios
 
 

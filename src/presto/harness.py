@@ -74,8 +74,8 @@ import numpy as np
 
 # Eight stage functions and `dataclasses.replace` (above) are imported only for the
 # benchmark's TRACED list, which wraps them by name (noqa: F401; tests/test_bench.py),
-# so each row reads 0 calls (replace read 4 on compare4 when it relabelled scenarios);
-# the fused loops reproduce the stages bit for bit (tests/test_kernels.py).
+# so each row reads 0 calls; the fused loops reproduce the stages bit for bit
+# (tests/test_kernels.py).
 from .controller import (  # noqa: F401
     SINGULARITY_FLOOR,
     SmcGains,
@@ -198,8 +198,9 @@ class Scenario:
                              "must not be empty, '.' or '..', nor hold '/', '\\' or ','")
         if len(self.x0) != 2:
             raise ValueError(f"[scenario] x0: needs two entries, got {len(self.x0)}")
-        if not all(math.isfinite(v) for v in self.x0):
-            raise ValueError(f"[scenario] x0: entries must be finite, got {self.x0}")
+        if not all(abs(v) <= DIVERGENCE_LIMIT for v in self.x0):  # NaN fails too
+            raise ValueError(f"[scenario] x0: entries must be finite and within the divergence "
+                             f"limit {DIVERGENCE_LIMIT:g}, got {self.x0}")
         if not math.isfinite(self.z0_offset):
             raise ValueError(f"z0_offset must be finite, got {self.z0_offset}")
         if not (self.dt >= sys.float_info.min):  # SETTLING_HOLD / a subnormal dt overflows
@@ -210,6 +211,13 @@ class Scenario:
         if not (self.horizon / self.dt < sys.maxsize):
             raise ValueError(f"[scenario] horizon, dt: {self.horizon:g} / {self.dt:g} must be "
                              f"a finite step count below {sys.maxsize}")
+        # no step time exceeds the horizon, so no phase exceeds these; sin(inf) is NaN
+        phases = [term.rate * math.pi * self.horizon if term.kind == "sin_linear"
+                  else term.rate * math.sqrt(self.horizon + 1.0)
+                  for term in self.disturbance.terms]
+        if not all(map(math.isfinite, [self.disturbance.bound, *phases])):
+            raise ValueError(f"[disturbance] terms: the amplitude sum or a phase within "
+                             f"horizon {self.horizon:g} passes the float range")
         if self.decimation < 1:
             raise ValueError(f"[scenario] decimation: must be >= 1, got {self.decimation}")
         if self.seed < 0:
@@ -675,10 +683,10 @@ def check_labels(labels: list[str]) -> None:
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"two scenarios share the label {label!r}, which names their "
-                             "trace file")
+                             "trace file; give each its own [scenario] label, or list it once")
     if "report" in labels:
         raise ValueError("label 'report': its trace would overwrite report.csv, the "
-                         "comparison table")
+                         "comparison table; set another [scenario] label")
 
 
 def compare_controllers(

@@ -185,6 +185,7 @@ class TestCompareExpansion:
         assert [sc.label for sc in scenarios] == ["s71", "s74"]
 
     def test_labels_must_align(self, tmp_path):
+        # [compare] has no labels key, so no labels line is read, aligned or not
         p = write_cfg(
             tmp_path,
             """
@@ -193,7 +194,7 @@ class TestCompareExpansion:
             labels = only_one
             """,
         )
-        with pytest.raises(ConfigError, match="labels"):
+        with pytest.raises(ConfigError, match=r"\[compare\] labels: unknown key"):
             load_compare_entries([p])
 
     @pytest.mark.parametrize("line", ["labels = a", "scenarios =", "scenarios = ,"])
@@ -275,11 +276,12 @@ class TestUnreadKeys:
             load_scenario(write_cfg(tmp_path, text))
 
     def test_compare_file_keys(self, tmp_path):
-        p = write_cfg(tmp_path, "[compare]\nscenarios = s71.cfg\nlabel = a\n")
-        with pytest.raises(ConfigError, match=r"\[compare\] label: unknown key; did you mean "
-                                              r"labels\?") as exc:
-            load_compare_entries([p])
-        assert str(exc.value).startswith(f"{p}: ")
+        # a run is named by its own file's [scenario] label
+        for key in ("label", "labels"):
+            p = write_cfg(tmp_path, f"[compare]\nscenarios = s71.cfg\n{key} = a\n")
+            with pytest.raises(ConfigError) as exc:
+                load_compare_entries([p])
+            assert str(exc.value) == f"{p}: [compare] {key}: unknown key; known keys: scenarios"
 
     def test_misspelled_required_key_is_named(self, tmp_path):
         # the loader stops at the missing key, before the controller keys
