@@ -8,7 +8,8 @@
                                            or [beam] config and its gain gates
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 runtime
-divergence.  A name that is no regular file, like 's71', names a bundled config.
+divergence.  A bare name, one with no directory part like 's71', that is no
+regular file names a bundled config; a path to nothing is an error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import harness
-from .plant import galerkin_coefficients
+from .plant import BeamParams, galerkin_coefficients
 from .tuner import fitness_settling_time, pso_run
 
 EXIT_OK = 0
@@ -125,28 +126,20 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = cfgmod.resolve_config_path(args.config)
-    if cfgmod.is_beam_file(path):  # the input of `presto coeffs`
-        cfgmod.load_beam_params(path)
+    path, held = cfgmod.load_config(args.config)
+    if isinstance(held, BeamParams):  # the input of `presto coeffs`
         print(f"{path}: OK (beam)")
         return EXIT_OK
-    scenarios = cfgmod.load_compare_entries([path])
-    for sc in scenarios:
+    for sc in held:
         bound = sc.disturbance.bound
         if sc.observer is not None and bound > sc.observer.beta0:
-            print(
-                f"warning [{sc.label}]: disturbance amplitude bound {bound:g} exceeds "
-                f"observer beta0={sc.observer.beta0:g}",
-                file=sys.stderr,
-            )
+            print(f"warning [{sc.label}]: disturbance amplitude bound {bound:g} exceeds "
+                  f"observer beta0={sc.observer.beta0:g}", file=sys.stderr)
         # the baseline's switching gain is designed for a K1 inside its interval
         if sc.smc is not None and not (sc.smc.K1_min <= sc.plant.K1 <= sc.smc.K1_max):
-            print(
-                f"warning [{sc.label}]: plant K1={sc.plant.K1:g} lies outside [smc] "
-                f"K1_min..K1_max = [{sc.smc.K1_min:g}, {sc.smc.K1_max:g}]",
-                file=sys.stderr,
-            )
-    print(f"{path}: OK ({', '.join(sc.kind for sc in scenarios)})")
+            print(f"warning [{sc.label}]: plant K1={sc.plant.K1:g} lies outside [smc] "
+                  f"K1_min..K1_max = [{sc.smc.K1_min:g}, {sc.smc.K1_max:g}]", file=sys.stderr)
+    print(f"{path}: OK ({', '.join(sc.kind for sc in held)})")
     return EXIT_OK
 
 

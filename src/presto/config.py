@@ -28,16 +28,18 @@ reject configs missing them.  A file may set only the keys its loaders
 ask for (case-folded): any other key, a section nothing reads, or
 [DEFAULT] is an error.  A scenario file with [pso] always loads as a
 tuning job, and a file with [beam] and neither [scenario] nor [compare]
-is beam data only.  A config name, or a [compare] entry joined to its
-file's directory, that is no regular file falls back to the bundled file
-of that name under presto/configs.  Files are UTF-8, with or without a
-byte-order mark.
+is beam data only.  A config name is read where it points, and a
+[compare] entry beside its [compare] file; a bare name, one with no
+directory part, that is no regular file there falls back to the bundled
+file of that name under presto/configs.  Files are UTF-8, with or without
+a byte-order mark.
 """
 
 from __future__ import annotations
 
 import configparser
 import difflib
+import os
 from pathlib import Path
 
 from .controller import SatBounds, SmcGains, TsmcGains
@@ -49,31 +51,29 @@ from .plant import BeamParams, DisturbanceSpec, DisturbanceTerm, PlantParams
 from .plant import galerkin_coefficients
 from .tuner import PsoConfig, TuneTemplate
 
-__all__ = [
-    "ConfigError",
-    "resolve_config_path",
-    "load_scenario",
-    "load_compare_entries",
-    "load_pso_job",
-    "load_beam_params",
-    "is_beam_file",
-]
+__all__ = ["ConfigError", "resolve_config_path", "load_scenario", "load_compare_entries",
+           "load_pso_job", "load_beam_params", "load_config"]
 
 
 class ConfigError(ValueError):
     """Configuration file missing, malformed, or inconsistent."""
 
 
-def resolve_config_path(name: str | Path) -> Path:
-    """A regular file as-is; otherwise the bundled config of that name."""
-    p = Path(name)
-    if p.is_file():
-        return p
-    stem = p.name if p.name.endswith(".cfg") else p.name + ".cfg"
-    bundled = Path(__file__).with_name("configs") / stem
-    if bundled.is_file():
+def _resolve(path: str | Path, entry: str | Path) -> Path:
+    """path if it is a regular file; else, when entry is a bare name, one with
+    no directory part, the bundled config of entry's file name."""
+    if Path(path).is_file():
+        return Path(path)
+    head, stem = os.path.split(entry)
+    bundled = Path(__file__).with_name("configs") / f"{stem.removesuffix('.cfg')}.cfg"
+    if not head and bundled.is_file():
         return bundled
-    raise ConfigError(f"config file not found: {name}")
+    raise ConfigError(f"config file not found: {path}")
+
+
+def resolve_config_path(name: str | Path) -> Path:
+    """A regular file as-is; a bare name that is none, the bundled config."""
+    return _resolve(name, name)
 
 
 class _Parser(configparser.ConfigParser):
@@ -126,6 +126,12 @@ def _read(path: Path) -> _Parser:
     return cp
 
 
+def _open(name: str | Path) -> tuple[Path, _Parser]:
+    """The file a config name resolves to, read once."""
+    path = resolve_config_path(name)
+    return path, _read(path)
+
+
 def _unread(cp: _Parser) -> str:
     """The first section or key of the file that no loader asked for, else ''."""
     for section in cp.sections():
@@ -159,7 +165,7 @@ def _misspelled(cp: _Parser) -> str:
     return ""
 
 
-def _in_file(path: Path, build, cp: _Parser):
+def _in_file(path: Path, cp: _Parser, build):
     """build(cp, path), then `_unread`; the path prefixes any error once, and
     `_misspelled` names the key a failed build may have missed."""
     try:
@@ -203,10 +209,6 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _names(raw: str) -> list[str]:
-    return [s.strip() for s in raw.split(",") if s.strip()]
-
-
 def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
     terms = []
     for chunk in filter(None, (c.strip() for c in raw.split(";"))):
@@ -244,16 +246,7 @@ def _beam(cp) -> BeamParams:
 
 def load_beam_params(name: str | Path) -> BeamParams:
     """Beam data of a file holding only [beam]."""
-    path = resolve_config_path(name)
-    return _in_file(path, lambda cp, _: _beam(cp), _read(path))
-
-
-def is_beam_file(name: str | Path) -> bool:
-    """Whether the file has [beam] and neither [scenario] nor [compare], so it
-    loads only as beam data."""
-    cp = _read(resolve_config_path(name))
-    return cp.has_section("beam") and not (cp.has_section("scenario")
-                                           or cp.has_section("compare"))
+    return _in_file(*_open(name), lambda cp, _: _beam(cp))
 
 
 def _load_plant(cp) -> PlantParams:
@@ -345,44 +338,55 @@ def _scenario_file(cp, path: Path) -> Scenario:
 
 def load_scenario(name: str | Path) -> Scenario:
     """Load and validate one scenario config."""
-    path = resolve_config_path(name)
-    return _in_file(path, _scenario_file, _read(path))
+    return _in_file(*_open(name), _scenario_file)
 
 
-def _compare_members(cp, path: Path) -> list[str]:
-    files = _get(cp, "compare", "scenarios", _names)
-    if not files:
-        raise ConfigError("[compare] scenarios: lists no scenario file")
-    return files
+def _members(cp, path: Path) -> list[Path]:
+    """The files a [compare] file lists, each looked up beside it."""
+    def files(raw: str) -> list[Path]:
+        entries = [s.strip() for s in raw.split(",") if s.strip()]
+        if not entries:
+            raise ValueError("lists no scenario file")
+        return [_resolve(path.parent / entry, entry) for entry in entries]
+    return _get(cp, "compare", "scenarios", files)
+
+
+def _scenarios(files) -> list[Scenario]:
+    """The scenarios of read files: a [compare] file's listed files, any
+    other file its own; no two labels may match, and none may be 'report'."""
+    scenarios = []
+    for path, cp in files:
+        if not cp.has_section("compare"):
+            scenarios.append(_in_file(path, cp, _scenario_file))
+            continue
+        scenarios += [_in_file(m, _read(m), _scenario_file) for m in _in_file(path, cp, _members)]
+    try:
+        check_labels([sc.label for sc in scenarios])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return scenarios
 
 
 def load_compare_entries(names: list[str | Path]) -> list[Scenario]:
     """Expand config names into the scenarios of a comparison run.
 
     A config carrying a [compare] section expands to its listed scenario
-    files, each joined to the directory of the [compare] file and resolved
-    by `resolve_config_path`; anything else loads as one scenario.  No two
-    labels may match, and none may be 'report', the stem of the comparison
-    table's files.
+    files, each joined to the directory of the [compare] file; a bare entry
+    that is no file there falls back to the bundled config.  Anything else
+    loads as one scenario.  No two labels may match, and none may be
+    'report', the stem of the comparison table's files.
     """
-    scenarios: list[Scenario] = []
-    for name in names:
-        path = resolve_config_path(name)
-        cp = _read(path)
-        if not cp.has_section("compare"):
-            scenarios.append(_in_file(path, _scenario_file, cp))
-            continue
-        for fname in _in_file(path, _compare_members, cp):
-            try:
-                member = resolve_config_path(path.parent / fname)
-            except ConfigError as err:
-                raise ConfigError(f"{path}: [compare] scenarios: {err}") from err
-            scenarios.append(load_scenario(member))
-    try:
-        check_labels([sc.label for sc in scenarios])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return scenarios
+    return _scenarios(map(_open, names))
+
+
+def load_config(name: str | Path) -> tuple[Path, BeamParams | list[Scenario]]:
+    """The file a config name resolves to, and what it holds: its beam data
+    when it has [beam] and neither [scenario] nor [compare], else its
+    scenarios as `load_compare_entries` gives them.  Each file is read once."""
+    path, cp = _open(name)
+    if cp.has_section("beam") and not (cp.has_section("scenario") or cp.has_section("compare")):
+        return path, _in_file(path, cp, lambda cp, _: _beam(cp))
+    return path, _scenarios([(path, cp)])
 
 
 def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
@@ -409,5 +413,4 @@ def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
     The tune key lists gains as 'name lo hi' triples separated by
     semicolons: every tuned gain names its own search box.
     """
-    path = resolve_config_path(name)
-    return _in_file(path, _pso_job, _read(path))
+    return _in_file(*_open(name), _pso_job)

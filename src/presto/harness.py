@@ -120,6 +120,8 @@ _UNUSED = {
 # the config section of each gain field; a kind needs each one it does not list above
 _SECTIONS = {"smc": "[smc]", "tsmc": "[controller]", "observer": "[observer]", "ekf": "[ekf]"}
 
+# the loops' guards: x*x <= DIVERGENCE_LIMIT**2 holds for exactly the x with
+# |x| <= DIVERGENCE_LIMIT (NaN fails), and z - z == 0.0 for exactly the finite z
 DIVERGENCE_LIMIT = 1e6
 # steps of the disturbance waveform evaluated at once: the first block, and
 # the size at which the doubling of later blocks stops
@@ -389,7 +391,7 @@ def _smc_loop(sc: Scenario) -> Trace:
     Y, Kg, K1n = gains.Y, gains.Kg, gains.K1_nominal
     dK = max(K1n - gains.K1_min, gains.K1_max - K1n)
     dt, dec = sc.dt, sc.decimation
-    lim = DIVERGENCE_LIMIT
+    lim2 = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     log = _SampleLog(sc, _SMC_COLUMNS)
@@ -411,7 +413,7 @@ def _smc_loop(sc: Scenario) -> Trace:
         dx2 = nK1 * x1 - b - g * u + d
         x1 += dt * x2
         x2 += dt * dx2
-        if not (-lim <= x1 <= lim and -lim <= x2 <= lim):
+        if not (x1 * x1 <= lim2 and x2 * x2 <= lim2):
             raise _state_diverged(x1, x2, i * dt, log, offset)
     return log.trace(offset)
 
@@ -465,7 +467,7 @@ def _truth_loop(sc: Scenario) -> Trace:
         u_min, u_max = tg.sat.u_min, tg.sat.u_max
     nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
     dt, dec = sc.dt, sc.decimation
-    lim, inf = DIVERGENCE_LIMIT, math.inf
+    lim2 = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     z, s = x2 + sc.z0_offset, sc.z0_offset
@@ -545,8 +547,8 @@ def _truth_loop(sc: Scenario) -> Trace:
         z += dt * (prefix + forcing)
         s = z - x2
 
-        if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
-            if -inf < z < inf:
+        if not (x1 * x1 <= lim2 and x2 * x2 <= lim2 and z - z == 0.0):
+            if z - z == 0.0:
                 raise _state_diverged(x1, x2, i * dt, log, offset)
             raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
     return log.trace(offset)
@@ -575,7 +577,7 @@ def _filter_loop(sc: Scenario) -> Trace:
     floor = SINGULARITY_FLOOR
     nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
     dt, dec = sc.dt, sc.decimation
-    lim, inf = DIVERGENCE_LIMIT, math.inf
+    lim2 = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     ekf_state = ekf_init(cfg)
@@ -606,7 +608,7 @@ def _filter_loop(sc: Scenario) -> Trace:
             p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
             # the limit on the state estimate also keeps fb1**3 finite
             # and the next predict's covariance free of overflow
-            if not (-lim <= fb1 <= lim and -lim <= fb2 <= lim and math.isfinite(k1_hat)
+            if not (fb1 * fb1 <= lim2 and fb2 * fb2 <= lim2 and math.isfinite(k1_hat)
                     and math.isfinite(p_trace)):
                 raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
                                 f"trace P = {p_trace:.3g}", i * dt, log, offset)
@@ -665,8 +667,8 @@ def _filter_loop(sc: Scenario) -> Trace:
         s = z - fb2
         u_acc += u
 
-        if not (-lim <= x1 <= lim and -lim <= x2 <= lim and -inf < z < inf):
-            if -inf < z < inf:
+        if not (x1 * x1 <= lim2 and x2 * x2 <= lim2 and z - z == 0.0):
+            if z - z == 0.0:
                 raise _state_diverged(x1, x2, i * dt, log, offset)
             raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
     return log.trace(offset)

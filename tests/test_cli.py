@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import presto.config
 from conftest import edit_config
 from presto.cli import main
 from presto.config import resolve_config_path
@@ -99,6 +100,20 @@ class TestValidate:
 
     def test_missing_config_exits_one(self, capsys):
         assert main(["validate", "nope.cfg"]) == 1
+
+    @pytest.mark.parametrize("name,reads", [("s71", 1), ("compare", 5), ("beam", 1)])
+    def test_reads_each_file_once(self, monkeypatch, name, reads):
+        # compare.cfg lists four scenario files: five files, five reads
+        calls = []
+        read = presto.config._read
+
+        def counting_read(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(presto.config, "_read", counting_read)
+        assert main(["validate", name]) == 0
+        assert len(calls) == len(set(calls)) == reads, calls
 
     def test_oversized_disturbance_warns_but_passes(self, tmp_path, capsys):
         cfg = tmp_path / "loud.cfg"
@@ -773,8 +788,9 @@ class TestModuleEntryPoint:
 
 
 class TestConfigNames:
-    """A config name is a regular file, or else the bundled file of that name;
-    a [compare] entry is resolved the same way beside its [compare] file."""
+    """A config name is a regular file, or else, when bare, the bundled file of
+    that name; a [compare] entry is resolved the same way beside its [compare]
+    file."""
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         bom = tmp_path / "s71.cfg"
@@ -795,6 +811,19 @@ class TestConfigNames:
         (tmp_path / name).mkdir()
         assert main(["validate", name]) == 0
         assert capsys.readouterr().out == f"{resolve_config_path('s71')}: OK (tsmc)\n"
+
+    @pytest.mark.parametrize("name", ["missing/s71.cfg", "./s71.cfg", "{tmp}/missing/s71.cfg"])
+    @pytest.mark.parametrize("command", ["validate", "simulate", "compare", "tune", "coeffs"])
+    def test_path_to_nothing_does_not_fall_back(self, tmp_path, monkeypatch, capsys, name,
+                                                command):
+        # a name with a directory part is a path; only a bare name may mean
+        # a bundled file
+        monkeypatch.chdir(tmp_path)
+        name = name.format(tmp=tmp_path)
+        argv = [command, name] + ([] if command in ("validate", "coeffs") else ["--out", "out"])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: config file not found: {name}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_member_is_never_read_from_the_working_directory(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -828,6 +857,20 @@ class TestCompareMembers:
         assert self.run(tmp_path, command, cfg) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: [compare] scenarios: config file not found: {tmp_path}/nope.cfg\n")
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_member_with_a_directory_part_does_not_fall_back(self, tmp_path, capsys, command):
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("[compare]\nscenarios = sub/s71.cfg\n")
+        assert self.run(tmp_path, command, cfg) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: [compare] scenarios: config file "
+                                           f"not found: {tmp_path}/sub/s71.cfg\n")
+
+    def test_bare_member_falls_back_to_the_bundled_file(self, tmp_path, capsys):
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("[compare]\nscenarios = s71.cfg, s74\n")
+        assert main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr() == (f"{cfg}: OK (tsmc, smc_baseline)\n", "")
 
     @pytest.mark.parametrize("command", ["validate", "compare"])
     def test_bad_member_keeps_its_own_path(self, tmp_path, capsys, command):
