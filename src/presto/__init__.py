@@ -14,9 +14,9 @@ Modules by responsibility:
 
 The package exports the entry points, the types they take, return or
 raise, and one type per config section.  The stage functions the loops
-inline (`plant_derivative`, `observer_advance`, `tsmc_control`, ...) are
-the tested reference and import from their modules; the adaptive loop
-calls `ekf_predict` and `ekf_update` once per EKF cycle.
+inline (`plant_derivative`, `observer_advance`, `tsmc_control`, ...,
+and the EKF cycle's `ekf_predict` and `ekf_update`) are the tested
+reference and import from their modules.
 """
 
 from .mathcore import ExponentPair, Trace

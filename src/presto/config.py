@@ -29,10 +29,11 @@ ask for (case-folded): any other key, a section nothing reads, or
 [DEFAULT] is an error.  A scenario file with [pso] always loads as a
 tuning job, and a file with [beam] and neither [scenario] nor [compare]
 is beam data only.  A config name is read where it points, and a
-[compare] entry beside its [compare] file; a bare name, one with no
+[compare] entry beside its [compare] file; a bare name, a str with no
 directory part, that is no regular file there falls back to the bundled
-file of that name under presto/configs.  Files are UTF-8, with or without
-a byte-order mark.
+file of that name under presto/configs.  A pathlib.Path never falls back,
+since it cannot tell "./s71.cfg" from "s71.cfg".  Files are UTF-8, with or
+without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -60,19 +61,20 @@ class ConfigError(ValueError):
 
 
 def _resolve(path: str | Path, entry: str | Path) -> Path:
-    """path if it is a regular file; else, when entry is a bare name, one with
-    no directory part, the bundled config of entry's file name."""
+    """path if it is a regular file; else, when entry is a bare name, a str
+    with no directory part, the bundled config of entry's file name.  A Path
+    entry is never bare: Path("./s71.cfg") drops the "./" that keeps it local."""
     if Path(path).is_file():
         return Path(path)
-    head, stem = os.path.split(entry)
-    bundled = Path(__file__).with_name("configs") / f"{stem.removesuffix('.cfg')}.cfg"
-    if not head and bundled.is_file():
-        return bundled
+    if isinstance(entry, str) and not os.path.dirname(entry):
+        bundled = Path(__file__).with_name("configs") / f"{entry.removesuffix('.cfg')}.cfg"
+        if bundled.is_file():
+            return bundled
     raise ConfigError(f"config file not found: {path}")
 
 
 def resolve_config_path(name: str | Path) -> Path:
-    """A regular file as-is; a bare name that is none, the bundled config."""
+    """A regular file as-is; a bare name (a str) that is none, the bundled config."""
     return _resolve(name, name)
 
 

@@ -20,7 +20,9 @@ so its bits are the same on every host: the predict forms F P F' + Q
 entry by entry from F's two trivial rows, and the update floors the
 diagonal at zero as `np.maximum(., 0.0)` does.  `EkfConfig` checks the
 filter's input; the cycle checks only the innovation covariance it divides
-by.
+by.  The adaptive loop of `harness` runs this cycle inline on the same nine
+floats, in the same operation order, so `ekf_predict` and `ekf_update` are
+the reference it is held to (tests/reference.py, tests/test_kernels.py).
 """
 
 from __future__ import annotations

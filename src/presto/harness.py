@@ -7,8 +7,9 @@ single fixed step:
     1. read the disturbance sample (`disturbance_value` evaluates the
        waveform one block of step times at a time, when the loop reaches
        the block; blocks double from 1024 steps up to 8192);
-    2. (adaptive kind) EKF predict with the input averaged over the elapsed
-       measurement interval, then correct with the noisy position sample;
+    2. (adaptive kind, first step of each measurement interval) EKF predict
+       with the input averaged over the elapsed interval, then correct with
+       the noisy position sample;
     3. form the drift value f from the feedback state (true state, or the
        filter estimate with its stiffness estimate in the adaptive kind);
     4. read the disturbance estimate and sliding surface, evaluate the
@@ -25,13 +26,14 @@ Each step runs in one of three fused loops over plain floats hoisted out of
 the scenario, split by where the feedback comes from: `_smc_loop` for
 `smc_baseline`, `_truth_loop` for the observer kinds fed back the truth
 state, and `_filter_loop` for the adaptive kind fed back the EKF estimate.
-No step tests for an EKF cycle its loop cannot have, and only `_truth_loop`
-branches per step on its kind, for the clamp.  The stage functions of
-`plant`, `observer`, `controller` and `estimator` are the tested reference:
-tests/reference.py composes them step by step, and tests/test_kernels.py
-holds every loop to that composition, bit for bit.  The EKF cycle itself
-calls `ekf_predict` and `ekf_update`, and each loop's divergence guard is
-its only run-time check.
+No step tests for an EKF cycle: `_filter_loop` runs one measurement
+interval at a time, with the cycle inline at its head, and only
+`_truth_loop` branches per step on its kind, for the clamp.  The stage
+functions of `plant`, `observer`, `controller` and `estimator` are the
+tested reference: tests/reference.py composes them step by step, the EKF
+cycle through `ekf_predict` and `ekf_update`, and tests/test_kernels.py
+holds every loop to that composition, bit for bit.  Each loop's divergence
+guard is its only run-time check.
 
 A scenario with a `settle_by` bound (observer kinds only) stops early on a
 logged sample.  The band `threshold_fraction * max(|x1(0)|, |x2(0)|)` and
@@ -72,7 +74,7 @@ from typing import Iterator
 
 import numpy as np
 
-# Eight stage functions and `dataclasses.replace` (above) are imported only for the
+# Ten stage functions and `dataclasses.replace` (above) are imported only for the
 # benchmark's TRACED list, which wraps them by name (noqa: F401; tests/test_bench.py),
 # so each row reads 0 calls; the fused loops reproduce the stages bit for bit
 # (tests/test_kernels.py).
@@ -85,7 +87,7 @@ from .controller import (  # noqa: F401
     smc_control,
     tsmc_control,
 )
-from .estimator import EkfConfig, ekf_init, ekf_predict, ekf_update
+from .estimator import EkfConfig, ekf_init, ekf_predict, ekf_update  # noqa: F401
 from .mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm, settling_time
 from .observer import (  # noqa: F401
     ObserverGains,
@@ -558,11 +560,15 @@ def _filter_loop(sc: Scenario) -> Trace:
     """Fused loop of `adaptive_tsmc_saturated`: the saturated law and observer
     of `_truth_loop`, fed back the EKF estimate (x1_hat, x2_hat, K1_hat).
 
-    The EKF cycle, predict (after step 0) and update, and the feedback terms
-    run every Ts/dt steps; the observer re-anchors against the current x2_hat.
-    `ekf_predict` and `ekf_update` run on the filter's plain-float state, and
-    the divergence guard checks the estimate and trace P after each update.
-    Bit for bit the step-by-step composition (tests/test_kernels.py).
+    The run is one outer pass per measurement interval of Ts/dt steps and an
+    inner pass over that interval's steps.  At the head of each interval the
+    EKF cycle runs inline on nine floats, the estimate and the upper triangle
+    of P: the predict of `ekf_predict` (from the second interval on, with the
+    interval's mean input), then the update of `ekf_update`, each in its
+    operation order.  The divergence guard checks the estimate and trace P,
+    and the feedback terms are formed once for the interval; every step
+    re-anchors the observer against the interval's x2_hat.  Bit for bit the
+    step-by-step composition (tests/test_kernels.py).
     """
     pp, tg, og, cfg = sc.plant, sc.tsmc, sc.observer, sc.ekf
     nK1, K2, g = -pp.K1, pp.K2, pp.g
@@ -576,101 +582,122 @@ def _filter_loop(sc: Scenario) -> Trace:
     delta, mu = tg.delta, tg.mu
     floor = SINGULARITY_FLOOR
     nk, beta0, eps, r0 = -og.k, og.beta0, og.eps, og.e0.ratio
-    dt, dec = sc.dt, sc.decimation
+    dt, dec, n = sc.dt, sc.decimation, sc.n_steps
     lim2 = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
+    Ts, R, K2x3 = cfg.Ts, cfg.R, 3.0 * K2
+    q11, q22, q33 = cfg.q_diag
 
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
-    ekf_state = ekf_init(cfg)
-    fb_stride = int(round(cfg.Ts / dt))
+    (fb1, fb2, k1_hat), (p11, p12, p13, p22, p23, p33) = ekf_init(cfg)
+    fb_stride = int(round(Ts / dt))
     # the measurement noise of every EKF cycle in one draw: the same stream
     # as one scalar draw per cycle
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
-    n_cycles = len(range(0, sc.n_steps, fb_stride))
-    noise = iter((math.sqrt(cfg.R) * rng.standard_normal(n_cycles)).tolist())
+    n_cycles = len(range(0, n, fb_stride))
+    noise = iter((math.sqrt(R) * rng.standard_normal(n_cycles)).tolist())
     log = _SampleLog(sc, _ADAPTIVE_COLUMNS)
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
-    offset = next_log = next_fb = 0
+    offset = next_log = 0
     settle_by = sc.settle_by
     if settle_by is not None:
         band, window = _settle_rule(sc, x1, x2)
         nband, start = -band, 0
-    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
-        if i == next_fb:
-            next_fb += fb_stride
-            if i:
-                ekf_state = ekf_predict(ekf_state, u_acc / fb_stride, cfg, K2, g)
-            u_acc = 0.0
-            try:
-                ekf_state, innov = ekf_update(ekf_state, x1 + next(noise), cfg)
-            except ZeroDivisionError as err:
-                raise _diverged("EKF", str(err), i * dt, log, offset) from None
-            (fb1, fb2, k1_hat), P = ekf_state
-            p_trace = P[0] + P[3] + P[5]  # the diagonal of the upper triangle
-            # the limit on the state estimate also keeps fb1**3 finite
-            # and the next predict's covariance free of overflow
-            if not (fb1 * fb1 <= lim2 and fb2 * fb2 <= lim2 and math.isfinite(k1_hat)
-                    and math.isfinite(p_trace)):
-                raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
-                                f"trace P = {p_trace:.3g}", i * dt, log, offset)
-            if i == 0:
-                z, s = fb2 + sc.z0_offset, sc.z0_offset
-            # the drift, surface and law terms of the estimate, as in `_truth_loop`
-            lin = k1_hat * fb1
-            cub = K2 * fb1**3.0
-            fx = -lin - cub
-            abs_fx = -fx if fx < 0.0 else fx
-            if fb1 > 0.0:
-                ax = fb1
-                s2_fb = fb2 + a1 * fb1 + b1 * fb1**r1
-            elif fb1 < 0.0:
-                ax = -fb1
-                s2_fb = fb2 + a1 * fb1 - b1 * ax**r1
+    dist = itertools.chain.from_iterable(_disturbance_blocks(sc))
+    for c0 in range(0, n, fb_stride):
+        if c0:
+            # predict with the interval's mean input: the rows of F P, then
+            # the upper triangle of (F P) F' + Q, then the mean
+            a = Ts * (-k1_hat - K2x3 * fb1**2.0)
+            b = Ts * (-fb1)
+            f11, f12, f13 = p11 + Ts * p12, p12 + Ts * p22, p13 + Ts * p23
+            f21, f22, f23 = (a * p11 + p12 + b * p13, a * p12 + p22 + b * p23,
+                             a * p13 + p23 + b * p33)
+            p11, p12, p13, p22, p23, p33 = ((f11 + Ts * f12) + q11, a * f11 + f12 + b * f13,
+                                            f13, (a * f21 + f22 + b * f23) + q22, f23, p33 + q33)
+            fb1, fb2 = fb1 + Ts * fb2, fb2 + Ts * (
+                -k1_hat * fb1 - K2 * fb1**3.0 - g * (u_acc / fb_stride))
+        # update against the noisy position sample
+        S = p11 + R
+        if S <= 0.0:
+            raise _diverged("EKF", f"singular innovation covariance S={S}", c0 * dt, log, offset)
+        innov = x1 + next(noise) - fb1
+        k_1, k_2, k_3 = p11 / S, p12 / S, p13 / S
+        c11, c22, c33 = p11 - (k_1 * k_1) * S, p22 - (k_2 * k_2) * S, p33 - (k_3 * k_3) * S
+        # the diagonal floored as np.maximum(c, 0.0) does: NaN passes, and
+        # -0.0 and negatives become +0.0
+        p11, p12, p13, p22, p23, p33 = (0.0 if c11 <= 0.0 else c11, p12 - (k_1 * k_2) * S,
+                                        p13 - (k_1 * k_3) * S, 0.0 if c22 <= 0.0 else c22,
+                                        p23 - (k_2 * k_3) * S, 0.0 if c33 <= 0.0 else c33)
+        fb1, fb2, k1_hat = fb1 + k_1 * innov, fb2 + k_2 * innov, k1_hat + k_3 * innov
+        p_trace = p11 + p22 + p33
+        # the limit on the state estimate also keeps fb1**3 finite
+        # and the next predict's covariance free of overflow
+        if not (fb1 * fb1 <= lim2 and fb2 * fb2 <= lim2 and math.isfinite(k1_hat)
+                and math.isfinite(p_trace)):
+            raise _diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_hat:.3g}), "
+                            f"trace P = {p_trace:.3g}", c0 * dt, log, offset)
+        if not c0:
+            z, s = fb2 + sc.z0_offset, sc.z0_offset
+        # the drift, surface and law terms of the estimate, as in `_truth_loop`
+        lin = k1_hat * fb1
+        cub = K2 * fb1**3.0
+        fx = -lin - cub
+        abs_fx = -fx if fx < 0.0 else fx
+        if fb1 > 0.0:
+            ax = fb1
+            s2_fb = fb2 + a1 * fb1 + b1 * fb1**r1
+        elif fb1 < 0.0:
+            ax = -fb1
+            s2_fb = fb2 + a1 * fb1 - b1 * ax**r1
+        else:
+            ax = 0.0
+            s2_fb = fb2 + a1 * fb1 + 0.0
+        ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
+        law_fb = lin + cub - a1 * fb2 - b1 * ddt
+
+        u_acc = 0.0
+        # range first: zip stops on it without drawing the next interval's d
+        for i, d in zip(range(c0, c0 + fb_stride), dist):
+            if s > 0.0:
+                prefix = nk * s - beta0 - eps * s**r0 - abs_fx
+            elif s < 0.0:
+                prefix = nk * s + beta0 + eps * (-s) ** r0 + abs_fx
             else:
-                ax = 0.0
-                s2_fb = fb2 + a1 * fb1 + 0.0
-            ddt = r1 * ax**r1m1 * fb2 if ax >= floor else 0.0
-            law_fb = lin + cub - a1 * fb2 - b1 * ddt
+                prefix = nk * s
+            d_hat = prefix - fx
+            s2 = s2_fb + s
+            if s2 > 0.0:
+                v = law_fb - d_hat - delta * s2 - mu * s2**r2
+            elif s2 < 0.0:
+                v = law_fb - d_hat - delta * s2 + mu * (-s2) ** r2
+            else:
+                v = law_fb - d_hat - delta * s2
+            u_c = ng * v / gden
+            u = u_max if u_c > u_max else (u_min if u_c < u_min else u_c)
+            if i == next_log:
+                next_log += dec
+                pack(buf, offset, x1, x2, u, d, d_hat, s, s2, v, u_c,
+                     fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
+                offset += row_bytes
+                if settle_by is not None:
+                    if not (nband <= x1 <= band and nband <= x2 <= band):
+                        start = next_log
+                        if start * dt >= settle_by:
+                            return log.trace(offset)
+                    elif next_log - start >= window:
+                        return log.trace(offset)
 
-        if s > 0.0:
-            prefix = nk * s - beta0 - eps * s**r0 - abs_fx
-        elif s < 0.0:
-            prefix = nk * s + beta0 + eps * (-s) ** r0 + abs_fx
-        else:
-            prefix = nk * s
-        d_hat = prefix - fx
-        s2 = s2_fb + s
-        if s2 > 0.0:
-            v = law_fb - d_hat - delta * s2 - mu * s2**r2
-        elif s2 < 0.0:
-            v = law_fb - d_hat - delta * s2 + mu * (-s2) ** r2
-        else:
-            v = law_fb - d_hat - delta * s2
-        u_c = ng * v / gden
-        u = u_max if u_c > u_max else (u_min if u_c < u_min else u_c)
-        if i == next_log:
-            next_log += dec
-            pack(buf, offset, x1, x2, u, d, d_hat, s, s2, v, u_c,
-                 fb1, fb2, k1_hat, x1 - fb1, innov, p_trace)
-            offset += row_bytes
-            if settle_by is not None:
-                if not (nband <= x1 <= band and nband <= x2 <= band):
-                    start = next_log
-                    if start * dt >= settle_by:
-                        break
-                elif next_log - start >= window:
-                    break
+            dx2 = nK1 * x1 - K2 * x1**3.0 - g * u + d
+            x1 += dt * x2
+            x2 += dt * dx2
+            z += dt * (prefix + v)
+            s = z - fb2
+            u_acc += u
 
-        dx2 = nK1 * x1 - K2 * x1**3.0 - g * u + d
-        x1 += dt * x2
-        x2 += dt * dx2
-        z += dt * (prefix + v)
-        s = z - fb2
-        u_acc += u
-
-        if not (x1 * x1 <= lim2 and x2 * x2 <= lim2 and z - z == 0.0):
-            if z - z == 0.0:
-                raise _state_diverged(x1, x2, i * dt, log, offset)
-            raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
+            if not (x1 * x1 <= lim2 and x2 * x2 <= lim2 and z - z == 0.0):
+                if z - z == 0.0:
+                    raise _state_diverged(x1, x2, i * dt, log, offset)
+                raise _diverged("observer", f"z reached {z}", i * dt, log, offset)
     return log.trace(offset)
 
 

@@ -175,6 +175,23 @@ class TestErrorMessages:
         assert f"[{section}] {key}: " in msg
 
 
+class TestBareNames:
+    """Only a str with no directory part is a bare name, which falls back to
+    the bundled file of that name; a Path, which cannot keep a leading './',
+    never does."""
+
+    @pytest.mark.parametrize("load", [resolve_config_path, load_scenario],
+                             ids=["resolve_config_path", "load_scenario"])
+    def test_only_a_bare_str_falls_back(self, tmp_path, monkeypatch, load):
+        monkeypatch.chdir(tmp_path)
+        bundled = Path(presto.config.__file__).with_name("configs") / "s71.cfg"
+        assert load("s71.cfg") == load("s71") == load(str(bundled))
+        for name in ("./s71.cfg", Path("./s71.cfg"), Path("s71.cfg"), Path("s71")):
+            with pytest.raises(ConfigError, match=re.escape(f"config file not found: {name}")):
+                load(name)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompareExpansion:
     def test_bundled_compare_config(self):
         scenarios = load_compare_entries(["compare"])

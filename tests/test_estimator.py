@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from presto import load_scenario, run_scenario
+from presto import load_scenario
 from presto.estimator import (
     EkfConfig,
     EkfState,
@@ -388,10 +388,13 @@ class TestNumpyOracle:
             assert_matches_oracle(out, *np_update(x, P, 0.5, cfg)[:2])
 
     def test_s73_replay(self, monkeypatch):
-        """2,000 closed-loop cycles of s73: each oracle stage, fed the state
-        and input the filter stage received, reproduces the update's state
-        bit for bit and the predict's to rounding."""
-        import presto.harness as harness
+        """2,000 closed-loop cycles of s73, recorded through the cycle names of
+        tests/reference.py during `reference_run`, which tests/test_kernels.py
+        holds the inlined cycle of the adaptive loop to bit for bit: each
+        oracle stage, fed the state and input the filter stage received,
+        reproduces the update's state bit for bit and the predict's to
+        rounding."""
+        import reference
 
         sc = load_scenario("s73")
         cycles = 2000
@@ -405,9 +408,9 @@ class TestNumpyOracle:
                 return out
             return wrapped
 
-        monkeypatch.setattr(harness, "ekf_predict", record(ekf_predict))
-        monkeypatch.setattr(harness, "ekf_update", record(ekf_update))
-        run_scenario(sc)
+        monkeypatch.setattr(reference, "ekf_predict", record(ekf_predict))
+        monkeypatch.setattr(reference, "ekf_update", record(ekf_update))
+        reference.reference_run(sc)
         assert sum(stage is ekf_update for stage, _, _, _ in calls) == cycles
 
         cfg, pp = sc.ekf, sc.plant

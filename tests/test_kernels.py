@@ -27,6 +27,12 @@ def short(name: str, steps: int = STEPS, **changes) -> Scenario:
     return replace(sc, horizon=steps * sc.dt, **changes)
 
 
+def short_ekf(name: str, **changes) -> Scenario:
+    """`short(name)` with the given [ekf] fields changed."""
+    sc = short(name)
+    return replace(sc, ekf=replace(sc.ekf, **changes))
+
+
 # a negative amplitude, and the sin_sqrt term before the sin_linear one
 NEGATIVE_REVERSED = DisturbanceSpec(
     terms=(DisturbanceTerm(-1.5, "sin_sqrt", 0.3), DisturbanceTerm(2.0, "sin_linear", 0.1)),
@@ -49,6 +55,19 @@ CASES = {
     # a horizon that is not a whole number of decimation intervals
     "ragged-s72": lambda: short("s72", steps=3005),
     "ragged-s74": lambda: short("s74", steps=3005),
+    # the adaptive loop's measurement intervals: a horizon that is not a
+    # whole number of them, a decimation that does not divide one, and one
+    # step per interval
+    "ragged-s73": lambda: short("s73", steps=3005),
+    "decimation7-s73": lambda: short("s73", decimation=7),
+    "stride1-s73": lambda: short_ekf("s73", Ts=short("s73").dt),
+    # the floor of the updated diagonal: with Q = 0, a rank-one P0 and a
+    # tiny R, updated variances round below zero; a P0 of -0.0 gives -0.0
+    # variances, logged as the +0.0 trace P the floor makes of them
+    "floor-clip-s73": lambda: short_ekf("s73", q_diag=(0.0, 0.0, 0.0), R=1e-16,
+                                        p0_diag=(0.0, 0.0, 6000.0)),
+    "floor-negzero-s73": lambda: short_ekf("s73", q_diag=(0.0, 0.0, 0.0),
+                                           p0_diag=(-0.0, -0.0, -0.0)),
 }
 # at rest with no disturbance, from +0.0 and from -0.0: every step of the
 # tsmc kinds takes the exact-zero branches of s, s2 and fb1; the adaptive
@@ -70,23 +89,55 @@ def test_fused_loop_matches_stage_functions(case):
     assert report == ref_report
 
 
-def poison_ekf(monkeypatch, index: int, from_call: int) -> None:
-    """Make every EKF update from the given call on return NaN in x_hat[index]."""
+@pytest.mark.parametrize("case, clipped", [("floor-clip-s73", lambda v: v < 0.0),
+                                            ("floor-negzero-s73", lambda v: v == 0.0)])
+def test_floor_cases_take_the_clip(monkeypatch, case, clipped):
+    """The reference run of each floor case floors a negative, or a -0.0,
+    updated variance to +0.0, so the loop's inlined floor is exercised."""
+    import presto.estimator as estimator
+
+    real_floor, floored = estimator._floor, []
+
+    def floor(v):
+        out = real_floor(v)
+        if out.hex() != v.hex():
+            floored.append(v)
+        return out
+
+    monkeypatch.setattr(estimator, "_floor", floor)
+    reference_run(CASES[case]())
+    assert any(map(clipped, floored)), floored
+
+
+def poison_ekf_init(monkeypatch, index: int) -> None:
+    """Start the filter with NaN in x_hat[index] alone."""
     import presto.harness as harness
 
-    real_update = harness.ekf_update
-    calls = []
+    real_init = harness.ekf_init
 
-    def poisoned(st, y, cfg):
-        new, innov = real_update(st, y, cfg)
-        calls.append(1)
-        if len(calls) >= from_call:
-            x_hat = list(new.x_hat)
-            x_hat[index] = math.nan
-            new = new._replace(x_hat=tuple(x_hat))
-        return new, innov
+    def poisoned(cfg):
+        st = real_init(cfg)
+        x_hat = list(st.x_hat)
+        x_hat[index] = math.nan
+        return st._replace(x_hat=tuple(x_hat))
 
-    monkeypatch.setattr(harness, "ekf_update", poisoned)
+    monkeypatch.setattr(harness, "ekf_init", poisoned)
+
+
+def nan_measurement(monkeypatch, cycle: int) -> None:
+    """Make the position measurement of the given EKF cycle (from 1) NaN."""
+    real_rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, size):
+            draws = self.rng.standard_normal(size)
+            draws[cycle - 1] = math.nan
+            return draws
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
 
 
 def far_estimate_cfg(tmp_path, x1_hat: str):
@@ -104,7 +155,26 @@ class TestNonFiniteLoops:
 
     @pytest.mark.parametrize("index", [1, 2], ids=["x2_hat", "K1_hat"])
     def test_nan_estimate_raises_divergence(self, monkeypatch, index):
-        poison_ekf(monkeypatch, index, from_call=4)
+        # the update leaves the NaN in its component alone, so each of the
+        # two components is checked by its own clause of the estimate guard
+        poison_ekf_init(monkeypatch, index)
+        with pytest.raises(DivergenceError) as exc:
+            run_scenario(short("s73"))
+        assert str(exc.value).startswith("EKF diverged at t=0.0000 (x_hat = (")
+        assert str(exc.value).split(", trace P")[0].count("nan") == 1
+        assert exc.value.t == 0.0 and exc.value.trace.n_samples == 0
+
+    def test_infinite_trace_p_raises_divergence(self):
+        # every variance is finite and the estimate stays near the truth, but
+        # the trace of P is not finite, so only that clause of the guard holds
+        with pytest.raises(DivergenceError) as exc:
+            run_scenario(short_ekf("s73", p0_diag=(0.01, 1e308, 1e308)))
+        assert str(exc.value).startswith("EKF diverged at t=0.0000 (x_hat = (")
+        assert str(exc.value).endswith(", 5, 20), trace P = inf)")
+        assert exc.value.t == 0.0 and exc.value.trace.n_samples == 0
+
+    def test_nan_measurement_raises_divergence(self, monkeypatch):
+        nan_measurement(monkeypatch, cycle=4)
         sc = short("s73")
         with pytest.raises(DivergenceError, match="EKF") as exc:
             run_scenario(sc)
@@ -114,7 +184,7 @@ class TestNonFiniteLoops:
         assert np.all(np.isfinite(exc.value.trace.column("K1_hat")))
 
     def test_nan_estimate_is_a_failed_row(self, monkeypatch, tmp_path):
-        poison_ekf(monkeypatch, 2, from_call=4)
+        nan_measurement(monkeypatch, cycle=4)
         code = cli_main(["compare", "s71", "s73", "--out", str(tmp_path)])
         assert code == 2
         lines = (tmp_path / "report.txt").read_text().splitlines()
