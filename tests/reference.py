@@ -18,7 +18,7 @@ import numpy as np
 
 from presto.controller import saturated_tsmc_control, sliding_stack_n2, smc_control, tsmc_control
 from presto.estimator import ekf_init, ekf_predict, ekf_update
-from presto.harness import RunReport, Scenario
+from presto.harness import DIVERGENCE_LIMIT, DivergenceError, RunReport, Scenario
 from presto.mathcore import SETTLING_HOLD, Trace, l2_norm, linf_norm
 from presto.observer import disturbance_estimate, observer_advance, observer_init
 from presto.plant import disturbance_value, plant_derivative
@@ -31,6 +31,13 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     `perfect_observer` (observer kinds) feeds the true disturbance in place
     of the observer's estimate, with the observer term of the surface held
     at 0: the idealized loop whose surface obeys the reaching law alone.
+
+    A run ends as the loops end it, in a DivergenceError with the same
+    message, step time and partial trace: at an EKF cycle whose innovation
+    covariance S <= 0, or whose estimate has |x1_hat| or |x2_hat| past the
+    divergence limit or a non-finite K1_hat or trace P; after a step whose
+    observer integrator z is non-finite, or else whose truth state is past
+    the limit or non-finite.
     """
     pp = sc.plant
     adaptive = sc.kind == "adaptive_tsmc_saturated"
@@ -43,24 +50,49 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     obs = ekf_state = None
     innov = u = u_acc = 0.0
     n_acc = stride = 0
+    # the feedback's plant: the truth's, or the estimate's K1 from each EKF cycle on
+    pp_fb = pp
     if adaptive:
         cfg = sc.ekf
         ekf_state = ekf_init(cfg)
         stride = int(round(cfg.Ts / dt))
+    if smc_kind:
+        names = ["t", "x1", "x2", "u", "d", "s", "u_eq", "u_c"]
+    else:
+        names = ["t", "x1", "x2", "u", "d", "d_hat", "s", "s2"]
+        names += ["v_r", "u_c"] if saturated else []
+        names += ["x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace"] if adaptive else []
     rows = []
+
+    def trace_of_rows() -> Trace:
+        table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+        return Trace(dt=dt * sc.decimation, columns=dict(zip(names, table.T)))
+
+    def diverged(what: str, detail: str, t: float) -> DivergenceError:
+        return DivergenceError(f"{what} diverged at t={t:.4f} ({detail})", trace_of_rows(), t)
+
     for i in range(int(round(sc.horizon / dt))):
         t = i * dt
         d = disturbance_value(sc.disturbance, t)
-        if adaptive and i % stride == 0:
+        if not adaptive:
+            fb1, fb2, k1_fb = x1, x2, pp.K1
+        elif i % stride == 0:
             if i > 0:
                 ekf_state = ekf_predict(ekf_state, u_acc / n_acc, sc.ekf, pp.K2, pp.g)
             u_acc, n_acc = 0.0, 0
             y = x1 + math.sqrt(sc.ekf.R) * rng.standard_normal()
-            ekf_state, innov = ekf_update(ekf_state, y, sc.ekf)
-        if adaptive:
+            try:
+                ekf_state, innov = ekf_update(ekf_state, y, sc.ekf)
+            except ZeroDivisionError as err:
+                raise diverged("EKF", str(err), t) from None
             fb1, fb2, k1_fb = (float(v) for v in ekf_state.x_hat)
-        else:
-            fb1, fb2, k1_fb = x1, x2, pp.K1
+            p11, _, _, p22, _, p33 = ekf_state.P
+            p_trace = p11 + p22 + p33
+            if not (abs(fb1) <= DIVERGENCE_LIMIT and abs(fb2) <= DIVERGENCE_LIMIT
+                    and math.isfinite(k1_fb) and math.isfinite(p_trace)):
+                raise diverged("EKF", f"x_hat = ({fb1:.3g}, {fb2:.3g}, {k1_fb:.3g}), "
+                               f"trace P = {p_trace:.3g}", t)
+            pp_fb = replace(pp, K1=k1_fb)
         if smc_kind:
             out = smc_control((x1, x2), sc.smc, pp)
             u = out.u
@@ -74,7 +106,6 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
             else:
                 d_hat, s_obs = d, 0.0
             s2 = sliding_stack_n2((fb1, fb2), s_obs, sc.tsmc)
-            pp_fb = replace(pp, K1=k1_fb)
             if saturated:
                 v_r, u_c, u = saturated_tsmc_control((fb1, fb2), d_hat, s2, pp_fb, sc.tsmc)
                 forcing = v_r
@@ -85,8 +116,7 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
             if saturated:
                 row += (v_r, u_c)
             if adaptive:
-                p_diag = (ekf_state.P[i] for i in (0, 3, 5))  # P is its upper triangle
-                row += (fb1, fb2, k1_fb, x1 - fb1, innov, sum(p_diag))
+                row += (fb1, fb2, k1_fb, x1 - fb1, innov, p_trace)
         if i % sc.decimation == 0:
             rows.append(row)
         dx1, dx2 = plant_derivative((x1, x2), u, d, pp)
@@ -94,18 +124,15 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
         x2 += dt * dx2
         if has_observer:
             obs = observer_advance(obs, fb2 if adaptive else x2, fx, forcing, sc.observer, dt)
+            if not math.isfinite(obs.z):
+                raise diverged("observer", f"z reached {obs.z}", t)
         u_acc += u
         n_acc += 1
-        assert max(abs(x1), abs(x2)) <= 1e6
+        if not (abs(x1) <= DIVERGENCE_LIMIT and abs(x2) <= DIVERGENCE_LIMIT):  # NaN fails too
+            peak = max(abs(x1), abs(x2)) if math.isfinite(x1) and math.isfinite(x2) else math.inf
+            raise diverged("state", f"|x| reached {peak!r}", t)
 
-    if smc_kind:
-        names = ["t", "x1", "x2", "u", "d", "s", "u_eq", "u_c"]
-    else:
-        names = ["t", "x1", "x2", "u", "d", "d_hat", "s", "s2"]
-        names += ["v_r", "u_c"] if saturated else []
-        names += ["x1_hat", "x2_hat", "K1_hat", "e_x", "innov", "P_trace"] if adaptive else []
-    trace = Trace(dt=dt * sc.decimation,
-                  columns={n: np.asarray(col) for n, col in zip(names, zip(*rows))})
+    trace = trace_of_rows()
     report = RunReport(label=sc.label, kind=sc.kind)
     report.u_l2, report.u_linf = l2_norm(trace, "u"), linf_norm(trace, "u")
     report.ey_l2, report.ey_linf = l2_norm(trace, "x1"), linf_norm(trace, "x1")

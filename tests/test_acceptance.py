@@ -396,3 +396,40 @@ class TestComparisonTableAgreement:
             ok,
             "estimation-error norms reported only for the adaptive row",
         )
+
+
+# the report cells the step convergence rule compares
+REPORT_CELLS = ("u_l2", "u_linf", "ey_l2", "ey_linf", "uc_l2", "uc_linf", "ex_l2", "ex_linf")
+
+
+class TestStepRefinement:
+    def test_adaptive_step_meets_the_convergence_rule(self, bundled_runs):
+        """The bundled s73 against the same scenario at dt/2, with the
+        decimation doubled so the sample interval stays the same.  The step
+        is converged when both of these hold:
+
+        - every finite report cell (u_l2, u_linf, ey_l2, ey_linf, uc_l2,
+          uc_linf, ex_l2, ex_linf) moves by at most 2% relative;
+        - t_s is None in both runs, or the two agree within one logged sample.
+
+        s73.cfg's step is the coarsest of dt = 1e-4, 2e-4, 5e-4, 1e-3 that
+        passes."""
+        sc, trace, report, _ = bundled_runs["s73"]
+        _, half = run_scenario(replace(sc, dt=sc.dt / 2, decimation=2 * sc.decimation))
+        moves = {}
+        for cell in REPORT_CELLS:
+            coarse, fine = getattr(report, cell), getattr(half, cell)
+            if coarse is not None:
+                moves[cell] = (coarse - fine) / fine
+        cells_ok = all(math.isfinite(m) and abs(m) <= 0.02 for m in moves.values())
+        if report.t_s is None or half.t_s is None:
+            t_s_ok = report.t_s is None and half.t_s is None
+        else:
+            t_s_ok = round(abs(report.t_s - half.t_s) / trace.dt) <= 1
+        worst = max(moves, key=lambda cell: abs(moves[cell]))
+        _report(
+            "step s73",
+            cells_ok and t_s_ok,
+            f"dt={sc.dt:g} against {sc.dt / 2:g}: worst cell {worst} {moves[worst]:+.2%} "
+            f"(bound 2%), t_s {report.t_s} against {half.t_s}",
+        )

@@ -675,7 +675,7 @@ NAMED = {
     "subnormal_dt_and_horizon": "[scenario] dt: must be a normal float > 0, got 5e-324",
     "step_count_past_maxsize": "[scenario] horizon, dt: 1e+20 / 0.001 must be a finite step "
                                "count",
-    "infinite_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0001, got 1e+308",
+    "infinite_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0002, got 1e+308",
     "zero_q0": "[observer] p0, q0: exponent pair must be positive, got (1, 0)",
     "negative_q2": "[controller] p2, q2: exponent pair must be positive, got (1, -3)",
     "clamp_above_zero": "[controller] u_min, u_max: clamp must bracket zero, got [1.0, 10.0]",
@@ -726,7 +726,7 @@ NAMED = {
     "clamp_on_tsmc": "[controller] tau, u_min, u_max: tau and the clamp",
     "saturated_without_clamp": "[controller] tau, u_min, u_max: kind tsmc_saturated needs",
     "zero_ekf_Ts": "[ekf] Ts: the adaptive kind needs Ts > 0, got 0.0",
-    "ragged_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0001, got 0.00015",
+    "ragged_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0002, got 0.00015",
     "tune_unknown_gain": "[pso] tune: cannot tune ['warp']",
     "tune_tau_on_tsmc": "[pso] tune: cannot tune 'tau' on kind tsmc",
 }

@@ -18,10 +18,10 @@ from presto.cli import main as cli_main
 COMPARE = {
     "s71.csv": "d5ab7472332fa414",
     "s72.csv": "daa26948487eb10c",
-    "s73.csv": "ced03540f3e56483",
+    "s73.csv": "0e8efc288360b2b7",
     "s74.csv": "e7e9e387a965d1ee",
-    "report.txt": "7c1ed323c7a8602c",
-    "report.csv": "6d6edd1e3f6687ea",
+    "report.txt": "75cde6472fac528a",
+    "report.csv": "47faf06bf8db160e",
 }
 TUNE = {
     "tune_s71_best.csv": "f620849cb7dae69b",

@@ -2,7 +2,8 @@
 
 `reference.reference_run` composes the documented stage functions step by
 step.  Every trace column and every report field of the fused loops must
-match it bit for bit.
+match it bit for bit, and a divergent run must end with the same message,
+step time and partial trace.
 """
 
 import math
@@ -31,6 +32,12 @@ def short_ekf(name: str, **changes) -> Scenario:
     """`short(name)` with the given [ekf] fields changed."""
     sc = short(name)
     return replace(sc, ekf=replace(sc.ekf, **changes))
+
+
+def short_tsmc(name: str, **changes) -> Scenario:
+    """`short(name)` with the given [controller] fields changed."""
+    sc = short(name)
+    return replace(sc, tsmc=replace(sc.tsmc, **changes))
 
 
 # a negative amplitude, and the sin_sqrt term before the sin_linear one
@@ -68,6 +75,15 @@ CASES = {
                                         p0_diag=(0.0, 0.0, 6000.0)),
     "floor-negzero-s73": lambda: short_ekf("s73", q_diag=(0.0, 0.0, 0.0),
                                            p0_diag=(-0.0, -0.0, -0.0)),
+    # runs that end in each kind of divergence: z overflows (truth-fed and
+    # EKF-fed), the state passes the limit mid-run, the innovation
+    # covariance reaches 0 at the second cycle, the estimate passes the limit
+    "diverge-observer-s72": lambda: short_tsmc("s72", delta=1e300),
+    "diverge-observer-s73": lambda: short_tsmc("s73", delta=1e300),
+    "diverge-state-s74": lambda: short("s74", x0=(9e5, 9e5)),
+    "diverge-singular-s73": lambda: short_ekf("s73", q_diag=(0.0, 0.0, 0.0), R=0.0,
+                                              p0_diag=(1.0, 0.0, 0.0)),
+    "diverge-estimate-s73": lambda: short_ekf("s73", x0_hat=(1e5, 5.0, 20.0)),
 }
 # at rest with no disturbance, from +0.0 and from -0.0: every step of the
 # tsmc kinds takes the exact-zero branches of s, s2 and fb1; the adaptive
@@ -78,15 +94,30 @@ for _name in ("s71", "s72", "s73", "s74"):
             lambda n=_name, z=_zero: short(n, x0=(z, z), disturbance=DisturbanceSpec()))
 
 
+def outcome(run, sc: Scenario):
+    """(trace, report, failure) of one run: a divergent run gives its partial
+    trace, no report and its (message, t); any other gives failure None."""
+    try:
+        return *run(sc), None
+    except DivergenceError as err:
+        return err.trace, None, (str(err), err.t)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_loop_matches_stage_functions(case):
     sc = CASES[case]()
-    trace, report = run_scenario(sc)
-    ref_trace, ref_report = reference_run(sc)
+    trace, report, failure = outcome(run_scenario, sc)
+    ref_trace, ref_report, ref_failure = outcome(reference_run, sc)
+    assert failure == ref_failure
     assert list(trace.columns) == list(ref_trace.columns)
     for name, col in ref_trace.columns.items():
         assert trace.columns[name].tobytes() == col.tobytes(), name  # sign of zero included
     assert report == ref_report
+
+
+# with a -0.0 P0 and no process noise the filter never corrects its
+# estimate, so the negzero case's run ends, after its clips, in this divergence
+FLOOR_FAILURES = {"floor-negzero-s73": "EKF diverged at t=0.4320 (x_hat = ("}
 
 
 @pytest.mark.parametrize("case, clipped", [("floor-clip-s73", lambda v: v < 0.0),
@@ -105,8 +136,13 @@ def test_floor_cases_take_the_clip(monkeypatch, case, clipped):
         return out
 
     monkeypatch.setattr(estimator, "_floor", floor)
-    reference_run(CASES[case]())
+    _, _, ref_failure = outcome(reference_run, CASES[case]())
     assert any(map(clipped, floored)), floored
+    failure = FLOOR_FAILURES.get(case)
+    if failure is None:
+        assert ref_failure is None
+    else:
+        assert ref_failure[0].startswith(failure), ref_failure
 
 
 def poison_ekf_init(monkeypatch, index: int) -> None:
@@ -221,11 +257,11 @@ class TestNonFiniteLoops:
         # the clamp keeps the truth finite while delta*s2 overflows the
         # unclamped v_r that drives z; s72 runs the truth-fed loop, s73 the
         # EKF-fed one
-        sc = short(name)
-        sc = replace(sc, tsmc=replace(sc.tsmc, delta=1e300))
+        sc = short_tsmc(name, delta=1e300)
         with pytest.raises(DivergenceError) as exc:
             run_scenario(sc)
-        assert str(exc.value) == "observer diverged at t=0.0001 (z reached inf)"
+        # z overflows in the update of step 1, so the run ends at t = dt
+        assert str(exc.value) == f"observer diverged at t={sc.dt:.4f} (z reached inf)"
         trace = exc.value.trace
         assert trace.n_samples > 0
         # the partial trace's t column is formed from its row count
