@@ -4,9 +4,8 @@ A Scenario bundles one plant, one disturbance, one controller kind and its
 gains, and the integration setup.  `run_scenario` advances everything on a
 single fixed step:
 
-    1. read the disturbance sample (`disturbance_value` evaluates the
-       waveform one block of step times at a time, when the loop reaches
-       the block; blocks double from 1024 steps up to 8192);
+    1. read the disturbance sample (`disturbance_value` evaluates 4096
+       step times at once, where numpy's cost per value stops falling);
     2. (adaptive kind, first step of each measurement interval) EKF predict
        with the input averaged over the elapsed interval, then correct with
        the noisy position sample;
@@ -125,9 +124,8 @@ _SECTIONS = {"smc": "[smc]", "tsmc": "[controller]", "observer": "[observer]", "
 # the loops' guards: x*x <= DIVERGENCE_LIMIT**2 holds for exactly the x with
 # |x| <= DIVERGENCE_LIMIT (NaN fails), and z - z == 0.0 for exactly the finite z
 DIVERGENCE_LIMIT = 1e6
-# steps of the disturbance waveform evaluated at once: the first block, and
-# the size at which the doubling of later blocks stops
-_SERIES_FIRST, _SERIES_BLOCK = 1024, 8192
+# steps of the disturbance waveform evaluated at once (see `_disturbance_steps`)
+_SERIES_BLOCK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -308,7 +306,7 @@ def run_scenario(sc: Scenario) -> tuple[Trace, RunReport]:
     # amplitude-bound assumption is checkable against the realized signal;
     # |d| never exceeds `bound`, so only a bound above beta0 needs the check
     if sc.kind == "tsmc" and sc.disturbance.bound > sc.observer.beta0:
-        max_abs_d = max(float(np.max(np.abs(d))) for d in _disturbance_blocks(sc))
+        max_abs_d = max(map(abs, _disturbance_steps(sc)))
         if max_abs_d > sc.observer.beta0:
             report.diagnostics.append(
                 f"disturbance magnitude reached {max_abs_d:.4g}, exceeding the observer "
@@ -364,21 +362,18 @@ def _state_diverged(x1: float, x2: float, t: float, log: _SampleLog, offset: int
     return _diverged("state", f"|x| reached {peak!r}", t, log, offset)
 
 
-def _disturbance_blocks(sc: Scenario) -> Iterator[memoryview]:
-    """d at every step time i*dt, one block of steps at a time, evaluated when
-    the loop reaches the block; chained, the blocks yield one float per step.
+def _disturbance_steps(sc: Scenario) -> Iterator[float]:
+    """d at every step time i*dt, one float per step.
 
-    Blocks double from 1024 steps up to 8192, so a run that stops early
-    evaluates little past its stop, and a long run pays the per-block numpy
-    overhead only a few more times than with 8192 throughout.
+    `disturbance_value` evaluates _SERIES_BLOCK steps at once, when the
+    iteration reaches them: numpy's cost per value stops falling at that
+    size, and a run that stops early evaluates at most one unfinished block.
     """
-    n, start, size = sc.n_steps, 0, _SERIES_FIRST
-    while start < n:
-        stop = min(start + size, n)
-        t = np.arange(start, stop, dtype=float)
-        t *= sc.dt
-        yield memoryview(disturbance_value(sc.disturbance, t))
-        start, size = stop, min(2 * size, _SERIES_BLOCK)
+    n = sc.n_steps
+    times = (np.arange(start, min(start + _SERIES_BLOCK, n), dtype=float) * sc.dt
+             for start in range(0, n, _SERIES_BLOCK))
+    return itertools.chain.from_iterable(
+        memoryview(disturbance_value(sc.disturbance, t)) for t in times)
 
 
 def _smc_loop(sc: Scenario) -> Trace:
@@ -399,7 +394,7 @@ def _smc_loop(sc: Scenario) -> Trace:
     log = _SampleLog(sc, _SMC_COLUMNS)
     buf, pack, row_bytes = log.buf, log.pack, log.row_bytes
     offset = next_log = 0
-    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
+    for i, d in enumerate(_disturbance_steps(sc)):
         b = K2 * x1**3.0  # a float exponent: the same pow, with no int conversion per call
         s = x2 + Y * x1
         u_eq = (Y * x2 - K1n * x1 - b) / g
@@ -482,7 +477,7 @@ def _truth_loop(sc: Scenario) -> Trace:
         # start * dt: the earliest time a window can still start (module
         # docstring); only a sample out of band moves it, so only those check it
         nband, start = -band, 0
-    for i, d in enumerate(itertools.chain.from_iterable(_disturbance_blocks(sc))):
+    for i, d in enumerate(_disturbance_steps(sc)):
         # the drift, surface and law terms of the state.  The signed powers
         # of x1, s and s2 are folded into one branch per sign, exact in IEEE
         # arithmetic: a - (-b) is a + b, and every gain is finite and > 0,
@@ -602,7 +597,7 @@ def _filter_loop(sc: Scenario) -> Trace:
     if settle_by is not None:
         band, window = _settle_rule(sc, x1, x2)
         nband, start = -band, 0
-    dist = itertools.chain.from_iterable(_disturbance_blocks(sc))
+    dist = _disturbance_steps(sc)
     for c0 in range(0, n, fb_stride):
         if c0:
             # predict with the interval's mean input: the rows of F P, then

@@ -32,6 +32,10 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     of the observer's estimate, with the observer term of the surface held
     at 0: the idealized loop whose surface obeys the reaching law alone.
 
+    The report carries `run_scenario`'s one diagnostic, the note that the
+    tsmc kind's disturbance exceeded beta0, from the peak of the per-step
+    values.
+
     A run ends as the loops end it, in a DivergenceError with the same
     message, step time and partial trace: at an EKF cycle whose innovation
     covariance S <= 0, or whose estimate has |x1_hat| or |x2_hat| past the
@@ -48,7 +52,7 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed]))
     x1, x2 = float(sc.x0[0]), float(sc.x0[1])
     obs = ekf_state = None
-    innov = u = u_acc = 0.0
+    innov = u = u_acc = peak_d = 0.0
     n_acc = stride = 0
     # the feedback's plant: the truth's, or the estimate's K1 from each EKF cycle on
     pp_fb = pp
@@ -74,6 +78,7 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     for i in range(int(round(sc.horizon / dt))):
         t = i * dt
         d = disturbance_value(sc.disturbance, t)
+        peak_d = max(peak_d, abs(d))
         if not adaptive:
             fb1, fb2, k1_fb = x1, x2, pp.K1
         elif i % stride == 0:
@@ -141,6 +146,9 @@ def reference_run(sc: Scenario, perfect_observer: bool = False) -> tuple[Trace, 
     if adaptive:
         report.ex_l2, report.ex_linf = l2_norm(trace, "e_x"), linf_norm(trace, "e_x")
     report.t_s = reference_settling_time(trace, sc.threshold_fraction, SETTLING_HOLD)
+    if sc.kind == "tsmc" and peak_d > sc.observer.beta0:
+        report.diagnostics.append(f"disturbance magnitude reached {peak_d:.4g}, exceeding "
+                                  f"the observer bound beta0={sc.observer.beta0:.4g}")
     return trace, report
 
 

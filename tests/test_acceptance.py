@@ -413,7 +413,9 @@ class TestStepRefinement:
         - t_s is None in both runs, or the two agree within one logged sample.
 
         s73.cfg's step is the coarsest of dt = 1e-4, 2e-4, 5e-4, 1e-3 that
-        passes."""
+        passes at the bundled seed 73.  The rule is met for that seed only:
+        at seeds 0 and 1 uc_linf moves 2.30% and 3.47%, so there it depends
+        on the step, and this check does not speak for them."""
         sc, trace, report, _ = bundled_runs["s73"]
         _, half = run_scenario(replace(sc, dt=sc.dt / 2, decimation=2 * sc.decimation))
         moves = {}

@@ -16,11 +16,12 @@ import pytest
 from presto import load_scenario, run_scenario
 from presto.cli import main as cli_main
 from presto.config import load_pso_job, resolve_config_path
-from presto.harness import DivergenceError, Scenario
+from presto.harness import _SERIES_BLOCK, DivergenceError, Scenario
 from presto.plant import DisturbanceSpec, DisturbanceTerm
 from reference import reference_run
 
 STEPS = 3000
+BLOCK_EDGE = _SERIES_BLOCK + 15
 
 
 def short(name: str, steps: int = STEPS, **changes) -> Scenario:
@@ -68,6 +69,13 @@ CASES = {
     "ragged-s73": lambda: short("s73", steps=3005),
     "decimation7-s73": lambda: short("s73", decimation=7),
     "stride1-s73": lambda: short_ekf("s73", Ts=short("s73").dt),
+    # past the edge of the disturbance's first block far enough that logged
+    # samples (decimation 10, or 7) hold values of the second block and the
+    # states they drove; at decimation 7 a sample interval and a measurement
+    # interval of s73 straddle the edge.  s74 has no disturbance of its own
+    "block-edge-s72": lambda: short("s72", steps=BLOCK_EDGE),
+    "block-edge-s73": lambda: short("s73", steps=BLOCK_EDGE, decimation=7),
+    "block-edge-s74": lambda: short("s74", steps=BLOCK_EDGE, disturbance=NEGATIVE_REVERSED),
     # the floor of the updated diagonal: with Q = 0, a rank-one P0 and a
     # tiny R, updated variances round below zero; a P0 of -0.0 gives -0.0
     # variances, logged as the +0.0 trace P the floor makes of them
