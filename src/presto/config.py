@@ -14,26 +14,29 @@ One flat INI-style file per job, one section per subsystem:
     [pso]         swarm_size, generations, seed, tune = name lo hi; ...
     [compare]     scenarios = a.cfg, b.cfg, ...
 
-This module only reads keys and parses their text.  Each section feeds
-one library type whose fields hold the values the file gives, unconverted:
-[beam] BeamParams, [observer] ObserverGains, [controller] TsmcGains
-(u_min, u_max as its SatBounds), [disturbance] DisturbanceSpec, [smc]
-SmcGains, [ekf] EkfConfig and [pso] PsoConfig.  [scenario] feeds the
-Scenario around them.  A key the file omits is not passed on, so it takes
-the default of the field it feeds, for instance x0 = 1.0, 5.0 or [pso]
-generations = 40.  The checks live on those types too.  Values are
-literal: a '%' needs no escaping.  Every [pso] tune entry names its
-gain's search box.  Scenario kinds pull in their required sections and
-reject configs missing them.  A file may set only the keys its loaders
-ask for (case-folded): any other key, a section nothing reads, or
-[DEFAULT] is an error.  A scenario file with [pso] always loads as a
-tuning job, and a file with [beam] and neither [scenario] nor [compare]
-is beam data only.  A config name is read where it points, and a
-[compare] entry beside its [compare] file; a bare name, a str with no
-directory part, that is no regular file there falls back to the bundled
-file of that name under presto/configs.  A pathlib.Path never falls back,
-since it cannot tell "./s71.cfg" from "s71.cfg".  Files are UTF-8, with or
-without a byte-order mark.
+A line is a [section] header alone, key = value, a full-line '#' comment
+or blank; an indented line continues the value above it.  No other
+delimiter or inline comment exists.  A list has one separator: ',' between
+numbers (x0, q_diag, p0_diag, x0_hat) and [compare] files, ';' between
+disturbance terms and tune boxes.  Values are literal: a '%' needs no
+escaping.  The label, the file's stem by default, names output files, so
+it must be printable (no line break), not '', '.' or '..', and hold no
+'/', '\\' or ','.
+
+Each section feeds one library type, which holds the checks: [beam]
+BeamParams, [observer] ObserverGains, [controller] TsmcGains (u_min, u_max
+as its SatBounds), [disturbance] DisturbanceSpec, [smc] SmcGains, [ekf]
+EkfConfig, [pso] PsoConfig, and [scenario] the Scenario around them.  A
+key the file omits takes the default of the field it feeds, for instance
+x0 = 1.0, 5.0.  A file may set only the keys its loaders ask for
+(case-folded): any other key, a section nothing reads, or [DEFAULT] is an
+error.  A scenario file with [pso] loads as a tuning job, and a file with
+[beam] and neither [scenario] nor [compare] is beam data only.  A config
+name is read where it points, and a [compare] entry beside its [compare]
+file; a bare name, a str with no directory part, that is no regular file
+there falls back to the bundled file of that name under presto/configs.  A
+pathlib.Path never falls back, since it cannot tell "./s71.cfg" from
+"s71.cfg".  Files are UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import os
+import re
 from pathlib import Path
 
 from .controller import SatBounds, SmcGains, TsmcGains
@@ -86,8 +90,11 @@ class _Parser(configparser.ConfigParser):
     ask through `has_option` before they read a key.
     """
 
+    # a header line holds nothing after its ']'
+    SECTCRE = re.compile(r"\[(?P<header>[^]]+)\]$")
+
     def __init__(self):
-        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
+        super().__init__(delimiters=("=",), comment_prefixes=("#",), interpolation=None)
         self.asked: dict[str, dict[str, str]] = {}
 
     def has_option(self, section, option):
@@ -208,7 +215,7 @@ def _given(cp, section: str, keys: dict) -> dict:
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(float(tok.strip()) for tok in raw.split(","))
 
 
 def _terms(raw: str) -> tuple[DisturbanceTerm, ...]:
@@ -370,14 +377,9 @@ def _scenarios(files) -> list[Scenario]:
 
 
 def load_compare_entries(names: list[str | Path]) -> list[Scenario]:
-    """Expand config names into the scenarios of a comparison run.
-
-    A config carrying a [compare] section expands to its listed scenario
-    files, each joined to the directory of the [compare] file; a bare entry
-    that is no file there falls back to the bundled config.  Anything else
-    loads as one scenario.  No two labels may match, and none may be
-    'report', the stem of the comparison table's files.
-    """
+    """Expand config names into the scenarios of a comparison run: a
+    [compare] file's listed files, any other file its own scenario.  No two
+    labels may match, and none may be 'report', the table's file stem."""
     return _scenarios(map(_open, names))
 
 
@@ -410,9 +412,5 @@ def _pso_job(cp, path: Path) -> tuple[PsoConfig, TuneTemplate]:
 
 
 def load_pso_job(name: str | Path) -> tuple[PsoConfig, TuneTemplate]:
-    """Load a tuning job: the base scenario plus the swarm setup.
-
-    The tune key lists gains as 'name lo hi' triples separated by
-    semicolons: every tuned gain names its own search box.
-    """
+    """Load a tuning job: the base scenario plus the swarm setup."""
     return _in_file(*_open(name), _pso_job)

@@ -194,10 +194,11 @@ class Scenario:
         if self.kind not in KINDS:
             raise ValueError(f"[scenario] kind: unknown scenario kind {self.kind!r}; "
                              f"expected one of {KINDS}")
-        if self.label in ("", ".", "..") or any(c in self.label for c in "/\\,"):
+        if (self.label in ("", ".", "..") or not self.label.isprintable()
+                or any(c in self.label for c in "/\\,")):
             # the label names the run's trace and report files and its report rows
-            raise ValueError(f"[scenario] label: {self.label!r} names output files, so it "
-                             "must not be empty, '.' or '..', nor hold '/', '\\' or ','")
+            raise ValueError(f"[scenario] label: {self.label!r} names output files, so it must "
+                             "be printable, not empty, '.' or '..', nor hold '/', '\\' or ','")
         if len(self.x0) != 2:
             raise ValueError(f"[scenario] x0: needs two entries, got {len(self.x0)}")
         if not all(abs(v) <= DIVERGENCE_LIMIT for v in self.x0):  # NaN fails too
@@ -205,11 +206,12 @@ class Scenario:
                              f"limit {DIVERGENCE_LIMIT:g}, got {self.x0}")
         if not math.isfinite(self.z0_offset):
             raise ValueError(f"z0_offset must be finite, got {self.z0_offset}")
-        if not (self.dt >= sys.float_info.min):  # SETTLING_HOLD / a subnormal dt overflows
+        if not sys.float_info.min <= self.dt < math.inf:  # SETTLING_HOLD / a subnormal dt overflows
             raise ValueError(f"[scenario] dt: must be a normal float > 0, got {self.dt}")
         if not (self.dt < self.horizon < math.inf):
+            at = f" for [scenario] dt = {self.dt}" if self.horizon < math.inf else ""
             raise ValueError(f"[scenario] horizon: must be finite and exceed dt, "
-                             f"got {self.horizon}")
+                             f"got {self.horizon}{at}")
         if not (self.horizon / self.dt < sys.maxsize):
             raise ValueError(f"[scenario] horizon, dt: {self.horizon:g} / {self.dt:g} must be "
                              f"a finite step count below {sys.maxsize}")

@@ -606,6 +606,19 @@ MALFORMED = {
     "ragged_ekf_stride": edit_config(ADAPTIVE_JOB, ("Ts = 6e-3", "Ts = 1.5e-4")),
     "tune_unknown_gain": TUNE_JOB.replace("tune = k 0.5 20", "tune = warp 0.5 20"),
     "tune_tau_on_tsmc": TUNE_JOB.replace("tune = k 0.5 20", "tune = tau 0.5 20"),
+    # a line is a [section] header alone, key = value, a full-line '#'
+    # comment or blank, and each list has one separator
+    "colon_delimiter": TUNE_JOB.replace("horizon = 0.5", "horizon: 0.5"),
+    "semicolon_comment_line": TUNE_JOB.replace("dt = 1e-3\n", "dt = 1e-3\n; note\n"),
+    "inline_comment": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3 # step"),
+    "inline_comment_on_header": TUNE_JOB.replace("[plant]", "[plant] # coefficients"),
+    "space_separated_x0": TUNE_JOB.replace("dt = 1e-3", "dt = 1e-3\nx0 = 1.0 5.0"),
+    "compare_semicolon_list": "[compare]\nscenarios = s71.cfg ; s72.cfg\n",
+    # tests/test_malformed.py found dt named only through horizon
+    "infinite_dt": TUNE_JOB.replace("dt = 1e-3", "dt = inf"),
+    "dt_above_horizon": TUNE_JOB.replace("dt = 1e-3", "dt = 1.0"),
+    # TestLabels runs a label continued on a second line
+    "label_with_tab": TUNE_JOB.replace("horizon = 0.5", "horizon = 0.5\nlabel = a\tb"),
 }
 
 # what the error must say, for the cases that name a key or a section; a
@@ -729,6 +742,21 @@ NAMED = {
     "ragged_ekf_stride": "[ekf] Ts: must be a whole multiple of dt=0.0002, got 0.00015",
     "tune_unknown_gain": "[pso] tune: cannot tune ['warp']",
     "tune_tau_on_tsmc": "[pso] tune: cannot tune 'tau' on kind tsmc",
+    "colon_delimiter": "case.cfg: line 5: 'horizon: 0.5' is neither a [section] header nor "
+                       "key = value",
+    "semicolon_comment_line": "case.cfg: line 5: '; note' is neither a [section] header nor "
+                              "key = value",
+    "inline_comment": "[scenario] dt: could not convert string to float: '1e-3 # step'",
+    "inline_comment_on_header": "case.cfg: line 7: '[plant] # coefficients' is neither a "
+                                "[section] header nor key = value",
+    "space_separated_x0": "[scenario] x0: could not convert string to float: '1.0 5.0'",
+    "compare_semicolon_list": "case.cfg: [compare] scenarios: config file not found: ",
+    ("compare_semicolon_list", "simulate"): "missing required section [scenario]",
+    ("compare_semicolon_list", "tune"): "missing required section [scenario]",
+    "label_with_tab": "[scenario] label: 'a\\tb' names output files",
+    "infinite_dt": "[scenario] dt: must be a normal float > 0, got inf",
+    "dt_above_horizon": "[scenario] horizon: must be finite and exceed dt, got 0.5 for "
+                        "[scenario] dt = 1.0",
 }
 
 
@@ -933,6 +961,19 @@ class TestLabels:
         assert self.run(tmp_path, command, cfg) == 1
         assert (f"error: {cfg}: [scenario] label: '../escaped' names output files"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
+    def test_label_continued_on_a_second_line(self, tmp_path, capsys, command):
+        # an indented line continues the value, so the label would hold a
+        # line break: one trace file named across two lines, one report row
+        # split over two
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text(edit_config(S74_TEXT, ("[scenario]\n",
+                                              "[scenario]\nlabel = base\n  line\n")))
+        assert self.run(tmp_path, command, cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [scenario] label: 'base\\nline' names output files, so it must be "
+            "printable, not empty, '.' or '..', nor hold '/', '\\' or ','\n")
 
     @pytest.mark.parametrize("command", ["validate", "compare"])
     @pytest.mark.parametrize("where", ["compare_member", "scenario_label"])

@@ -107,6 +107,19 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="disturbance term"):
             load_scenario(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("terms", [
+        "2.0 sin_linear 0.1 ; 3.0 sin_sqrt 0.2",
+        "2.0 sin_linear 0.1\n    ; 3.0 sin_sqrt 0.2",
+        "2.0 sin_linear 0.1;\n    3.0 sin_sqrt 0.2",
+    ], ids=["spaced", "continued-after-semicolon", "continued-before-semicolon"])
+    def test_semicolon_separates_every_term(self, tmp_path, terms):
+        # ';' only separates list entries: it never starts a comment, in a
+        # value or at the head of a continuation line
+        text = MINIMAL_TSMC + f"\n[disturbance]\nterms = {terms}\n"
+        sc = load_scenario(write_cfg(tmp_path, text))
+        assert [(t.amplitude, t.kind, t.rate) for t in sc.disturbance.terms] == [
+            (2.0, "sin_linear", 0.1), (3.0, "sin_sqrt", 0.2)]
+
     def test_omitted_keys_take_field_defaults(self, tmp_path):
         text = MINIMAL_TSMC.replace("x0 = 1.0, 5.0\n", "")
         text = text.replace("dt = 1e-3\n", "").replace("horizon = 0.5\n", "")
@@ -246,6 +259,13 @@ class TestPsoJob:
         p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20; eps\n")
         with pytest.raises(ConfigError, match=r"\[pso\] tune: entry 'eps' is not 'name lo hi'"):
             load_pso_job(p)
+
+    def test_spaced_semicolons_keep_every_box(self, tmp_path):
+        tune = "k 0.5 20 ; beta0 5 20 ; eps 0.5 20"
+        p = write_cfg(tmp_path, MINIMAL_TSMC + f"\n[pso]\ntune = {tune}\n")
+        cfg, template = load_pso_job(p)
+        assert template.names == ("k", "beta0", "eps")
+        assert cfg.bounds == ((0.5, 20.0), (5.0, 20.0), (0.5, 20.0))
 
     def test_omitted_keys_take_field_defaults(self, tmp_path):
         p = write_cfg(tmp_path, MINIMAL_TSMC + "\n[pso]\ntune = k 0.5 20\n")

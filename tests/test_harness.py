@@ -167,6 +167,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="kind"):
             replace(base, kind="pid")
 
+    @pytest.mark.parametrize("label", ["base\nline", "a\tb", "a\rb", "nul\x00", "\x85"])
+    def test_label_must_be_printable(self, label):
+        # a label names the run's trace file and its report row, so a line
+        # break would split one row of report.csv over two lines
+        with pytest.raises(ValueError, match=re.escape(f"[scenario] label: {label!r} names output "
+                                                       "files, so it must be printable")):
+            replace(load_scenario("s71"), label=label)
+
     def test_adaptive_requires_aligned_sample_time(self):
         base = load_scenario("s73")
         with pytest.raises(ValueError, match="multiple"):
